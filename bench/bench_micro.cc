@@ -140,6 +140,8 @@ void BM_AnalyzeDag(benchmark::State& state) {
 }
 BENCHMARK(BM_AnalyzeDag);
 
+// The tree benches take the algorithms' path: decode into a reused tree,
+// encode into a reused buffer.
 void BM_TreeCodecRoundTrip(benchmark::State& state) {
   Rng rng(9);
   FlatTree tree(0);
@@ -147,22 +149,32 @@ void BM_TreeCodecRoundTrip(benchmark::State& state) {
     tree.AddChild(static_cast<int32_t>(rng.Uniform(0, tree.size() - 1)),
                   node);
   }
+  FlatTree decoded;
+  std::vector<int32_t> queue;
+  std::vector<int32_t> encoded;
   for (auto _ : state) {
-    const std::vector<int32_t> encoded = EncodeTree(tree);
-    benchmark::DoNotOptimize(DecodeTree(encoded));
+    EncodeTreeInto(tree, &queue, &encoded);
+    benchmark::DoNotOptimize(DecodeTreeInto(encoded, 500, &decoded));
+    benchmark::DoNotOptimize(decoded.nodes().data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TreeCodecRoundTrip);
 
 void BM_FlatTreeBuildAndEncode(benchmark::State& state) {
   Rng rng(4);
+  FlatTree tree;
+  std::vector<int32_t> queue;
+  std::vector<int32_t> encoded;
   for (auto _ : state) {
-    FlatTree tree(0);
+    tree.Reset(0);
     for (NodeId node = 1; node < 300; ++node) {
       tree.AddChild(static_cast<int32_t>(rng.Uniform(0, tree.size() - 1)),
                     node);
     }
-    benchmark::DoNotOptimize(EncodeTree(tree));
+    EncodeTreeInto(tree, &queue, &encoded);
+    benchmark::DoNotOptimize(encoded.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_FlatTreeBuildAndEncode);

@@ -1,11 +1,12 @@
 #ifndef TCDB_CORE_PATHS_H_
 #define TCDB_CORE_PATHS_H_
 
+#include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "core/run_context.h"
-#include "succ/tree_codec.h"
 
 namespace tcdb {
 
@@ -17,16 +18,20 @@ namespace tcdb {
 // ExecOptions::capture_trees.
 
 // Returns a witness path root -> ... -> `target` from a successor spanning
-// tree (every tree link is an input arc). NotFound if `target` is not in
-// the tree (i.e. not a successor of the root). The path includes both
-// endpoints; its length is at least 2.
-Result<std::vector<NodeId>> PathFromSpanningTree(const FlatTree& tree,
-                                                 NodeId target);
+// tree in the EncodeTree format (every tree link is an input arc).
+// NotFound if `target` is not in the tree (i.e. not a successor of the
+// root). The path includes both endpoints; its length is at least 2.
+//
+// Reads the encoding directly in one backward pass, O(encoding size): in
+// BFS order a node's entry as a child precedes its own parent marker, and
+// the nearest marker before an entry names that entry's parent.
+Result<std::vector<NodeId>> PathFromSpanningTree(
+    std::span<const int32_t> encoded, NodeId target);
 
 // Convenience index over a run's captured trees.
 class PathIndex {
  public:
-  // Takes ownership of nothing; copies the trees out of `result`.
+  // Copies the encoded trees out of `result`.
   explicit PathIndex(const RunResult& result);
 
   // Witness path from `from` to `to`. NotFound when `from` has no captured
@@ -37,7 +42,7 @@ class PathIndex {
   size_t size() const { return trees_.size(); }
 
  private:
-  std::unordered_map<NodeId, FlatTree> trees_;
+  std::unordered_map<NodeId, std::vector<int32_t>> trees_;
 };
 
 }  // namespace tcdb

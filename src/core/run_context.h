@@ -1,6 +1,7 @@
 #ifndef TCDB_CORE_RUN_CONTEXT_H_
 #define TCDB_CORE_RUN_CONTEXT_H_
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -11,7 +12,6 @@
 #include "storage/buffer_manager.h"
 #include "storage/pager.h"
 #include "succ/successor_list_store.h"
-#include "succ/tree_codec.h"
 #include "util/status.h"
 
 namespace tcdb {
@@ -24,11 +24,13 @@ struct RunResult {
   // metrics snapshot, so it does not perturb the measurements.
   std::vector<std::pair<NodeId, std::vector<NodeId>>> answer;
   // SPN only, when ExecOptions::capture_trees is set: the final successor
-  // spanning trees of the answer nodes. Every parent->child link in these
-  // trees is a real arc of the input graph, so they witness one concrete
-  // path from the root to each of its successors (the extra information
-  // the paper notes "may justify the higher I/O cost" of SPN).
-  std::vector<std::pair<NodeId, FlatTree>> spanning_trees;
+  // spanning trees of the answer nodes, each kept as its list was on disk
+  // (the EncodeTree format: one entry per node plus one per parent, and
+  // no per-tree node index). Every parent->child link in these trees is a
+  // real arc of the input graph, so they witness one concrete path from
+  // the root to each of its successors (the extra information the paper
+  // notes "may justify the higher I/O cost" of SPN).
+  std::vector<std::pair<NodeId, std::vector<int32_t>>> spanning_trees;
 };
 
 // Per-run environment: the simulated disk, its files, the buffer pool and

@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "core/restructure.h"
@@ -9,6 +11,13 @@
 namespace tcdb {
 namespace {
 
+// A pending subtree copy: the node at `src_index` of the tree being merged
+// sits at `dst_index` of the tree being extended.
+struct MergeItem {
+  int32_t src_index;
+  int32_t dst_index;
+};
+
 // ---------------------------------------------------------------------------
 // SPN — successor spanning trees (paper Section 3.5).
 // ---------------------------------------------------------------------------
@@ -17,19 +26,18 @@ namespace {
 // of the node being expanded). `seen` is the marking set: a node in `seen`
 // has its entire closure present already, so its subtree is skipped — this
 // is the structural-information saving of the Spanning Tree algorithm.
+// `stack` is scratch.
 void MergeSuccessorTree(const FlatTree& child_tree, FlatTree* tree,
-                        EpochSet* seen, RunMetrics* m) {
-  struct Item {
-    int32_t src_index;  // index in child_tree
-    int32_t dst_index;  // corresponding index in *tree
-  };
+                        EpochSet* seen, std::vector<MergeItem>* stack,
+                        RunMetrics* m) {
   const int32_t root_dst = tree->IndexOf(child_tree.root());
   TCDB_CHECK_GE(root_dst, 0);  // The child is already a child of the root.
-  std::vector<Item> stack = {{0, root_dst}};
-  while (!stack.empty()) {
-    const Item item = stack.back();
-    stack.pop_back();
-    for (const int32_t u : child_tree.ChildrenOf(item.src_index)) {
+  stack->assign(1, MergeItem{0, root_dst});
+  while (!stack->empty()) {
+    const MergeItem item = stack->back();
+    stack->pop_back();
+    for (int32_t u = child_tree.FirstChild(item.src_index); u != -1;
+         u = child_tree.NextSibling(u)) {
       const NodeId node = child_tree.NodeAt(u);
       ++m->tuples_generated;
       if (seen->Contains(node)) continue;  // Whole subtree already present.
@@ -39,17 +47,18 @@ void MergeSuccessorTree(const FlatTree& child_tree, FlatTree* tree,
         dst = tree->AddChild(item.dst_index, node);
         ++m->tuples_inserted;
       }
-      stack.push_back({u, dst});
+      stack->push_back({u, dst});
     }
   }
 }
 
-Status ReadTree(SuccessorListStore* store, int32_t list,
-                std::vector<int32_t>* scratch, FlatTree* out) {
+// Reads list `list` of `store` into `scratch` and decodes it into `out`
+// over the run's node universe.
+Status ReadTree(const RunContext& ctx, SuccessorListStore* store,
+                int32_t list, std::vector<int32_t>* scratch, FlatTree* out) {
   scratch->clear();
   TCDB_RETURN_IF_ERROR(store->Read(list, scratch));
-  TCDB_ASSIGN_OR_RETURN(*out, DecodeTree(*scratch));
-  return Status::Ok();
+  return DecodeTreeInto(*scratch, ctx.num_nodes, out);
 }
 
 Status FinalizeTrees(RunContext* ctx, const QuerySpec& query,
@@ -63,11 +72,12 @@ Status FinalizeTrees(RunContext* ctx, const QuerySpec& query,
   if (ctx->options.capture_answer || ctx->options.capture_trees) {
     ctx->BeginPhase(Phase::kSetup);
     std::vector<int32_t> scratch;
+    FlatTree tree;
     for (int32_t pos = 0; pos < num_lists; ++pos) {
       const NodeId x = rs.topo_order[pos];
       if (!query.full_closure && !rs.is_source[x]) continue;
-      FlatTree tree(0);
-      TCDB_RETURN_IF_ERROR(ReadTree(ctx->succ.get(), pos, &scratch, &tree));
+      TCDB_RETURN_IF_ERROR(
+          ReadTree(*ctx, ctx->succ.get(), pos, &scratch, &tree));
       if (ctx->options.capture_answer) {
         std::vector<NodeId> successors(tree.nodes().begin() + 1,
                                        tree.nodes().end());
@@ -75,7 +85,7 @@ Status FinalizeTrees(RunContext* ctx, const QuerySpec& query,
         result->answer.emplace_back(x, std::move(successors));
       }
       if (ctx->options.capture_trees) {
-        result->spanning_trees.emplace_back(x, std::move(tree));
+        result->spanning_trees.emplace_back(x, scratch);
       }
     }
     std::sort(result->answer.begin(), result->answer.end());
@@ -95,12 +105,9 @@ Status FinalizeTrees(RunContext* ctx, const QuerySpec& query,
 // skipped: the trees hold only *special* nodes, so a node's presence says
 // nothing about its subtree — this is exactly why JKB "misses many
 // opportunities to apply the marking optimization" (Section 6.3.3).
+// `stack` is scratch.
 void MergePredecessorTree(const FlatTree& pred_tree, FlatTree* tree,
-                          RunMetrics* m) {
-  struct Item {
-    int32_t src_index;
-    int32_t dst_index;
-  };
+                          std::vector<MergeItem>* stack, RunMetrics* m) {
   // The predecessor p itself hangs off the root of `tree`.
   ++m->tuples_generated;
   int32_t p_dst = tree->IndexOf(pred_tree.root());
@@ -108,11 +115,12 @@ void MergePredecessorTree(const FlatTree& pred_tree, FlatTree* tree,
     p_dst = tree->AddChild(0, pred_tree.root());
     ++m->tuples_inserted;
   }
-  std::vector<Item> stack = {{0, p_dst}};
-  while (!stack.empty()) {
-    const Item item = stack.back();
-    stack.pop_back();
-    for (const int32_t u : pred_tree.ChildrenOf(item.src_index)) {
+  stack->assign(1, MergeItem{0, p_dst});
+  while (!stack->empty()) {
+    const MergeItem item = stack->back();
+    stack->pop_back();
+    for (int32_t u = pred_tree.FirstChild(item.src_index); u != -1;
+         u = pred_tree.NextSibling(u)) {
       const NodeId node = pred_tree.NodeAt(u);
       ++m->tuples_generated;
       int32_t dst = tree->IndexOf(node);
@@ -120,7 +128,7 @@ void MergePredecessorTree(const FlatTree& pred_tree, FlatTree* tree,
         dst = tree->AddChild(item.dst_index, node);
         ++m->tuples_inserted;
       }
-      stack.push_back({u, dst});
+      stack->push_back({u, dst});
     }
   }
 }
@@ -129,62 +137,39 @@ void MergePredecessorTree(const FlatTree& pred_tree, FlatTree* tree,
 // root itself, every source node, and every branching node (the nearest
 // common ancestor of two unrelated sources). Non-special chain nodes are
 // spliced out and non-source leaves dropped, bounding the tree size by
-// ~2|S| (paper Section 3.6).
-FlatTree PruneToSpecial(const FlatTree& tree,
-                        const std::vector<bool>& is_source) {
-  FlatTree pruned(tree.root());
-  // Post-order over the old tree, computing for every node the list of
-  // surviving subtree roots (as indices into `pruned`, built bottom-up).
-  std::vector<std::vector<int32_t>> survivors(
-      static_cast<size_t>(tree.size()));
-  // Iterative post-order: push (index, expanded?) items.
-  std::vector<std::pair<int32_t, bool>> stack = {{0, false}};
-  // Build an arena of (node, children) for survivor subtrees before
-  // attaching them, since FlatTree only supports top-down construction.
-  struct Pending {
-    NodeId node;
-    std::vector<int32_t> children;  // indices into `arena`
+// ~2|S| (paper Section 3.6). The result replaces `*pruned`; `scratch` is
+// reused storage.
+void PruneToSpecial(const FlatTree& tree, const std::vector<bool>& is_source,
+                    std::vector<int32_t>* scratch, FlatTree* pruned) {
+  // passed_up[i]: how many surviving subtree roots node i hands to its
+  // parent. A child's index exceeds its parent's, so a descending index
+  // sweep visits every child before its parent.
+  std::vector<int32_t>& passed_up = *scratch;
+  passed_up.assign(static_cast<size_t>(tree.size()), 0);
+  auto special = [&](int32_t i) {
+    return is_source[tree.NodeAt(i)] || passed_up[i] >= 2;
   };
-  std::vector<Pending> arena;
-  auto attach = [&](auto&& self, int32_t parent_index,
-                    int32_t arena_index) -> void {
-    const Pending& pending = arena[arena_index];
-    const int32_t index = pruned.Contains(pending.node)
-                              ? pruned.IndexOf(pending.node)
-                              : pruned.AddChild(parent_index, pending.node);
-    for (const int32_t child : pending.children) self(self, index, child);
-  };
-  while (!stack.empty()) {
-    const auto [index, expanded] = stack.back();
-    if (!expanded) {
-      stack.back().second = true;
-      for (const int32_t child : tree.ChildrenOf(index)) {
-        stack.push_back({child, false});
-      }
+  for (int32_t i = tree.size() - 1; i > 0; --i) {
+    passed_up[tree.ParentOf(i)] += special(i) ? 1 : passed_up[i];
+  }
+  // The pruned tree is the special nodes in the original pre-order, each
+  // under its nearest special ancestor. Walking in pre-order, passed_up[i]
+  // is overwritten (after special(i) has read it) with the pruned index
+  // of i's nearest special ancestor-or-self.
+  pruned->Reset(tree.root());
+  passed_up[0] = 0;
+  int32_t i = tree.FirstChild(0);
+  while (i != -1) {
+    const int32_t anchor = passed_up[tree.ParentOf(i)];
+    passed_up[i] =
+        special(i) ? pruned->AddChild(anchor, tree.NodeAt(i)) : anchor;
+    if (tree.FirstChild(i) != -1) {
+      i = tree.FirstChild(i);
       continue;
     }
-    stack.pop_back();
-    std::vector<int32_t> child_survivors;
-    for (const int32_t child : tree.ChildrenOf(index)) {
-      for (const int32_t s : survivors[child]) child_survivors.push_back(s);
-    }
-    if (index == 0) {
-      // Root: always kept; attach all survivors beneath it.
-      for (const int32_t s : child_survivors) attach(attach, 0, s);
-      break;
-    }
-    const NodeId node = tree.NodeAt(index);
-    const bool special =
-        is_source[node] || child_survivors.size() >= 2;
-    if (special) {
-      arena.push_back(Pending{node, std::move(child_survivors)});
-      survivors[index] = {static_cast<int32_t>(arena.size()) - 1};
-    } else {
-      // Spliced out: its surviving descendants bubble up.
-      survivors[index] = std::move(child_survivors);
-    }
+    while (i != 0 && tree.NextSibling(i) == -1) i = tree.ParentOf(i);
+    i = i == 0 ? -1 : tree.NextSibling(i);
   }
-  return pruned;
 }
 
 }  // namespace
@@ -202,19 +187,25 @@ Status RunSpn(RunContext* ctx, const QuerySpec& query, RunResult* result) {
   CpuTimer cpu;
   RunMetrics& m = ctx->metrics;
   EpochSet seen(static_cast<size_t>(ctx->num_nodes));
+  // Per-run storage, reused by every node: the list as read or written,
+  // the node's tree, a child's tree, the sorted children, the merge stack
+  // and the encoder's queue.
   std::vector<int32_t> scratch;
+  FlatTree tree;
+  FlatTree child_tree;
+  std::vector<NodeId> children;
+  std::vector<MergeItem> stack;
+  std::vector<int32_t> queue;
   for (int32_t pos = static_cast<int32_t>(rs.topo_order.size()) - 1; pos >= 0;
        --pos) {
     const NodeId x = rs.topo_order[pos];
-    FlatTree tree(0);
-    TCDB_RETURN_IF_ERROR(ReadTree(ctx->succ.get(), pos, &scratch, &tree));
+    TCDB_RETURN_IF_ERROR(
+        ReadTree(*ctx, ctx->succ.get(), pos, &scratch, &tree));
     seen.ClearAll();
-    std::vector<NodeId> children(tree.nodes().begin() + 1,
-                                 tree.nodes().end());
+    children.assign(tree.nodes().begin() + 1, tree.nodes().end());
     std::sort(children.begin(), children.end(), [&](NodeId a, NodeId b) {
       return rs.topo_pos[a] < rs.topo_pos[b];
     });
-    FlatTree child_tree(0);
     for (const NodeId c : children) {
       ++m.arcs_processed;
       if (ctx->options.use_marking && seen.Contains(c)) {
@@ -224,13 +215,14 @@ Status RunSpn(RunContext* ctx, const QuerySpec& query, RunResult* result) {
       ++m.list_unions;
       m.unmarked_locality_sum += rs.levels[x] - rs.levels[c];
       seen.Insert(c);
-      TCDB_RETURN_IF_ERROR(
-          ReadTree(ctx->succ.get(), rs.topo_pos[c], &scratch, &child_tree));
-      MergeSuccessorTree(child_tree, &tree, &seen, &m);
+      TCDB_RETURN_IF_ERROR(ReadTree(*ctx, ctx->succ.get(), rs.topo_pos[c],
+                                    &scratch, &child_tree));
+      MergeSuccessorTree(child_tree, &tree, &seen, &stack, &m);
     }
     // The expanded tree's structure changed; rewrite it in place.
     ctx->succ->Truncate(pos);
-    TCDB_RETURN_IF_ERROR(ctx->succ->AppendMany(pos, EncodeTree(tree)));
+    EncodeTreeInto(tree, &queue, &scratch);
+    TCDB_RETURN_IF_ERROR(ctx->succ->AppendMany(pos, scratch));
     m.distinct_tuples += tree.size() - 1;
     if (rs.is_source[x]) m.selected_tuples += tree.size() - 1;
   }
@@ -277,27 +269,37 @@ Status RunJkb(RunContext* ctx, const QuerySpec& query, bool dual,
     }
   }
 
+  // Per-run storage, reused by every node: the list as read or written,
+  // the sorted predecessors, the node's tree, a predecessor's tree, the
+  // pruning target and scratch, the merge stack and the encoder's queue.
   std::vector<int32_t> scratch;
+  std::vector<NodeId> preds;
+  FlatTree tree;
+  FlatTree pred_tree;
+  FlatTree pruned;
+  std::vector<int32_t> prune_scratch;
+  std::vector<MergeItem> stack;
+  std::vector<int32_t> queue;
   // Forward topological order: all immediate predecessors of a node are
   // final before the node is reached.
   for (size_t pos = 0; pos < rs.topo_order.size(); ++pos) {
     const NodeId x = rs.topo_order[pos];
     scratch.clear();
     TCDB_RETURN_IF_ERROR(ctx->pred->Read(pred_list_of[x], &scratch));
-    std::vector<NodeId> preds(scratch.begin(), scratch.end());
+    preds.assign(scratch.begin(), scratch.end());
     // Nearest predecessors first (the analogue of the topological child
     // order in BTC).
     std::sort(preds.begin(), preds.end(), [&](NodeId a, NodeId b) {
       return rs.topo_pos[a] > rs.topo_pos[b];
     });
-    FlatTree tree(x);
-    FlatTree pred_tree(0);
+    tree.Reset(x);
     // The node's (initially trivial) tree lives on disk and is rewritten
     // after every union, as in the original Compute_Tree: trees are
     // maintained on their pages as they grow, they are not batched in
     // memory. The repeated rewrites are part of the algorithm's real cost.
-    TCDB_RETURN_IF_ERROR(ctx->trees->AppendMany(static_cast<int32_t>(pos),
-                                                EncodeTree(tree)));
+    EncodeTreeInto(tree, &queue, &scratch);
+    TCDB_RETURN_IF_ERROR(
+        ctx->trees->AppendMany(static_cast<int32_t>(pos), scratch));
     for (const NodeId p : preds) {
       ++m.arcs_processed;
       if (ctx->options.use_marking && tree.Contains(p)) {
@@ -309,16 +311,20 @@ Status RunJkb(RunContext* ctx, const QuerySpec& query, bool dual,
       }
       ++m.list_unions;
       m.unmarked_locality_sum += rs.levels[p] - rs.levels[x];
-      TCDB_RETURN_IF_ERROR(ReadTree(ctx->trees.get(), rs.topo_pos[p],
+      TCDB_RETURN_IF_ERROR(ReadTree(*ctx, ctx->trees.get(), rs.topo_pos[p],
                                     &scratch, &pred_tree));
-      MergePredecessorTree(pred_tree, &tree, &m);
+      MergePredecessorTree(pred_tree, &tree, &stack, &m);
       // Copy only the nodes special with respect to x (bottom-up pruning),
       // then write the updated tree back. When every node is a source
       // (CTC) pruning is an identity and is skipped.
-      if (!query.full_closure) tree = PruneToSpecial(tree, rs.is_source);
+      if (!query.full_closure) {
+        PruneToSpecial(tree, rs.is_source, &prune_scratch, &pruned);
+        std::swap(tree, pruned);
+      }
       ctx->trees->Truncate(static_cast<int32_t>(pos));
-      TCDB_RETURN_IF_ERROR(ctx->trees->AppendMany(static_cast<int32_t>(pos),
-                                                  EncodeTree(tree)));
+      EncodeTreeInto(tree, &queue, &scratch);
+      TCDB_RETURN_IF_ERROR(
+          ctx->trees->AppendMany(static_cast<int32_t>(pos), scratch));
     }
     const FlatTree& special = tree;
     m.distinct_tuples += special.size() - 1;

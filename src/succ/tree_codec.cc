@@ -2,103 +2,139 @@
 
 namespace tcdb {
 
-FlatTree::FlatTree(NodeId root) {
-  nodes_.push_back(root);
-  parent_.push_back(-1);
-  num_children_.push_back(0);
-  first_child_.push_back(-1);
-  last_child_.push_back(-1);
-  next_sibling_.push_back(-1);
-  index_[root] = 0;
+FlatTree::FlatTree(NodeId root) { Reset(root); }
+
+void FlatTree::Reset(NodeId root) {
+  for (const NodeId node : nodes_) index_[node] = -1;
+  nodes_.clear();
+  links_.clear();
+  TCDB_CHECK_GE(root, 0);
+  Append(root, -1);
 }
 
-int32_t FlatTree::IndexOf(NodeId node) const {
-  auto it = index_.find(node);
-  return it == index_.end() ? -1 : it->second;
+int32_t FlatTree::Append(NodeId node, int32_t parent_index) {
+  const int32_t index = size();
+  if (static_cast<size_t>(node) >= index_.size()) {
+    index_.resize(static_cast<size_t>(node) + 1, -1);
+  }
+  index_[node] = index;
+  nodes_.push_back(node);
+  links_.push_back(Links{parent_index, -1, -1, -1});
+  return index;
+}
+
+int32_t FlatTree::NumChildren(int32_t index) const {
+  int32_t count = 0;
+  for (int32_t c = FirstChild(index); c != -1; c = NextSibling(c)) ++count;
+  return count;
 }
 
 int32_t FlatTree::AddChild(int32_t parent_index, NodeId node) {
   TCDB_CHECK(parent_index >= 0 && parent_index < size());
-  TCDB_CHECK(!Contains(node)) << "node already in tree";
-  const int32_t index = size();
-  nodes_.push_back(node);
-  parent_.push_back(parent_index);
-  num_children_.push_back(0);
-  first_child_.push_back(-1);
-  last_child_.push_back(-1);
-  next_sibling_.push_back(-1);
-  index_[node] = index;
-  if (first_child_[parent_index] == -1) {
-    first_child_[parent_index] = index;
+  TCDB_CHECK(node >= 0 && !Contains(node)) << "node absent or negative";
+  const int32_t index = Append(node, parent_index);
+  Links& parent = links_[parent_index];
+  if (parent.first_child == -1) {
+    parent.first_child = index;
   } else {
-    next_sibling_[last_child_[parent_index]] = index;
+    links_[parent.last_child].next_sibling = index;
   }
-  last_child_[parent_index] = index;
-  num_children_[parent_index]++;
+  parent.last_child = index;
   return index;
 }
 
-std::vector<int32_t> FlatTree::ChildrenOf(int32_t index) const {
-  TCDB_CHECK(index >= 0 && index < size());
-  std::vector<int32_t> children;
-  children.reserve(static_cast<size_t>(num_children_[index]));
-  for (int32_t c = first_child_[index]; c != -1; c = next_sibling_[c]) {
-    children.push_back(c);
+void EncodeTreeInto(const FlatTree& tree, std::vector<int32_t>* queue,
+                    std::vector<int32_t>* out) {
+  out->clear();
+  if (tree.size() == 1) {
+    out->push_back(tree.root() + 1);
+    return;
   }
-  return children;
+  // BFS over internal nodes: the index order need not be BFS after
+  // arbitrary construction.
+  queue->assign(1, 0);
+  for (size_t qi = 0; qi < queue->size(); ++qi) {
+    const int32_t p = (*queue)[qi];
+    int32_t c = tree.FirstChild(p);
+    if (c == -1) continue;
+    out->push_back(-(tree.NodeAt(p) + 1));
+    for (; c != -1; c = tree.NextSibling(c)) {
+      out->push_back(tree.NodeAt(c) + 1);
+      queue->push_back(c);
+    }
+  }
 }
 
 std::vector<int32_t> EncodeTree(const FlatTree& tree) {
+  std::vector<int32_t> queue;
   std::vector<int32_t> out;
-  if (tree.size() == 1) {
-    out.push_back(tree.root() + 1);
-    return out;
-  }
-  // BFS over internal nodes; the tree's index order is already a valid BFS
-  // substitute because parents precede children... not guaranteed after
-  // arbitrary construction order, so do an explicit BFS.
-  std::vector<int32_t> queue = {0};
-  for (size_t qi = 0; qi < queue.size(); ++qi) {
-    const int32_t p = queue[qi];
-    if (tree.NumChildren(p) == 0) continue;
-    out.push_back(-(tree.NodeAt(p) + 1));
-    for (int32_t c : tree.ChildrenOf(p)) {
-      out.push_back(tree.NodeAt(c) + 1);
-      queue.push_back(c);
-    }
-  }
+  EncodeTreeInto(tree, &queue, &out);
   return out;
 }
 
-Result<FlatTree> DecodeTree(std::span<const int32_t> encoded) {
+namespace {
+
+// The node id an entry names, or -1 when the entry is malformed: zero,
+// INT32_MIN (whose negation overflows), or outside [0, num_nodes).
+NodeId EntryNode(int32_t value, NodeId num_nodes) {
+  if (value == 0 || value == INT32_MIN) return -1;
+  const NodeId node = (value > 0 ? value : -value) - 1;
+  return node < num_nodes ? node : -1;
+}
+
+}  // namespace
+
+Status DecodeTreeInto(std::span<const int32_t> encoded, NodeId num_nodes,
+                      FlatTree* out) {
   if (encoded.empty()) {
     return Status::InvalidArgument("empty tree encoding");
   }
-  if (encoded[0] > 0) {
-    if (encoded.size() != 1) {
-      return Status::InvalidArgument(
-          "single-node encoding with trailing entries");
-    }
-    return FlatTree(encoded[0] - 1);
+  const NodeId root = EntryNode(encoded[0], num_nodes);
+  if (root == -1) return Status::InvalidArgument("malformed root entry");
+  if (encoded[0] > 0 && encoded.size() != 1) {
+    return Status::InvalidArgument(
+        "single-node encoding with trailing entries");
   }
-  FlatTree tree(-encoded[0] - 1);
+  out->Reset(root);
+  // Only EncodeTree's own output is accepted, so every tree that decodes
+  // re-encodes to the same bytes. Decoding assigns indices in queue
+  // order, so canonical (BFS) order means each parent marker names a node
+  // with a larger index than the previous marker, and each marker is
+  // followed by at least one child.
   int32_t current_parent = 0;
+  int32_t family_size = 0;
   for (size_t i = 1; i < encoded.size(); ++i) {
-    const int32_t value = encoded[i];
-    if (value == 0) return Status::InvalidArgument("zero entry in encoding");
-    if (value < 0) {
-      const int32_t index = tree.IndexOf(-value - 1);
+    const NodeId node = EntryNode(encoded[i], num_nodes);
+    if (node == -1) return Status::InvalidArgument("malformed tree entry");
+    const int32_t index = out->IndexOf(node);
+    if (encoded[i] < 0) {
       if (index == -1) {
         return Status::InvalidArgument("parent marker for unknown node");
       }
+      if (index <= current_parent || family_size == 0) {
+        return Status::InvalidArgument(
+            "parent marker out of BFS order or after an empty family");
+      }
       current_parent = index;
+      family_size = 0;
     } else {
-      if (tree.Contains(value - 1)) {
+      if (index != -1) {
         return Status::InvalidArgument("duplicate node in encoding");
       }
-      tree.AddChild(current_parent, value - 1);
+      out->AddChild(current_parent, node);
+      ++family_size;
     }
   }
+  if (encoded[0] < 0 && family_size == 0) {
+    return Status::InvalidArgument("parent marker without children");
+  }
+  return Status::Ok();
+}
+
+Result<FlatTree> DecodeTree(std::span<const int32_t> encoded,
+                            NodeId num_nodes) {
+  FlatTree tree;
+  TCDB_RETURN_IF_ERROR(DecodeTreeInto(encoded, num_nodes, &tree));
   return tree;
 }
 

@@ -52,6 +52,20 @@ const Golden kGoldens[] = {
      43, 24, 8196, 2419, 2316952, 742122, 4812},
 };
 
+// The tree algorithms on G5 instance 0 at M=20/LRU: SPN's successor
+// spanning trees and JKB/JKB2's special-node predecessor trees. The PTC
+// row drives JKB2's PruneToSpecial path, which CTC skips. Recorded
+// before the tree kernels moved to a dense node index with reused
+// storage; that rewrite had to leave every count here unchanged.
+const Golden kGoldensTrees[] = {
+    {"SPN", Algorithm::kSpn, true,
+     39, 47, 21696, 6153, 1558488, 1497673, 1497673},
+    {"JKB", Algorithm::kJkb, true,
+     78, 57, 22438, 23794, 4940471, 1497673, 1497673},
+    {"JKB2_PTC_s10", Algorithm::kJkb2, false,
+     85, 40, 51, 76, 43163, 7770, 4812},
+};
+
 // Recorded from the seed implementation on G2 instance 0 (n=2000, F=2,
 // l=200) at M=20/LRU — the sparse end of the locality-200 column.
 const Golden kGoldensG2[] = {
@@ -120,6 +134,10 @@ void CheckGoldens(const char* family_name,
 
 TEST(GoldenMetricsTest, G5CountersAreExactlyPinned) {
   CheckGoldens("G5", kGoldens);
+}
+
+TEST(GoldenMetricsTest, G5TreeCountersAreExactlyPinned) {
+  CheckGoldens("G5", kGoldensTrees);
 }
 
 TEST(GoldenMetricsTest, G2CountersAreExactlyPinned) {

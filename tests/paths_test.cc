@@ -9,6 +9,7 @@
 #include "core/database.h"
 #include "core/paths.h"
 #include "graph/generator.h"
+#include "succ/tree_codec.h"
 
 namespace tcdb {
 namespace {
@@ -19,15 +20,19 @@ TEST(PathFromTreeTest, HandBuiltTree) {
   tree.AddChild(0, 2);
   const int32_t three = tree.AddChild(one, 3);
   tree.AddChild(three, 4);
+  const std::vector<int32_t> encoded = EncodeTree(tree);
 
-  auto path = PathFromSpanningTree(tree, 4);
+  auto path = PathFromSpanningTree(encoded, 4);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path.value(), (std::vector<NodeId>{0, 1, 3, 4}));
-  path = PathFromSpanningTree(tree, 2);
+  path = PathFromSpanningTree(encoded, 2);
   ASSERT_TRUE(path.ok());
   EXPECT_EQ(path.value(), (std::vector<NodeId>{0, 2}));
-  EXPECT_FALSE(PathFromSpanningTree(tree, 9).ok());
-  EXPECT_FALSE(PathFromSpanningTree(tree, 0).ok());  // root is not its own
+  EXPECT_FALSE(PathFromSpanningTree(encoded, 9).ok());
+  EXPECT_FALSE(PathFromSpanningTree(encoded, 0).ok());  // root is not its own
+  EXPECT_FALSE(PathFromSpanningTree(std::vector<int32_t>{1}, 0).ok());
+  // A child entry with no parent marker before it is rejected, not walked.
+  EXPECT_FALSE(PathFromSpanningTree(std::vector<int32_t>{3, 2}, 1).ok());
 }
 
 class SpnPathPropertyTest : public testing::TestWithParam<uint64_t> {};

@@ -33,6 +33,13 @@ cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build "$SAN_DIR" -j "$(nproc)" --target tcdb_cli
 "$SAN_DIR"/tools/tcdb_cli stress --seeds 50 --base-seed 1
 
+# --- Sanitized tree decoder: FlatTree and the SPN/JKB tree codec under
+# ASan+UBSan, including the mutational decode test that feeds the decoder
+# bit-flipped, truncated, inflated and spliced encodings (each must fail
+# with a Status or decode to a tree that re-encodes byte for byte).
+cmake --build "$SAN_DIR" -j "$(nproc)" --target tree_codec_test
+"$SAN_DIR"/tests/tree_codec_test
+
 # --- Sanitized bit-matrix kernel differential: the scalar / uint64 /
 # AVX2 backends compared bit-for-bit on every graph shape, under
 # ASan+UBSan so a tail-word overrun or misaligned vector load is an
