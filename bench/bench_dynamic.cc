@@ -3,14 +3,13 @@
 // (n = 2000, F = 5, l = 200). Each row replays one mixed trace through a
 // DynamicReachService with the background IndexRebuilder publishing
 // snapshots, and reports where the queries were decided: pure frozen
-// snapshot, overlay-patched, or escalated to a live BFS over the paged
-// adjacency.
+// snapshot, the incremental pivot trees, or escalated to a live BFS over
+// the in-memory adjacency (pruned by the same trees).
 //
 // The interesting shape: at ratio 0 every query is an O(1) snapshot
-// answer; as updates appear, the overlay absorbs them until a deletion
-// lands in a query's cone, and the escalation share — the expensive live
-// searches the epoch-swap machinery exists to bound — tracks the delete
-// traffic between rebuilds.
+// answer; as updates appear, queries past the snapshot epoch move to the
+// incremental trees, and the escalation share — the live searches the
+// trees leave undecided — tracks the mutation traffic between rebuilds.
 //
 // --wal routes the same trace through the durable stack (WAL + checkpoint
 // on the real filesystem, under a fresh mkdtemp directory), pricing the
@@ -79,8 +78,8 @@ int RunBench(bool wal_mode, bool sync_each_append) {
   }
   std::cout << "\n\n";
   std::vector<std::string> headers = {
-      "update ratio", "inserts", "deletes", "queries", "snapshot %",
-      "patched %",    "escalated %", "swaps", "ops/s", "us/query"};
+      "update ratio",  "inserts",     "deletes", "queries", "snapshot %",
+      "incremental %", "escalated %", "swaps",   "ops/s",   "us/query"};
   if (wal_mode) {
     headers.push_back("wal KB");
     headers.push_back("us/mutation");
@@ -206,7 +205,7 @@ int RunBench(bool wal_mode, bool sync_each_append) {
                     .AddCell(result.deletes)
                     .AddCell(result.queries)
                     .AddCell(100.0 * stats.snapshot_served / q, 1)
-                    .AddCell(100.0 * stats.overlay_served / q, 1)
+                    .AddCell(100.0 * stats.incremental_served / q, 1)
                     .AddCell(100.0 * stats.escalations / q, 1)
                     .AddCell(stats.snapshots_adopted)
                     .AddCell(static_cast<double>(num_ops) / result.seconds,
@@ -234,12 +233,11 @@ int RunBench(bool wal_mode, bool sync_each_append) {
 
   std::cout
       << "\nReading the table: \"snapshot %\" queries ran the pure frozen "
-         "index ladder (the overlay was empty when they arrived); "
-         "\"patched %\" were decided through the inserted-arc overlay "
-         "without touching the paged store; \"escalated %\" had a "
-         "deletion in their cone (or blew the probe budget) and paid for "
-         "a live BFS. Swaps count background rebuilds the serving thread "
-         "adopted mid-trace.\n";
+         "index ladder (no mutation since the snapshot was built); "
+         "\"incremental %\" were decided by the per-pivot reachability "
+         "trees; \"escalated %\" were left undecided by the trees and paid "
+         "for a tree-pruned live BFS. Swaps count background rebuilds the "
+         "serving thread adopted mid-trace.\n";
   if (wal_mode) {
     std::cout << "\"us/mutation\" is the full durable mutation path: "
                  "validate, WAL append"

@@ -86,7 +86,7 @@ int RunBench() {
                "three query mixes ("
             << kQueriesPerMix << " queries each)\n\n";
   TablePrinter table({"family", "F", "l", "arcs", "build ms", "mix",
-                      "reach %", "O(1) %", "bfs %", "srch %", "cache %",
+                      "reach %", "O(1) %", "bfs %", "cache %",
                       "us/query"});
   ReachStats aggregate;
   for (const GraphFamily& family : GraphCatalog()) {
@@ -141,7 +141,6 @@ int RunBench() {
       const ReachStats& stats = service.value()->stats();
       const double q = static_cast<double>(stats.queries);
       const int64_t bfs = stats.Decided(ReachStage::kPrunedBfs);
-      const int64_t srch = stats.Decided(ReachStage::kSessionFallback);
       const int64_t cache = stats.Decided(ReachStage::kCache);
       table.NewRow()
           .AddCell(family.name)
@@ -153,7 +152,6 @@ int RunBench() {
           .AddCell(100.0 * stats.positive_answers / q, 1)
           .AddCell(100.0 * (stats.DecidedWithoutFallback() - cache) / q, 1)
           .AddCell(100.0 * bfs / q, 1)
-          .AddCell(100.0 * srch / q, 1)
           .AddCell(100.0 * cache / q, 1)
           .AddCell(stats.TotalSeconds() * 1e6 / q, 2);
       aggregate.Merge(stats);
@@ -168,8 +166,8 @@ int RunBench() {
   std::cout
       << "\nReading the table: \"O(1) %\" is the share the precomputed "
          "labels decided (topological bounds, DFS intervals, chains, "
-         "supportive pivots, adjacency); the fallback rungs (pruned BFS, "
-         "SRCH sessions) serve only the residue, which is why point "
+         "supportive pivots, adjacency); the pruned-BFS fallback serves "
+         "only the residue, which is why point "
          "queries stay microseconds even on the dense families.\n";
   return 0;
 }

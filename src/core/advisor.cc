@@ -31,12 +31,12 @@ Advice RecommendAlgorithm(const RectangleModel& model, NodeId num_nodes,
         s <= static_cast<double>(config.search_source_limit)) {
       // Below the absolute limit the workload is point lookups, not
       // closure computation: a one-shot ReachIndex build answers most of
-      // them in O(1) and a ReachService amortizes the rest, so SRCH is
-      // only the fallback rung.
+      // them in O(1) and a ReachService settles the rest with a pruned
+      // BFS, so no closure run is needed at all.
       advice.use_reach_index = true;
       advice.rationale +=
           "; at this scale prefer ReachService point queries against a "
-          "prebuilt ReachIndex, with SRCH as the fallback rung";
+          "prebuilt ReachIndex, with a pruned BFS as the fallback rung";
     }
     return advice;
   }

@@ -48,14 +48,11 @@ Result<std::unique_ptr<DynamicReachService>> DynamicReachService::Create(
   }
   service->stats_.snapshot_epoch = service->snapshot_epoch_;
   service->stats_.epoch = log->current_epoch();
-  log->RebaseOverlay(service->snapshot_epoch_);
   if (options.incremental) {
-    // The trees track the LIVE graph, not the snapshot — build them from
-    // the current arc set even on the recovery path, where the preloaded
-    // snapshot may sit behind replayed WAL mutations.
-    service->incremental_ = IncrementalIndex::Build(
-        log->SnapshotArcs().arcs, log->num_nodes(),
-        options.incremental_options);
+    // The trees track the LIVE graph, not the snapshot: they read the
+    // log's adjacency, which later WAL replay keeps advancing.
+    service->incremental_ =
+        IncrementalIndex::Build(log->adjacency(), options.incremental_options);
   }
   return service;
 }
@@ -138,11 +135,9 @@ bool DynamicReachService::AdoptPublishedSnapshot() {
   stats_.snapshot_epoch = epoch;
   ++stats_.snapshots_adopted;
   // The old snapshot is retired: answers computed against it must never
-  // surface again, and the overlay must now measure distance from the new
-  // baseline.
+  // surface again.
   cache_.BumpGeneration();
-  probe_scratch_ = ReachIndex::SearchScratch();
-  log_->RebaseOverlay(epoch);
+  snapshot_scratch_ = ReachIndex::SearchScratch();
   if (incremental_ != nullptr) {
     // The rebuild the repair budget was saving toward just landed: reset
     // the cost accumulator and the advise flag. The trees need no work —
@@ -153,119 +148,46 @@ bool DynamicReachService::AdoptPublishedSnapshot() {
   return true;
 }
 
-bool DynamicReachService::SnapshotReaches(NodeId cu, NodeId cv) {
-  ++stats_.overlay_probes;
-  if (cu == cv) return true;
+DynamicReachService::Answer DynamicReachService::SnapshotDecide(NodeId u,
+                                                                NodeId v) {
   const ReachCore& core = *snapshot_;
-  ReachStage stage;
+  const NodeId cu = core.node_map[static_cast<size_t>(u)];
+  const NodeId cv = core.node_map[static_cast<size_t>(v)];
+  if (cu == cv) return {true, ReachStage::kTrivial};
+  ReachStage stage = ReachStage::kTrivial;
   ReachIndex::Verdict verdict = core.DecideCondensed(cu, cv, &stage);
   if (verdict == ReachIndex::Verdict::kUnknown) {
     const std::span<const NodeId> successors = core.dag.Successors(cu);
     if (std::binary_search(successors.begin(), successors.end(), cv)) {
-      return true;
+      return {true, ReachStage::kAdjacency};
     }
     verdict = core.index.PrunedBfs(core.dag, cu, cv,
                                    std::numeric_limits<int64_t>::max(),
-                                   &probe_scratch_);
+                                   &snapshot_scratch_);
     TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
+    stage = ReachStage::kPrunedBfs;
   }
-  return verdict == ReachIndex::Verdict::kYes;
+  return {verdict == ReachIndex::Verdict::kYes, stage};
 }
 
-ReachIndex::Verdict DynamicReachService::PatchedDecide(NodeId u, NodeId v) {
-  const ReachCore& core = *snapshot_;
-  const std::vector<NodeId>& cmap = core.node_map;
-  const DeltaOverlay& overlay = log_->overlay();
-  const NodeId cv = cmap[static_cast<size_t>(v)];
-  const bool deletions = overlay.has_deletions();
-  int64_t budget = options_.overlay_probe_budget;
-  const int64_t probes_before = stats_.overlay_probes;
-  auto charge = [&]() -> bool {  // false: budget exhausted
-    return stats_.overlay_probes - probes_before < budget;
-  };
-
-  // BFS over the over-approximation O = snapshot + inserted arcs. The
-  // visited set holds "entry points" — condensed nodes where an O-path
-  // from u can (re)enter the snapshot: cu itself plus the head of every
-  // inserted arc whose tail some entry point snapshot-reaches. u's O-cone
-  // is then the union of the entry points' snapshot cones.
-  patched_visited_.Resize(static_cast<size_t>(core.dag.NumNodes()));
-  patched_visited_.ClearAll();
-  patched_entries_.clear();
-  auto push = [&](NodeId c) {
-    if (patched_visited_.Contains(static_cast<size_t>(c))) return;
-    patched_visited_.Insert(static_cast<size_t>(c));
-    patched_entries_.push_back(c);
-  };
-  push(cmap[static_cast<size_t>(u)]);
-
-  const std::vector<NodeId> sources = overlay.InsertedSources();
-  bool reached = false;
-  for (size_t head = 0; head < patched_entries_.size(); ++head) {
-    const NodeId x = patched_entries_[head];
-    if (!reached) {
-      if (!charge()) return ReachIndex::Verdict::kUnknown;
-      reached = SnapshotReaches(x, cv);
-      // Insert-only overlay: a YES in O is already a YES in L — no
-      // deleted arc can have broken the witness. Exit early; with
-      // deletions the BFS must run to exhaustion so the relevance scan
-      // below sees the complete cone.
-      if (reached && !deletions) return ReachIndex::Verdict::kYes;
-    }
-    for (const NodeId s : sources) {
-      if (!charge()) return ReachIndex::Verdict::kUnknown;
-      if (!SnapshotReaches(x, cmap[static_cast<size_t>(s)])) continue;
-      for (const NodeId t : overlay.InsertedSuccessors(s)) {
-        push(cmap[static_cast<size_t>(t)]);
-      }
-    }
-  }
-  // O under-reaches nothing: L ⊆ O, so "not reachable in O" is final.
-  if (!reached) return ReachIndex::Verdict::kNo;
-  // O said YES with deletions present. If no deleted arc's source lies in
-  // u's O-cone, no O-path from u uses a deleted arc, so every O-witness is
-  // live: YES. Otherwise the witness may be broken — escalate.
-  for (const Arc& dead : overlay.DeletedArcs()) {
-    const NodeId ca = cmap[static_cast<size_t>(dead.src)];
-    for (const NodeId x : patched_entries_) {
-      if (!charge()) return ReachIndex::Verdict::kUnknown;
-      if (SnapshotReaches(x, ca)) return ReachIndex::Verdict::kUnknown;
-    }
-  }
-  return ReachIndex::Verdict::kYes;
-}
-
-Result<bool> DynamicReachService::LiveReaches(NodeId u, NodeId v) {
-  if (u == v) return true;
-  const ReachCore& core = *snapshot_;
-  const std::vector<NodeId>& cmap = core.node_map;
-  const NodeId cv = cmap[static_cast<size_t>(v)];
-  // With no inserted arcs the live graph is a subgraph of the snapshot,
-  // so the snapshot's definite-NO labels prune the live search. (With
-  // inserts they prove nothing: a live path may detour through an
-  // inserted arc the snapshot has never seen.) Deletions may have split
-  // snapshot SCCs, which is exactly why this search runs on original ids
-  // over the paged live adjacency, not on the stale condensation.
-  const bool can_prune = log_->overlay().num_inserted() == 0;
-  live_visited_.Resize(static_cast<size_t>(log_->num_nodes()));
+bool DynamicReachService::LiveReaches(NodeId u, NodeId v) {
+  const LiveAdjacency& adj = log_->adjacency();
+  live_visited_.Resize(static_cast<size_t>(adj.num_nodes()));
   live_visited_.ClearAll();
   live_frontier_.clear();
   live_visited_.Insert(static_cast<size_t>(u));
   live_frontier_.push_back(u);
   for (size_t head = 0; head < live_frontier_.size(); ++head) {
-    const NodeId x = live_frontier_[head];
-    live_row_.clear();
-    TCDB_RETURN_IF_ERROR(log_->ReadSuccessors(x, &live_row_));
-    for (const NodeId y : live_row_) {
+    for (const NodeId y : adj.Out(live_frontier_[head])) {
       if (y == v) return true;
       if (live_visited_.Contains(static_cast<size_t>(y))) continue;
       live_visited_.Insert(static_cast<size_t>(y));
-      if (can_prune) {
-        const NodeId cy = cmap[static_cast<size_t>(y)];
-        if (cy != cv && core.DecideCondensed(cy, cv, nullptr) ==
-                            ReachIndex::Verdict::kNo) {
-          continue;  // provably dead end even in the (larger) snapshot
-        }
+      if (incremental_ != nullptr) {
+        // The trees are exact at the live epoch, so their verdict on
+        // (y, v) settles every path through y.
+        const ReachIndex::Verdict verdict = incremental_->Decide(y, v);
+        if (verdict == ReachIndex::Verdict::kYes) return true;
+        if (verdict == ReachIndex::Verdict::kNo) continue;
       }
       live_frontier_.push_back(y);
     }
@@ -294,41 +216,14 @@ Result<DynamicReachService::Answer> DynamicReachService::Query(NodeId src,
                           MonotonicSeconds() - start);
     return answer;
   }
-  const DeltaOverlay& overlay = log_->overlay();
   if (src == dst) {
-    // Reflexive regardless of snapshot or overlay.
+    // Reflexive regardless of snapshot or epoch.
     answer = {true, ReachStage::kTrivial};
-  } else if (overlay.empty()) {
-    // The snapshot IS the live graph: the ordinary frozen ladder.
+  } else if (stats_.epoch == snapshot_epoch_) {
+    // No mutation since the snapshot was built: it IS the live graph.
     ++stats_.snapshot_served;
-    const ReachCore& core = *snapshot_;
-    const NodeId cu = core.node_map[static_cast<size_t>(src)];
-    const NodeId cdst = core.node_map[static_cast<size_t>(dst)];
-    if (cu == cdst) {
-      answer = {true, ReachStage::kTrivial};
-    } else {
-      ReachStage stage = ReachStage::kTrivial;
-      ReachIndex::Verdict verdict = core.DecideCondensed(cu, cdst, &stage);
-      if (verdict == ReachIndex::Verdict::kUnknown) {
-        const std::span<const NodeId> successors = core.dag.Successors(cu);
-        if (std::binary_search(successors.begin(), successors.end(),
-                               cdst)) {
-          verdict = ReachIndex::Verdict::kYes;
-          stage = ReachStage::kAdjacency;
-        } else {
-          verdict = core.index.PrunedBfs(
-              core.dag, cu, cdst, std::numeric_limits<int64_t>::max(),
-              &probe_scratch_);
-          TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
-          stage = ReachStage::kPrunedBfs;
-        }
-      }
-      answer = {verdict == ReachIndex::Verdict::kYes, stage};
-    }
+    answer = SnapshotDecide(src, dst);
   } else {
-    // Dirty overlay: cheapest exact tier first. The incremental trees
-    // are repaired inside every mutation, so their verdicts hold at the
-    // live epoch — no staleness to patch around, O(k) membership tests.
     ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
     if (incremental_ != nullptr) {
       verdict = incremental_->Decide(src, dst);
@@ -337,20 +232,12 @@ Result<DynamicReachService::Answer> DynamicReachService::Query(NodeId src,
       ++stats_.incremental_served;
       answer = {verdict == ReachIndex::Verdict::kYes,
                 ReachStage::kIncremental};
-    } else if ((verdict = PatchedDecide(src, dst)) !=
-               ReachIndex::Verdict::kUnknown) {
-      ++stats_.overlay_served;
-      answer = {verdict == ReachIndex::Verdict::kYes,
-                ReachStage::kOverlayPatched};
     } else {
       ++stats_.escalations;
-      TCDB_ASSIGN_OR_RETURN(const bool reachable, LiveReaches(src, dst));
-      answer = {reachable, ReachStage::kLiveBfs};
+      answer = {LiveReaches(src, dst), ReachStage::kLiveBfs};
     }
   }
   cache_.Insert(src, dst, answer.reachable);
-  stats_.overlay_inserted = static_cast<int64_t>(overlay.num_inserted());
-  stats_.overlay_deleted = static_cast<int64_t>(overlay.num_deleted());
   serving_stats_.Record(answer.stage, answer.reachable,
                         MonotonicSeconds() - start);
   return answer;

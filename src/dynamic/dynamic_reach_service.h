@@ -19,67 +19,51 @@ namespace tcdb {
 struct DynamicReachOptions {
   // Label build of the (periodically rebuilt) frozen snapshot.
   ReachIndexOptions index;
-  // Definite snapshot-reachability probes the patched query path may
-  // spend per query (over-approximation BFS plus deletion-relevance
-  // checks) before giving up and escalating to the live graph. <= 0
-  // escalates every query that finds a non-empty overlay.
-  int64_t overlay_probe_budget = 4096;
   // LRU answer-cache entries; 0 disables. Entries are invalidated (via a
   // generation bump) by every mutation and every snapshot adoption.
   size_t cache_capacity = 4096;
   // Maintain the incremental-decided tier: per-pivot forward/backward
   // reachability trees repaired on every mutation, consulted as an O(k)
-  // exact decide between the frozen-snapshot ladder and the patched /
-  // live-BFS tiers. Off reproduces the pre-incremental three-tier
-  // ladder exactly (same answers, different CPU).
+  // exact decide between the frozen-snapshot ladder and the live BFS,
+  // and used to prune that BFS. Off serves every query past the snapshot
+  // epoch with an unpruned live BFS (same answers, different CPU).
   bool incremental = true;
   IncrementalOptions incremental_options;
 };
 
-// Fully dynamic reachability serving over a MutationLog: a frozen
-// ReachCore snapshot answers the bulk of each query in O(1), and the
-// distance between the snapshot and the live graph — the DeltaOverlay —
-// is patched in at query time. With the overlay non-empty, the
-// incremental-decided tier runs first: per-pivot forward/backward
-// reachability trees (IncrementalIndex) repaired inside every mutation
-// answer an O(k) battery of observations that is exact at the live
-// epoch, so most dirty-overlay queries never reach the patched BFS at
-// all. The full ladder is
-//   frozen snapshot (empty overlay) -> incremental-decided ->
-//   overlay-patched -> live BFS.
+// Fully dynamic reachability serving over a MutationLog. The ladder is
 //
-// Serving rule of the patched tier (DESIGN.md §11). Let S be the
-// snapshot graph and L the live graph, so L = S + inserted − deleted
-// with (inserted, deleted) the overlay. The patched path computes
-// reachability in the over-approximation O = S + inserted by a BFS whose
-// nodes are "entry points" (the query source plus heads of inserted
-// arcs) and whose edges are definite snapshot-reach probes into the
-// tails of inserted arcs:
-//   - O says NO  ⇒ L says NO (L is a subgraph of O): definite.
-//   - O says YES and no deleted arc's source lies in u's O-cone ⇒ no
-//     u-path of O uses a deleted arc, so the witness survives in L:
-//     definite YES.
-//   - otherwise (a deletion touches the cone, or the probe budget ran
-//     out): escalate to a BFS over the live paged adjacency, pruned by
-//     the snapshot's negative labels when the overlay holds no inserts.
-// With an insert-only overlay the YES case needs no cone scan, which is
-// the classic incremental special case.
+//   answer cache -> frozen snapshot (only at the snapshot epoch)
+//                -> incremental-decided -> live BFS
+//
+// While no mutation has landed since the serving snapshot was built
+// (log epoch == snapshot epoch) the snapshot IS the live graph, and its
+// O(1) labels answer, with an exact pruned BFS over the condensation for
+// the residue. Past that epoch the snapshot is stale, and the query goes
+// to the incremental tier: per-pivot forward/backward reachability trees
+// (IncrementalIndex) repaired inside every mutation answer an O(k)
+// battery of observations that is exact at the live epoch. What they
+// leave undecided is settled by a BFS over the log's in-memory
+// LiveAdjacency on original node ids (deletions may have split snapshot
+// SCCs, so the stale condensation is never consulted), pruned by the
+// same trees: a node y with Decide(y, v) == kNo is a dead end and is not
+// expanded, one with kYes ends the search with YES (DESIGN.md §11).
 //
 // Threading: mutations and queries belong to one owner thread (they
-// touch the log's buffer pool, the overlay, the cache and the stats).
+// touch the log's adjacency, the trees, the cache and the stats).
 // PublishSnapshot is the one cross-thread entry point — the background
 // IndexRebuilder hands rebuilt cores to it; the owner adopts the newest
 // pending core at its next query (or via AdoptPublishedSnapshot), which
-// bumps the cache generation and rebases the overlay in the same step,
-// so no answer computed against a retired snapshot is ever served.
+// bumps the cache generation in the same step, so no answer computed
+// against a retired snapshot is ever served.
 class DynamicReachService {
  public:
   using Answer = ReachService::Answer;
   using Epoch = MutationLog::Epoch;
 
   // Builds the initial snapshot from the log's current state. The log
-  // must outlive the service; the service becomes the owner-thread user
-  // of the log's overlay and paged store. When `snapshot` is non-null it
+  // must outlive the service; the service becomes the owner-thread reader
+  // of the log's adjacency. When `snapshot` is non-null it
   // is adopted as the initial core instead of building one — the recovery
   // path passes the deserialized checkpoint core, which must have been
   // built at exactly the log's base state (and must cover the log's node
@@ -111,8 +95,7 @@ class DynamicReachService {
                        double rebuild_seconds);
 
   // Owner thread: installs the newest pending snapshot, if any. Returns
-  // true when a snapshot was adopted (cache generation bumped, overlay
-  // rebased to the new epoch).
+  // true when a snapshot was adopted (cache generation bumped).
   bool AdoptPublishedSnapshot();
 
   // True when the incremental tier's repair-cost estimate says a full
@@ -127,12 +110,12 @@ class DynamicReachService {
 
   const DynamicStats& stats() const { return stats_; }
   // Per-stage serving breakdown; the dynamic paths record under
-  // ReachStage::kOverlayPatched / kLiveBfs.
+  // ReachStage::kIncremental / kLiveBfs.
   const ReachStats& serving_stats() const { return serving_stats_; }
   Epoch snapshot_epoch() const { return snapshot_epoch_; }
   const ReachCore& snapshot() const { return *snapshot_; }
-  // Shared handle to the serving core (the checkpointer reuses it when the
-  // overlay is empty, avoiding a redundant rebuild).
+  // Shared handle to the serving core (the checkpointer reuses it when it
+  // was built at the current epoch, avoiding a redundant rebuild).
   std::shared_ptr<const ReachCore> snapshot_shared() const {
     return snapshot_;
   }
@@ -142,15 +125,14 @@ class DynamicReachService {
  private:
   DynamicReachService() : cache_(0) {}
 
-  // Definite snapshot reachability between condensed ids (labels, then
-  // adjacency, then unbounded pruned BFS). Charges one overlay probe.
-  bool SnapshotReaches(NodeId cu, NodeId cv);
+  // Exact reachability on the snapshot (valid at the snapshot epoch):
+  // labels, then adjacency, then unbounded pruned BFS over the
+  // condensation.
+  Answer SnapshotDecide(NodeId u, NodeId v);
 
-  // The patched path described above. kUnknown means "escalate".
-  ReachIndex::Verdict PatchedDecide(NodeId u, NodeId v);
-
-  // Escalation: BFS over the live paged adjacency, original node ids.
-  Result<bool> LiveReaches(NodeId u, NodeId v);
+  // BFS over the log's live adjacency, original node ids, pruned by the
+  // incremental trees when the tier is on.
+  bool LiveReaches(NodeId u, NodeId v);
 
   // Mirrors the incremental tier's maintenance counters into stats_.
   void SyncIncrementalStats();
@@ -166,12 +148,9 @@ class DynamicReachService {
   std::unique_ptr<IncrementalIndex> incremental_;
 
   ReachAnswerCache cache_;
-  ReachIndex::SearchScratch probe_scratch_;  // snapshot-probe BFS buffers
-  EpochSet patched_visited_;                 // condensed entry-point set
-  std::vector<NodeId> patched_entries_;      // visit order of the above
-  EpochSet live_visited_;                    // original-id BFS set
+  ReachIndex::SearchScratch snapshot_scratch_;  // snapshot BFS buffers
+  EpochSet live_visited_;                       // original-id BFS set
   std::vector<NodeId> live_frontier_;
-  std::vector<NodeId> live_row_;             // ReadSuccessors buffer
 
   DynamicStats stats_;
   ReachStats serving_stats_;

@@ -8,12 +8,10 @@ std::string DynamicStats::ToString() const {
   std::ostringstream out;
   out << "epoch " << epoch << " (snapshot " << snapshot_epoch << "), "
       << arcs_inserted << " inserts / " << arcs_deleted << " deletes, "
-      << "overlay +" << overlay_inserted << " -" << overlay_deleted << ", "
       << queries << " queries (" << snapshot_served << " snapshot, "
-      << incremental_served << " incremental, " << overlay_served
-      << " patched, " << escalations << " escalated, "
-      << "rate " << EscalationRate() << "), " << overlay_probes
-      << " probes, " << incremental_repairs << " tree repairs ("
+      << incremental_served << " incremental, " << escalations
+      << " escalated, rate " << EscalationRate() << "), "
+      << incremental_repairs << " tree repairs ("
       << incremental_repair_cost << " arc scans, "
       << incremental_rebuilds_advised << " rebuilds advised), "
       << snapshots_adopted << " swaps, rebuilds "

@@ -7,10 +7,10 @@
 namespace tcdb {
 
 // Per-service observability of the dynamic layer: how mutations
-// accumulate, how often queries are served from the patched snapshot
-// versus escalated to the live graph, and what the rebuild/swap cadence
+// accumulate, how often queries are served from the snapshot, the
+// incremental trees or the live graph, and what the rebuild/swap cadence
 // looks like. Complements ReachStats (which attributes each answer to its
-// serving-ladder rung — kOverlayPatched and kLiveBfs are the dynamic
+// serving-ladder rung — kIncremental and kLiveBfs are the dynamic
 // rungs); this struct carries the dynamic-only aggregates a stage
 // breakdown cannot express. Owner-thread mutable, like ReachStats.
 struct DynamicStats {
@@ -18,17 +18,16 @@ struct DynamicStats {
   int64_t arcs_inserted = 0;
   int64_t arcs_deleted = 0;
 
-  // Query traffic by path. snapshot_served: the overlay was empty and the
-  // pure frozen-snapshot ladder answered. incremental_served: the
-  // incrementally maintained reachability trees decided (either
-  // polarity, exact at the live epoch). overlay_served: the patched
-  // over-approximation BFS decided (either polarity). escalations: a
-  // deletion touched the query's cone (or the patch budget ran out) and
-  // the live graph was searched.
+  // Query traffic by path. snapshot_served: no mutation since the
+  // snapshot was built and the frozen-snapshot ladder answered.
+  // incremental_served: the incrementally maintained reachability trees
+  // decided (either polarity, exact at the live epoch). escalations: the
+  // trees left the query undecided (or the tier is off) and the live
+  // graph was searched.
   int64_t queries = 0;
   int64_t snapshot_served = 0;
   int64_t incremental_served = 0;
-  int64_t overlay_served = 0;
+  int64_t overlay_served = 0;  // always 0; kept for the benchmark's reader
   int64_t escalations = 0;
 
   // Incremental-tier maintenance: tree repairs applied by mutations,
@@ -39,10 +38,6 @@ struct DynamicStats {
   int64_t incremental_repair_cost = 0;
   int64_t incremental_rebuilds_advised = 0;
 
-  // Definite snapshot-reachability probes spent inside patched BFS and
-  // escalation-relevance checks (the unit the patch budget bounds).
-  int64_t overlay_probes = 0;
-
   // Rebuild/swap cadence: snapshots adopted by the query owner, rebuild
   // wall-clock totals as reported by the publisher.
   int64_t snapshots_adopted = 0;
@@ -52,8 +47,6 @@ struct DynamicStats {
   // Current positions (refreshed on every mutation/query/adoption).
   int64_t epoch = 0;
   int64_t snapshot_epoch = 0;
-  int64_t overlay_inserted = 0;
-  int64_t overlay_deleted = 0;
 
   double EscalationRate() const {
     return queries == 0

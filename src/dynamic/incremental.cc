@@ -9,15 +9,10 @@
 namespace tcdb {
 
 std::unique_ptr<IncrementalIndex> IncrementalIndex::Build(
-    const ArcList& live_arcs, NodeId num_nodes,
-    const IncrementalOptions& options) {
-  auto index = std::unique_ptr<IncrementalIndex>(
-      new IncrementalIndex(num_nodes, options));
-  for (const Arc& arc : live_arcs) {
-    TCDB_CHECK(arc.src >= 0 && arc.src < num_nodes && arc.dst >= 0 &&
-               arc.dst < num_nodes);
-    index->adj_.Insert(arc.src, arc.dst);
-  }
+    const LiveAdjacency& adj, const IncrementalOptions& options) {
+  auto index =
+      std::unique_ptr<IncrementalIndex>(new IncrementalIndex(adj, options));
+  const NodeId num_nodes = adj.num_nodes();
 
   std::unordered_set<NodeId> taken;
   if (!options.pinned_pivots.empty()) {
@@ -66,7 +61,6 @@ std::unique_ptr<IncrementalIndex> IncrementalIndex::Build(
 }
 
 void IncrementalIndex::OnInsert(NodeId src, NodeId dst) {
-  adj_.Insert(src, dst);
   ++stats_.inserts_applied;
   int64_t cost = 0;
   for (size_t i = 0; i < pivots_.size(); ++i) {
@@ -82,7 +76,6 @@ void IncrementalIndex::OnInsert(NodeId src, NodeId dst) {
 }
 
 void IncrementalIndex::OnDelete(NodeId src, NodeId dst) {
-  adj_.Delete(src, dst);
   ++stats_.deletes_applied;
   int64_t cost = 0;
   for (size_t i = 0; i < pivots_.size(); ++i) {
@@ -97,39 +90,27 @@ void IncrementalIndex::OnDelete(NodeId src, NodeId dst) {
   ChargeRepair(cost);
 }
 
-ReachIndex::Verdict IncrementalIndex::Decide(NodeId u, NodeId v) {
+ReachIndex::Verdict IncrementalIndex::Decide(NodeId u, NodeId v) const {
   for (size_t i = 0; i < pivots_.size(); ++i) {
     const ReachTree& fwd = *fwd_[i];
     const ReachTree& bwd = *bwd_[i];
     // A pivot endpoint is decided outright: its tree IS the exact
     // reachable set (co-set) on the live graph.
     if (u == pivots_[i]) {
-      (fwd.Contains(v) ? stats_.decided_yes : stats_.decided_no) += 1;
       return fwd.Contains(v) ? ReachIndex::Verdict::kYes
                              : ReachIndex::Verdict::kNo;
     }
     if (v == pivots_[i]) {
-      (bwd.Contains(u) ? stats_.decided_yes : stats_.decided_no) += 1;
       return bwd.Contains(u) ? ReachIndex::Verdict::kYes
                              : ReachIndex::Verdict::kNo;
     }
     // u -> p -> v.
-    if (bwd.Contains(u) && fwd.Contains(v)) {
-      ++stats_.decided_yes;
-      return ReachIndex::Verdict::kYes;
-    }
+    if (bwd.Contains(u) && fwd.Contains(v)) return ReachIndex::Verdict::kYes;
     // p reaches u but not v: a u ~> v path would put v in p's cone.
-    if (fwd.Contains(u) && !fwd.Contains(v)) {
-      ++stats_.decided_no;
-      return ReachIndex::Verdict::kNo;
-    }
+    if (fwd.Contains(u) && !fwd.Contains(v)) return ReachIndex::Verdict::kNo;
     // v reaches p but u does not: a u ~> v path would chain u to p.
-    if (bwd.Contains(v) && !bwd.Contains(u)) {
-      ++stats_.decided_no;
-      return ReachIndex::Verdict::kNo;
-    }
+    if (bwd.Contains(v) && !bwd.Contains(u)) return ReachIndex::Verdict::kNo;
   }
-  ++stats_.undecided;
   return ReachIndex::Verdict::kUnknown;
 }
 

@@ -53,10 +53,6 @@ struct IncrementalStats {
   int64_t nodes_detached = 0;
   // Arcs scanned by all repairs — the unit the rebuild policy budgets.
   int64_t repair_arc_scans = 0;
-  // Decide outcomes.
-  int64_t decided_yes = 0;
-  int64_t decided_no = 0;
-  int64_t undecided = 0;
   // Times the repair-cost estimate crossed the rebuild budget (one per
   // adoption interval at most).
   int64_t rebuilds_advised = 0;
@@ -76,28 +72,32 @@ struct IncrementalStats {
 //   exact when u or v IS a pivot (fwd/bwd is the full reachable set)
 //
 // Every rule is exact on the live graph at the current epoch — unlike
-// the frozen snapshot tiers there is no staleness to patch around —
-// so a kYes/kNo verdict is final and only kUnknown falls through to
-// the overlay-patched / live-BFS tiers.
+// the frozen snapshot there is no staleness to account for — so a
+// kYes/kNo verdict is final, only kUnknown falls through to the live
+// BFS, and that BFS may use Decide(y, v) to prune (kNo) or finish (kYes)
+// at any node y it reaches.
+//
+// The index reads the MutationLog's LiveAdjacency by reference; it keeps
+// no copy of the graph.
 //
 // Thread safety: mutations and Decide belong to the owner thread.
 // rebuild_advised() is the one cross-thread read (the background
 // IndexRebuilder polls it), backed by an atomic.
 class IncrementalIndex {
  public:
-  // Builds the adjacency mirror and the pivot trees from the live arc
-  // set. Endpoints must lie in [0, num_nodes).
+  // Builds the pivot trees over `adj`, which must outlive the index and
+  // is the graph every later call reads.
   static std::unique_ptr<IncrementalIndex> Build(
-      const ArcList& live_arcs, NodeId num_nodes,
-      const IncrementalOptions& options = {});
+      const LiveAdjacency& adj, const IncrementalOptions& options = {});
 
-  // Mutation hooks — called after the MutationLog accepted the arc, so
-  // preconditions (range, no self-loop, membership) already hold.
+  // Mutation hooks — called after the arc was applied to the adjacency
+  // (the MutationLog accepted it, so range, no self-loop and membership
+  // already hold).
   void OnInsert(NodeId src, NodeId dst);
   void OnDelete(NodeId src, NodeId dst);
 
   // O(k) decide on the live graph; kUnknown for the residue.
-  ReachIndex::Verdict Decide(NodeId u, NodeId v);
+  ReachIndex::Verdict Decide(NodeId u, NodeId v) const;
 
   // True once the repair cost since the last adoption exceeds the
   // rebuild budget. Safe from any thread.
@@ -114,7 +114,6 @@ class IncrementalIndex {
   const IncrementalStats& stats() const { return stats_; }
   const std::vector<NodeId>& pivots() const { return pivots_; }
   NodeId num_nodes() const { return adj_.num_nodes(); }
-  const LiveAdjacency& adjacency() const { return adj_; }
   // Tree introspection for tests: forward/backward membership of pivot
   // slot `i`.
   bool InForwardTree(int32_t i, NodeId v) const {
@@ -125,13 +124,14 @@ class IncrementalIndex {
   }
 
  private:
-  IncrementalIndex(NodeId num_nodes, const IncrementalOptions& options)
-      : options_(options), adj_(num_nodes) {}
+  IncrementalIndex(const LiveAdjacency& adj,
+                   const IncrementalOptions& options)
+      : options_(options), adj_(adj) {}
 
   void ChargeRepair(int64_t cost);
 
   IncrementalOptions options_;
-  LiveAdjacency adj_;
+  const LiveAdjacency& adj_;
   std::vector<NodeId> pivots_;
   std::vector<std::unique_ptr<ReachTree>> fwd_;
   std::vector<std::unique_ptr<ReachTree>> bwd_;

@@ -45,9 +45,9 @@ struct IndexRebuilderOptions {
 // publication is a pointer hand-off.
 //
 // The rebuild trigger is the epoch delta (log position now vs. the last
-// published build), not the overlay size: the log position is safe to
-// read from this thread, monotone, and independent of how much of the
-// delta happens to cancel out.
+// published build): the log position is safe to read from this thread,
+// monotone, and independent of how much of the delta happens to cancel
+// out.
 class IndexRebuilder {
  public:
   using Options = IndexRebuilderOptions;

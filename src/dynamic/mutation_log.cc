@@ -50,41 +50,23 @@ Result<std::unique_ptr<MutationLog>> MutationLog::Open(
   if (num_nodes < 0) {
     return Status::InvalidArgument("negative node count");
   }
-  if (options.buffer_pages < 4) {
-    return Status::InvalidArgument("mutation log needs >= 4 buffer pages");
-  }
   if (options.base_epoch < 0) {
     return Status::InvalidArgument("negative base epoch");
   }
-  auto log = std::unique_ptr<MutationLog>(new MutationLog());
-  log->num_nodes_ = num_nodes;
-  log->base_epoch_ = options.base_epoch;
-  log->pager_ = options.make_device
-                    ? std::make_unique<Pager>(options.make_device())
-                    : std::make_unique<Pager>();
-  const FileId file = log->pager_->CreateFile("dynamic-succ");
-  log->buffers_ = std::make_unique<BufferManager>(
-      log->pager_.get(), options.buffer_pages, options.page_policy);
-  log->store_ = std::make_unique<SuccessorListStore>(log->buffers_.get(),
-                                                     file);
-  log->store_->Reset(num_nodes);
-
-  // Collapse duplicates, validate, and bulk-load the mirror in node order
-  // (one AppendMany per non-empty list keeps the initial clustering).
-  std::vector<std::vector<NodeId>> adjacency(
-      static_cast<size_t>(num_nodes));
+  auto log = std::unique_ptr<MutationLog>(
+      new MutationLog(num_nodes, options.base_epoch));
+  // Collapse duplicates, validate, and load the adjacency in (src, dst)
+  // order.
+  ArcList arcs;
+  arcs.reserve(base_arcs.size());
   for (const Arc& arc : base_arcs) {
     TCDB_RETURN_IF_ERROR(log->ValidateEndpoints(arc.src, arc.dst));
     if (log->live_.insert(Key(arc.src, arc.dst)).second) {
-      adjacency[static_cast<size_t>(arc.src)].push_back(arc.dst);
+      arcs.push_back(arc);
     }
   }
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    std::vector<NodeId>& row = adjacency[static_cast<size_t>(v)];
-    if (row.empty()) continue;
-    std::sort(row.begin(), row.end());
-    TCDB_RETURN_IF_ERROR(log->store_->AppendMany(v, row));
-  }
+  std::sort(arcs.begin(), arcs.end());
+  for (const Arc& arc : arcs) log->adj_.Insert(arc.src, arc.dst);
   return log;
 }
 
@@ -104,7 +86,7 @@ Status MutationLog::ValidateEndpoints(NodeId src, NodeId dst) const {
 
 Result<MutationLog::Epoch> MutationLog::InsertArc(NodeId src, NodeId dst) {
   TCDB_RETURN_IF_ERROR(ValidateEndpoints(src, dst));
-  // The paged store is touched outside mu_ — mutations are owner-thread
+  // The adjacency is touched outside mu_ — mutations are owner-thread
   // only; mu_ exists for the cross-thread readers of live_/entries_.
   Epoch epoch;
   {
@@ -117,8 +99,7 @@ Result<MutationLog::Epoch> MutationLog::InsertArc(NodeId src, NodeId dst) {
     entries_.push_back(Entry{Arc{src, dst}, /*insert=*/true});
     epoch = base_epoch_ + static_cast<Epoch>(entries_.size());
   }
-  TCDB_RETURN_IF_ERROR(store_->Append(src, dst));
-  overlay_.RecordInsert(src, dst);
+  adj_.Insert(src, dst);
   return epoch;
 }
 
@@ -134,8 +115,7 @@ Result<MutationLog::Epoch> MutationLog::DeleteArc(NodeId src, NodeId dst) {
     entries_.push_back(Entry{Arc{src, dst}, /*insert=*/false});
     epoch = base_epoch_ + static_cast<Epoch>(entries_.size());
   }
-  TCDB_RETURN_IF_ERROR(store_->Remove(src, dst));
-  overlay_.RecordDelete(src, dst);
+  adj_.Delete(src, dst);
   return epoch;
 }
 
@@ -174,29 +154,6 @@ MutationLog::ArcSnapshot MutationLog::SnapshotArcs() const {
   // Hash order is not deterministic; rebuild inputs must be.
   std::sort(snapshot.arcs.begin(), snapshot.arcs.end());
   return snapshot;
-}
-
-Status MutationLog::ReadSuccessors(NodeId src,
-                                   std::vector<NodeId>* out) const {
-  TCDB_CHECK(src >= 0 && src < num_nodes_);
-  return store_->Read(src, out);
-}
-
-void MutationLog::RebaseOverlay(Epoch snapshot_epoch) {
-  overlay_.Clear();
-  std::lock_guard<std::mutex> lock(mu_);
-  TCDB_CHECK(snapshot_epoch >= base_epoch_ &&
-             snapshot_epoch <=
-                 base_epoch_ + static_cast<Epoch>(entries_.size()));
-  for (size_t i = static_cast<size_t>(snapshot_epoch - base_epoch_);
-       i < entries_.size(); ++i) {
-    const Entry& entry = entries_[i];
-    if (entry.insert) {
-      overlay_.RecordInsert(entry.arc.src, entry.arc.dst);
-    } else {
-      overlay_.RecordDelete(entry.arc.src, entry.arc.dst);
-    }
-  }
 }
 
 }  // namespace tcdb

@@ -2,7 +2,6 @@
 #define TCDB_DYNAMIC_MUTATION_LOG_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -10,28 +9,17 @@
 #include <unordered_set>
 #include <vector>
 
-#include "dynamic/delta_overlay.h"
+#include "dynamic/live_adjacency.h"
 #include "graph/digraph.h"
-#include "storage/buffer_manager.h"
-#include "storage/page_device.h"
-#include "storage/pager.h"
-#include "succ/successor_list_store.h"
 #include "util/status.h"
 
 namespace tcdb {
 
 struct MutationLogOptions {
-  // Buffer-pool frames backing the successor-list mirror.
-  size_t buffer_pages = 64;
-  PagePolicy page_policy = PagePolicy::kLru;
   // Epoch of the base arc set. 0 for a fresh graph; recovery passes the
   // checkpoint epoch so post-restart epochs continue the pre-crash
   // numbering (current_epoch = base_epoch + accepted mutations).
   int64_t base_epoch = 0;
-  // Storage behind the successor-list mirror. Empty -> in-memory (the
-  // default, and the only mode the paper metrics ever see). The durable
-  // stack injects a file-backed device here.
-  std::function<std::unique_ptr<PageDevice>()> make_device;
 };
 
 // The single source of truth for a fully dynamic graph: an append-only
@@ -40,20 +28,16 @@ struct MutationLogOptions {
 // the state after the first e mutations; epoch base_epoch — 0 for a fresh
 // graph, the checkpoint epoch after recovery — is the base arc set).
 //
-// Every accepted mutation is applied in three places at once:
-//   1. the in-memory live arc set (cross-thread readable: HasArc,
-//      SnapshotArcs for the index rebuilder),
-//   2. the paged successor-list mirror (SuccessorListStore through the
-//      PageGuard pin discipline — the I/O-accounted adjacency that
-//      escalated live searches traverse),
-//   3. the DeltaOverlay (the net live-vs-snapshot difference the patched
-//      query path consults).
-// so the store and the overlay never drift from the log.
+// Every accepted mutation is applied in two places at once:
+//   1. the live arc set (cross-thread readable: HasArc, SnapshotArcs for
+//      the index rebuilder),
+//   2. the LiveAdjacency (out- and in-rows of the live graph: what the
+//      incremental pivot trees repair against and the live BFS walks),
+// so the adjacency never drifts from the log.
 //
-// Thread safety: mutations, ReadSuccessors, overlay access and
-// RebaseOverlay belong to the owner thread (they touch the buffer pool
-// and the overlay). HasArc / current_epoch / SnapshotArcs are safe from
-// any thread — that is the surface the background IndexRebuilder reads.
+// Thread safety: mutations and adjacency() belong to the owner thread.
+// HasArc / current_epoch / SnapshotArcs are safe from any thread — that
+// is the surface the background IndexRebuilder reads.
 class MutationLog {
  public:
   using Epoch = int64_t;
@@ -81,8 +65,7 @@ class MutationLog {
   };
 
   // `base_arcs` may be cyclic and unsorted; duplicates collapse. Endpoint
-  // range is validated. The paged mirror is populated here (one list per
-  // node).
+  // range is validated. The adjacency is loaded in (src, dst) order.
   static Result<std::unique_ptr<MutationLog>> Open(
       const ArcList& base_arcs, NodeId num_nodes,
       const MutationLogOptions& options = {});
@@ -107,28 +90,12 @@ class MutationLog {
   // thread; never blocks mutations for longer than the copy.
   ArcSnapshot SnapshotArcs() const;
 
-  // Live out-neighbours of `src` through the paged mirror (appended to
-  // `out`, unsorted). Owner thread; every page touched is I/O-accounted.
-  Status ReadSuccessors(NodeId src, std::vector<NodeId>* out) const;
-
-  // Re-derives the overlay for a new serving snapshot: clears it and
-  // replays exactly the log suffix with epoch > `snapshot_epoch`. Called
-  // by the query owner when it adopts a rebuilt index. (Pruning the
-  // existing overlay in place would be wrong: insert-then-absorbed-by-
-  // snapshot-then-deleted must become a tombstone, which cancellation
-  // against the stale baseline would erase.)
-  void RebaseOverlay(Epoch snapshot_epoch);
-
-  const DeltaOverlay& overlay() const { return overlay_; }
-  const SuccessorListStore& store() const { return *store_; }
-  BufferManager* buffers() { return buffers_.get(); }
-  // The mirror's pager (owner thread). The durable stack reaches through
-  // here for the page device at checkpoint barriers.
-  Pager* pager() { return pager_.get(); }
+  // The live graph (owner thread). Rows start in (src, dst) order and
+  // then follow the mutation history (a delete moves the row's last entry
+  // into the hole), so row order is deterministic.
+  const LiveAdjacency& adjacency() const { return adj_; }
 
  private:
-  MutationLog() = default;
-
   static uint64_t Key(NodeId src, NodeId dst) {
     return (static_cast<uint64_t>(static_cast<uint32_t>(src)) << 32) |
            static_cast<uint32_t>(dst);
@@ -136,15 +103,13 @@ class MutationLog {
 
   Status ValidateEndpoints(NodeId src, NodeId dst) const;
 
+  MutationLog(NodeId num_nodes, Epoch base_epoch)
+      : num_nodes_(num_nodes), base_epoch_(base_epoch), adj_(num_nodes) {}
+
   NodeId num_nodes_ = 0;
   Epoch base_epoch_ = 0;
 
-  // Paged live-adjacency mirror (owner thread).
-  std::unique_ptr<Pager> pager_;
-  std::unique_ptr<BufferManager> buffers_;
-  std::unique_ptr<SuccessorListStore> store_;
-
-  DeltaOverlay overlay_;  // owner thread
+  LiveAdjacency adj_;  // owner thread
 
   // Cross-thread state: the live arc set, the entry log, the epoch.
   mutable std::mutex mu_;

@@ -16,7 +16,7 @@ namespace tcdb {
 // (MutationLog -> DynamicReachService with a periodically re-published
 // IndexRebuilder snapshot) while an in-memory adjacency mirror answers
 // every query by plain BFS. Any divergence — an answer, a mutation
-// status, or the final paged-store contents — fails the run. This is the
+// status, or the final live adjacency — fails the run. This is the
 // harness check.sh runs 50-seed under ASan/UBSan.
 struct MutationStressOptions {
   int32_t num_seeds = 50;
@@ -29,8 +29,8 @@ struct MutationStressOptions {
   // Per-op probability of an insert / a delete; the rest are queries.
   double insert_share = 0.35;
   double delete_share = 0.20;
-  // Ops between synchronous RebuildNow calls (0 = never rebuild, pure
-  // overlay growth).
+  // Ops between synchronous RebuildNow calls (0 = never rebuild: the
+  // snapshot stays at the base graph for the whole trace).
   int32_t rebuild_every = 64;
   // Epoch-boundary validation cadence: after every `validate_every`-th
   // accepted mutation, `validate_pairs` sampled pairs are checked
@@ -44,8 +44,8 @@ struct MutationStressOptions {
   int32_t validate_pairs = 8;
   // Serve with the incremental-decided tier (per-pivot reachability
   // trees). Forcing it off replays the identical trace through the
-  // legacy three-tier ladder — check.sh diffs the two answer digests to
-  // prove the tier changes CPU, not answers.
+  // snapshot + unpruned live-BFS ladder — check.sh diffs the two answer
+  // digests to prove the tier changes CPU, not answers.
   bool incremental = true;
   // Progress sink, called once per seed; may be empty.
   std::function<void(const std::string&)> log;
@@ -71,7 +71,6 @@ struct MutationStressReport {
   int64_t queries = 0;
   int64_t snapshot_served = 0;
   int64_t incremental_served = 0;
-  int64_t overlay_served = 0;
   int64_t escalations = 0;
   int64_t snapshots_adopted = 0;
   // Epoch-boundary validations performed (one per validate_every-th
@@ -80,7 +79,7 @@ struct MutationStressReport {
   // FNV-1a digest over every trace-op query (u, v, answer) triple, in
   // trace order across all seeds. Identical traces must produce the
   // identical digest regardless of serving configuration (incremental
-  // tier on/off, cache size, probe budgets) — only the stage mix and
+  // tier on/off, cache size) — only the stage mix and
   // CPU may differ.
   uint64_t answer_digest = 0x811c9dc5;
 };

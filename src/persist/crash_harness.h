@@ -24,7 +24,7 @@ namespace tcdb {
 //     checkpoint (replayed_entries == recovered_epoch − checkpoint_epoch,
 //     and the checkpoint is at least the last one the trace completed) —
 //     never a full-history rebuild;
-//   - every post-recovery answer and every paged successor list matches
+//   - every post-recovery answer and every live successor row matches
 //     the reference;
 //   - the service keeps serving and mutating correctly after recovery;
 //   - a second recovery of the same state is idempotent and replays

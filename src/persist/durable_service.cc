@@ -3,7 +3,6 @@
 #include <string>
 #include <utility>
 
-#include "persist/file_page_device.h"
 #include "util/check.h"
 
 namespace tcdb {
@@ -11,17 +10,11 @@ namespace tcdb {
 namespace {
 
 constexpr char kWalSubdir[] = "wal";
-constexpr char kPagesSubdir[] = "pages";
 
 }  // namespace
 
 std::string DurableDynamicService::wal_dir() const {
   return JoinPath(dir_, kWalSubdir);
-}
-
-DeviceIoStats DurableDynamicService::store_device_stats() const {
-  if (store_device_ == nullptr) return DeviceIoStats{};
-  return store_device_->device_stats();
 }
 
 Result<std::unique_ptr<DurableDynamicService>>
@@ -36,24 +29,10 @@ DurableDynamicService::Assemble(Fs* fs, const std::string& dir,
   db->dir_ = dir;
   db->options_ = options;
 
-  MutationLogOptions log_options = options.log;
+  MutationLogOptions log_options;
   log_options.base_epoch = base_epoch;
-  if (options.file_backed_store) {
-    const std::string pages_dir = JoinPath(dir, kPagesSubdir);
-    TCDB_RETURN_IF_ERROR(fs->MakeDir(pages_dir));
-    // The raw pointer is retrieved from the pager after Open; the lambda
-    // runs inside MutationLog::Open exactly once.
-    log_options.make_device = [fs, pages_dir]() {
-      return std::make_unique<FilePageDevice>(fs, pages_dir);
-    };
-  } else {
-    log_options.make_device = nullptr;
-  }
   TCDB_ASSIGN_OR_RETURN(db->log_,
                         MutationLog::Open(arcs, num_nodes, log_options));
-  if (options.file_backed_store) {
-    db->store_device_ = db->log_->pager()->device();
-  }
   TCDB_ASSIGN_OR_RETURN(
       db->service_,
       DynamicReachService::Create(db->log_.get(), options.dynamic,
@@ -72,7 +51,7 @@ Result<std::unique_ptr<DurableDynamicService>> DurableDynamicService::Create(
       Assemble(fs, dir, base_arcs, num_nodes, /*base_epoch=*/0,
                /*core=*/nullptr, options));
   // Checkpoint 0 makes the base graph durable before any mutation is
-  // accepted; the empty overlay lets it reuse the snapshot just built.
+  // accepted; it reuses the snapshot just built at the same epoch.
   TCDB_RETURN_IF_ERROR(db->Checkpoint());
   return db;
 }
@@ -97,8 +76,8 @@ Result<std::unique_ptr<DurableDynamicService>> DurableDynamicService::Recover(
 
   // The WAL open repairs a torn tail; everything it recovered past the
   // watermark is replayed through the ordinary mutation path (so the
-  // store mirror, the overlay and the stats all advance exactly as they
-  // did before the crash) — without re-appending to the WAL, where the
+  // live adjacency, the incremental trees and the stats all advance
+  // exactly as they did before the crash) — without re-appending to the WAL, where the
   // records already are.
   TCDB_ASSIGN_OR_RETURN(
       db->wal_, Wal::Open(fs, JoinPath(dir, kWalSubdir), options.wal));
@@ -222,14 +201,10 @@ Status DurableDynamicService::Checkpoint() {
     ++stats_.checkpoint_core_builds;
   }
 
-  // Durability barriers before the atomic publish: WAL records up to the
-  // watermark, and — when file-backed — every dirty store page.
+  // Durability barrier before the atomic publish: WAL records up to the
+  // watermark.
   if (wal_ != nullptr) {
     TCDB_RETURN_IF_ERROR(wal_->Sync());
-  }
-  if (store_device_ != nullptr) {
-    log_->buffers()->FlushAll();
-    store_device_->Sync();
   }
 
   CheckpointImage image;

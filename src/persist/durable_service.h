@@ -10,20 +10,12 @@
 #include "persist/checkpoint.h"
 #include "persist/fs.h"
 #include "persist/wal.h"
-#include "storage/io_stats.h"
 
 namespace tcdb {
 
 struct DurableOptions {
   DynamicReachOptions dynamic;
-  MutationLogOptions log;  // base_epoch / make_device are overwritten
   WalOptions wal;
-  // Back the successor-list mirror with a FilePageDevice under
-  // <dir>/pages instead of memory. Recovery never reads those pages (the
-  // mirror is rebuilt from the checkpoint arc set), so this is about
-  // exercising the real-device path, not correctness. Incompatible with
-  // FaultFs (the device CHECK-fails on I/O errors).
-  bool file_backed_store = false;
   // Checkpoints retained on disk (the newest, plus fallbacks).
   int keep_checkpoints = 2;
 };
@@ -43,8 +35,8 @@ struct PersistStats {
   int64_t wal_bytes_appended = 0;
   int64_t wal_syncs = 0;
   int64_t last_checkpoint_bytes = 0;
-  // Core rebuilds forced by a non-empty overlay at checkpoint time (0
-  // when the serving snapshot could be reused).
+  // Core rebuilds forced at checkpoint time because the serving snapshot
+  // was older than the checkpoint epoch (0 when it could be reused).
   int64_t checkpoint_core_builds = 0;
 };
 
@@ -120,9 +112,6 @@ class DurableDynamicService {
   MutationLog* log() { return log_.get(); }
   Wal* wal() { return wal_.get(); }
   const PersistStats& persist_stats() const { return stats_; }
-  // Real-device counters of the page mirror (zeros unless
-  // file_backed_store).
-  DeviceIoStats store_device_stats() const;
 
  private:
   DurableDynamicService() = default;
@@ -146,8 +135,6 @@ class DurableDynamicService {
   std::unique_ptr<MutationLog> log_;
   std::unique_ptr<DynamicReachService> service_;
   std::unique_ptr<Wal> wal_;
-  // Owned by log_'s pager; non-null only with file_backed_store.
-  PageDevice* store_device_ = nullptr;
 
   PersistStats stats_;
 };

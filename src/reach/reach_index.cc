@@ -31,12 +31,8 @@ const char* ReachStageName(ReachStage stage) {
       return "chain-frontier";
     case ReachStage::kPrunedBfs:
       return "pruned-bfs";
-    case ReachStage::kSessionFallback:
-      return "session-srch";
     case ReachStage::kIncremental:
       return "incremental";
-    case ReachStage::kOverlayPatched:
-      return "overlay-patched";
     case ReachStage::kLiveBfs:
       return "live-bfs";
   }

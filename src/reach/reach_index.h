@@ -18,8 +18,8 @@
 namespace tcdb {
 
 // The rung of the serving ladder that decided a reachability query. The
-// stages through kObservation are O(1) label lookups; pruned BFS and the
-// session are the fallbacks for the residue the labels leave undecided.
+// stages through kObservation are O(1) label lookups; pruned BFS is the
+// fallback for the residue the labels leave undecided.
 enum class ReachStage {
   kCache = 0,           // LRU answer cache hit (ReachService only)
   kTrivial,             // u == v, or u and v share a strongly connected
@@ -35,14 +35,12 @@ enum class ReachStage {
                         // extra orders, levels, cuts, traffic pivots
   kChainFrontier,       // chain-decomposition frontier labels (the kChain
                         // backend; exact, so always definitive)
-  kPrunedBfs,           // bounded interval-pruned BFS fallback
-  kSessionFallback,     // TcSession SRCH query (the closure machinery)
+  kPrunedBfs,           // interval-pruned BFS fallback
   kIncremental,         // dynamic: decided by the incrementally maintained
                         // per-pivot reachability trees (exact on the live
                         // graph at the current epoch)
-  kOverlayPatched,      // dynamic: snapshot answer patched through the
-                        // inserted-arc overlay (DynamicReachService)
-  kLiveBfs,             // dynamic: escalated search on the live graph
+  kLiveBfs,             // dynamic: search on the live graph, pruned by
+                        // the incremental trees
 };
 inline constexpr int kNumReachStages =
     static_cast<int>(ReachStage::kLiveBfs) + 1;
@@ -53,7 +51,7 @@ const char* ReachStageName(ReachStage stage);
 
 // Which label structure a ReachCore builds over the condensation.
 enum class ReachBackend : uint8_t {
-  // The partial O(1) rules below plus the BFS/session fallback ladder —
+  // The partial O(1) rules below plus the pruned-BFS fallback —
   // the default, tuned for the paper-scale graphs.
   kLabels = 0,
   // scale/chain_index.h frontier labels: exact O(1) answers, ~O(n + m*k)

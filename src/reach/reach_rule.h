@@ -33,7 +33,7 @@ enum class ReachRule {
   kObsPivotFwdCut,      // traffic pivot: p ~> u but not p ~> v: "no"
   kObsPivotBwdCut,      // traffic pivot: v ~> p but not u ~> p: "no"
   // --- anything that ran a search ---
-  kFallback,            // pruned BFS / SRCH session / dynamic search tiers
+  kFallback,            // pruned BFS / dynamic search tiers
 };
 inline constexpr int kNumReachRules =
     static_cast<int>(ReachRule::kFallback) + 1;

@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/session.h"
 #include "graph/digraph.h"
 #include "reach/lru_cache.h"
 #include "reach/reach_index.h"
@@ -19,15 +18,10 @@ namespace tcdb {
 
 struct ReachServiceOptions {
   ReachIndexOptions index;
-  // Node-expansion budget of the pruned-BFS fallback (per query, or per
-  // batch source group). <= 0 skips straight to the next rung.
+  // Node-expansion budget of the first pruned-BFS attempt (per query, or
+  // per batch source group). The residue beyond it is settled by an
+  // unbounded pruned BFS, which is exact; <= 0 goes straight there.
   int64_t bfs_budget = 512;
-  // Use a TcSession SRCH query for the residue beyond the BFS budget.
-  // When disabled the BFS runs unbounded instead (a definite answer is
-  // always produced either way).
-  bool session_fallback = true;
-  // Execution parameters of the fallback session (buffer pool etc.).
-  ExecOptions session_exec;
   // LRU answer-cache entries; 0 disables the cache.
   size_t cache_capacity = 4096;
 };
@@ -86,12 +80,14 @@ struct ReachCore {
       codec::Reader* reader);
 };
 
-// The serving front end for online `reaches(src, dst)?` traffic. Sits on
-// top of the Digraph/TcSession machinery rather than inside it: a one-shot
-// ReachIndex build answers most queries in O(1), and the undecided residue
-// walks a ladder of increasingly expensive fallbacks —
+// The serving front end for online `reaches(src, dst)?` traffic. A
+// one-shot ReachIndex build over the in-memory condensation answers most
+// queries in O(1), and the undecided residue walks a short ladder —
 //
-//   answer cache -> O(1) labels -> bounded pruned BFS -> TcSession SRCH
+//   answer cache -> O(1) labels -> bounded pruned BFS -> unbounded pruned BFS
+//
+// The paged closure machinery (TcSession, the buffer pool, the successor-
+// list store) is the paper's instrument and plays no part in serving.
 //
 // Cyclic inputs are handled by condensing once at build time; queries are
 // then served on the condensation (two nodes of one strongly connected
@@ -102,8 +98,7 @@ struct ReachCore {
 //
 // Threading contract: everything a query *reads* (the ReachCore) is
 // shared and immutable; everything a query *mutates* (the answer cache,
-// the BFS scratch, the statistics, the lazily opened fallback session and
-// its private buffer pool) is owned by this instance. One instance must
+// the BFS scratch, the statistics) is owned by this instance. One instance must
 // therefore be driven by one thread at a time — parallel serving shards
 // the graph as N services over one shared core, each shard owned by one
 // worker (see ReachServer in reach/reach_server.h, which does exactly
@@ -123,7 +118,7 @@ class ReachService {
 
   // A shard over an existing shared core. `options.index` is ignored (the
   // core's labels are already built); the per-shard knobs (cache capacity,
-  // BFS budget, session parameters) all apply.
+  // BFS budget) apply.
   static std::unique_ptr<ReachService> Create(
       std::shared_ptr<const ReachCore> core,
       const ReachServiceOptions& options = {});
@@ -135,14 +130,13 @@ class ReachService {
   // path). The new core must cover the same input-node universe;
   // InvalidArgument otherwise. Invalidates the answer cache (generation
   // bump — entries computed against the old core can never be served
-  // again), drops the pruned-BFS scratch and the lazily opened fallback
-  // session (both are sized/derived from the old core). Owner-thread only,
-  // like every other mutating call.
+  // again) and drops the pruned-BFS scratch (sized from the old core).
+  // Owner-thread only, like every other mutating call.
   Status AdoptCore(std::shared_ptr<const ReachCore> core);
 
   // Answers a batch. Beyond per-query caching, the fallback residue is
-  // grouped by source so one pruned BFS (or one SRCH run) serves every
-  // undecided destination of that source — the per-query cost of a miss
+  // grouped by source so one pruned BFS serves every undecided
+  // destination of that source — the per-query cost of a miss
   // amortizes across the batch.
   Result<std::vector<Answer>> QueryBatch(
       std::span<const std::pair<NodeId, NodeId>> pairs);
@@ -172,12 +166,9 @@ class ReachService {
   ReachIndex::Verdict TryServeFast(NodeId src, NodeId dst, Answer* answer,
                                    ReachRule* rule);
 
-  // Definitive fallback for one condensed pair (BFS then session).
-  Result<Answer> ServeFallback(NodeId csrc, NodeId cdst);
-
-  // One SRCH run for `csrc`; returns its full condensed successor list
-  // (sorted). Opens the session lazily on first use.
-  Result<std::vector<NodeId>> SessionSuccessors(NodeId csrc);
+  // Definitive fallback for one condensed pair (bounded, then unbounded
+  // pruned BFS).
+  Answer ServeFallback(NodeId csrc, NodeId cdst);
 
   // Current time in seconds from clock_ (steady_clock when not injected).
   double NowSeconds() const;
@@ -188,17 +179,10 @@ class ReachService {
   // Private, mutable: one owner thread at a time.
   ReachServiceOptions options_;
   ReachAnswerCache cache_;
-  ReachIndex::SearchScratch scratch_;   // pruned-BFS buffers
-  std::unique_ptr<TcSession> session_;  // lazy; serves the last rung
+  ReachIndex::SearchScratch scratch_;  // pruned-BFS buffers
   ReachStats stats_;
   std::function<double()> clock_;  // empty -> steady_clock
 };
-
-// Pulls the successor list of `csrc` out of a captured SRCH answer.
-// Internal error when the answer does not cover `csrc`: an empty list
-// would silently read as "reaches nothing".
-Result<std::vector<NodeId>> ExtractSessionSuccessors(RunResult run,
-                                                     NodeId csrc);
 
 }  // namespace tcdb
 

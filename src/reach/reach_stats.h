@@ -37,7 +37,6 @@ struct ReachStats {
 
   int64_t cache_insertions = 0;
   int64_t bfs_expansions = 0;    // total pruned-BFS node expansions
-  int64_t session_queries = 0;   // SRCH runs issued by the fallback
 
   void Record(ReachStage stage, bool reachable, double elapsed_seconds) {
     ++queries;
@@ -68,10 +67,9 @@ struct ReachStats {
   }
 
   // Queries the O(1) labels (or the cache) answered — everything except
-  // the pruned-BFS and session rungs.
+  // the pruned-BFS rung.
   int64_t DecidedWithoutFallback() const {
-    return queries - Decided(ReachStage::kPrunedBfs) -
-           Decided(ReachStage::kSessionFallback);
+    return queries - Decided(ReachStage::kPrunedBfs);
   }
 
   double TotalSeconds() const {

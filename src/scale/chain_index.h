@@ -25,7 +25,7 @@ struct ChainIndexOptions {
 // Reachability Applications"). Where ReachIndex is a bundle of partial
 // O(1) rules backed by a search fallback, this index is total: every
 // query is answered from the labels in O(1), which is what lets the
-// serving stack drop the BFS/session ladder entirely at 10^6 nodes.
+// serving stack drop the BFS fallback entirely at 10^6 nodes.
 //
 // One forward topological pass produces
 //   - a chain decomposition: every node gets a chain id and a position;

@@ -65,24 +65,6 @@ class IoStats {
   std::vector<std::array<IoCounters, kNumPhases>> per_file_;
 };
 
-// Counters for a *real* page device (file-backed persistence), kept as a
-// deliberately distinct type from the simulated-model IoStats above. The
-// paper's golden metrics pin the model counters; device traffic (which
-// includes fsyncs, recovery reads, checkpoint flushes) must never fold into
-// them, so there is no conversion between the two.
-struct DeviceIoStats {
-  uint64_t page_reads = 0;
-  uint64_t page_writes = 0;
-  uint64_t syncs = 0;
-
-  DeviceIoStats& operator+=(const DeviceIoStats& other) {
-    page_reads += other.page_reads;
-    page_writes += other.page_writes;
-    syncs += other.syncs;
-    return *this;
-  }
-};
-
 }  // namespace tcdb
 
 #endif  // TCDB_STORAGE_IO_STATS_H_

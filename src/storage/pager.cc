@@ -1,19 +1,13 @@
 #include "storage/pager.h"
 
+#include <cstring>
+
 namespace tcdb {
-
-Pager::Pager() : device_(std::make_unique<MemPageDevice>()) {}
-
-Pager::Pager(std::unique_ptr<PageDevice> device)
-    : device_(std::move(device)) {
-  TCDB_CHECK(device_ != nullptr);
-}
 
 FileId Pager::CreateFile(std::string name) {
   TCDB_CHECK_LT(files_.size(), static_cast<size_t>(UINT16_MAX));
   const FileId id = static_cast<FileId>(files_.size());
-  files_.push_back(File{std::move(name), 0});
-  device_->CreateFile(id);
+  files_.push_back(File{std::move(name), 0, {}});
   return id;
 }
 
@@ -34,23 +28,26 @@ Pager::File& Pager::GetFile(FileId file) {
 
 PageNumber Pager::AllocatePage(FileId file) {
   File& f = GetFile(file);
-  // Fresh pages read back as zeros without touching the device: the device
-  // materializes storage lazily on first write, and its Read contract
-  // zero-fills unwritten pages.
+  // Fresh pages read back as zeros: storage is materialized lazily on
+  // first write.
   return f.num_pages++;
 }
 
 void Pager::TruncateFile(FileId file) {
   File& f = GetFile(file);
   f.num_pages = 0;
-  device_->Truncate(file);
+  f.pages.clear();
 }
 
 void Pager::ReadPage(FileId file, PageNumber page_no, Page* out) {
   File& f = GetFile(file);
   TCDB_CHECK_LT(page_no, f.num_pages)
       << "read past end of file '" << f.name << "'";
-  device_->Read(file, page_no, out);
+  if (page_no >= f.pages.size() || f.pages[page_no] == nullptr) {
+    out->Zero();
+  } else {
+    std::memcpy(out->data, f.pages[page_no]->data, kPageSize);
+  }
   stats_.RecordRead(file, phase_);
 }
 
@@ -58,7 +55,9 @@ void Pager::WritePage(FileId file, PageNumber page_no, const Page& in) {
   File& f = GetFile(file);
   TCDB_CHECK_LT(page_no, f.num_pages)
       << "write past end of file '" << f.name << "'";
-  device_->Write(file, page_no, in);
+  if (page_no >= f.pages.size()) f.pages.resize(page_no + 1);
+  if (f.pages[page_no] == nullptr) f.pages[page_no] = std::make_unique<Page>();
+  std::memcpy(f.pages[page_no]->data, in.data, kPageSize);
   stats_.RecordWrite(file, phase_);
 }
 

@@ -7,7 +7,6 @@
 
 #include "storage/io_stats.h"
 #include "storage/page.h"
-#include "storage/page_device.h"
 #include "util/status.h"
 
 namespace tcdb {
@@ -17,21 +16,15 @@ namespace tcdb {
 // phase. This mirrors the paper's methodology: "the number of page I/O's was
 // recorded by the simulated buffer manager" (Section 6.1).
 //
-// The Pager owns the file metadata and the simulated-model accounting; the
-// bytes themselves live behind a PageDevice. The default device keeps pages
-// in memory (exactly the seed behavior); the durable serving stack injects a
-// file-backed device (src/persist/) so the same Pager/BufferManager pipeline
-// reads and writes real disk pages. Model stats are identical either way —
-// the device records its own, separate DeviceIoStats.
+// The pages themselves live in memory: the disk is simulated, and only the
+// counted I/O, not the storage medium, is the object of study.
 //
 // All page traffic is expected to flow through the BufferManager; the Pager
 // is only used directly by tests and by bulk loaders that deliberately
 // bypass buffering.
 class Pager {
  public:
-  // Defaults to the in-memory device.
-  Pager();
-  explicit Pager(std::unique_ptr<PageDevice> device);
+  Pager() = default;
 
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
@@ -66,20 +59,17 @@ class Pager {
   const IoStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  // The underlying storage. Callers that need a durability barrier (the
-  // checkpointer) reach through here for device()->Sync().
-  PageDevice* device() { return device_.get(); }
-  const PageDevice* device() const { return device_.get(); }
-
  private:
   struct File {
     std::string name;
     PageNumber num_pages = 0;
+    // Written pages, grown on demand in WritePage. A page that was
+    // allocated but never written (absent or null here) reads as zeros.
+    std::vector<std::unique_ptr<Page>> pages;
   };
 
   File& GetFile(FileId file);
 
-  std::unique_ptr<PageDevice> device_;
   std::vector<File> files_;
   IoStats stats_;
   Phase phase_ = Phase::kSetup;

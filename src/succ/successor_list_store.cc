@@ -39,11 +39,9 @@ void SuccessorListStore::Reset(int32_t num_lists) {
   buffers_->pager()->TruncateFile(file_);
   lists_.assign(static_cast<size_t>(num_lists), ListMeta{});
   page_owners_.clear();
-  free_pages_.clear();
   fill_page_ = kInvalidPageNumber;
   grow_tick_ = 0;
   lists_read_ = entries_read_ = entries_written_ = list_moves_ = 0;
-  entries_removed_ = pages_released_ = 0;
 }
 
 int32_t SuccessorListStore::FreeBlockCount(PageNumber page) const {
@@ -53,17 +51,6 @@ int32_t SuccessorListStore::FreeBlockCount(PageNumber page) const {
 }
 
 Status SuccessorListStore::NewListPage(PageNumber* out) {
-  // Recycle a page Remove released before extending the file. The
-  // fill-page path can also hand blocks out of a released page, so skip
-  // any entry that regained owners since it was listed.
-  while (!free_pages_.empty()) {
-    const PageNumber page = free_pages_.back();
-    free_pages_.pop_back();
-    if (FreeBlockCount(page) == kBlocksPerPage) {
-      *out = page;
-      return Status::Ok();
-    }
-  }
   TCDB_ASSIGN_OR_RETURN(
       NewPageGuard page,
       NewPageGuard::Alloc(buffers_, file_, "SuccessorListStore::NewListPage"));
@@ -258,85 +245,6 @@ Status SuccessorListStore::Read(int32_t list, std::vector<int32_t>* out) const {
   }
   ++lists_read_;
   entries_read_ += meta.length;
-  return Status::Ok();
-}
-
-Status SuccessorListStore::Remove(int32_t list, int32_t value) {
-  TCDB_CHECK(list >= 0 && list < num_lists());
-  ListMeta& meta = lists_[list];
-
-  // Locate the first occurrence, in block order.
-  int32_t found_block = -1;
-  int32_t found_slot = -1;
-  int32_t remaining = meta.length;
-  for (size_t b = 0; b < meta.blocks.size() && found_block < 0; ++b) {
-    const int32_t in_block = std::min(remaining, kEntriesPerBlock);
-    TCDB_ASSIGN_OR_RETURN(
-        PageGuard page,
-        PageGuard::Fetch(buffers_, {file_, meta.blocks[b].page},
-                         "SuccessorListStore::Remove scan"));
-    const int32_t* slots =
-        page->As<int32_t>(SlotOffset(meta.blocks[b].block, 0));
-    for (int32_t s = 0; s < in_block; ++s) {
-      ++entries_read_;
-      if (slots[s] == value) {
-        found_block = static_cast<int32_t>(b);
-        found_slot = s;
-        break;
-      }
-    }
-    remaining -= in_block;
-  }
-  if (found_block < 0) {
-    return Status::NotFound("list " + std::to_string(list) +
-                            " has no entry " + std::to_string(value));
-  }
-
-  // Fill the hole with the list's final entry, then shrink. The hole may
-  // BE the final entry, in which case shrinking alone removes it.
-  const int32_t last_index = meta.length - 1;
-  const int32_t last_block = last_index / kEntriesPerBlock;
-  const int32_t last_slot = last_index % kEntriesPerBlock;
-  if (found_block != last_block || found_slot != last_slot) {
-    int32_t last_value = 0;
-    {
-      const BlockAddr addr = meta.blocks[static_cast<size_t>(last_block)];
-      TCDB_ASSIGN_OR_RETURN(
-          PageGuard page,
-          PageGuard::Fetch(buffers_, {file_, addr.page},
-                           "SuccessorListStore::Remove read-last"));
-      last_value = *page->As<int32_t>(SlotOffset(addr.block, last_slot));
-      ++entries_read_;
-    }
-    const BlockAddr addr = meta.blocks[static_cast<size_t>(found_block)];
-    TCDB_ASSIGN_OR_RETURN(
-        PageGuard page,
-        PageGuard::Fetch(buffers_, {file_, addr.page},
-                         "SuccessorListStore::Remove fill-hole"));
-    *page->As<int32_t>(SlotOffset(addr.block, found_slot)) = last_value;
-    page.MarkDirty();
-    ++entries_written_;
-  }
-  meta.length = last_index;
-  ++entries_removed_;
-
-  // Free the last block if the shrink emptied it; then release its page
-  // entirely once no list owns a block there. A fully freed page holds no
-  // live data (readers are bounded by the directory), so dropping it
-  // unwritten is safe and returns the frame to the pool. All guards are
-  // out of scope by now — DiscardPage requires the page unpinned.
-  if (meta.length <=
-      static_cast<int32_t>(meta.blocks.size() - 1) * kEntriesPerBlock) {
-    const BlockAddr freed = meta.blocks.back();
-    meta.blocks.pop_back();
-    page_owners_[freed.page][freed.block] = -1;
-    if (FreeBlockCount(freed.page) == kBlocksPerPage) {
-      buffers_->DiscardPage({file_, freed.page});
-      free_pages_.push_back(freed.page);
-      ++pages_released_;
-    }
-  }
-  if (meta.blocks.empty()) meta.preferred_page = kInvalidPageNumber;
   return Status::Ok();
 }
 

@@ -74,18 +74,6 @@ class SuccessorListStore {
   // `ListLength(list)` entry reads.
   Status Read(int32_t list, std::vector<int32_t>* out) const;
 
-  // Removes one occurrence of `value` from the list, or NotFound when the
-  // list does not contain it. Order is not preserved: the list's final
-  // entry fills the hole (successor lists are sets; every reader either
-  // sorts or treats them as unordered). When the removal empties the
-  // list's last block the block is freed back to its page, and when that
-  // leaves the page without any owned block the page itself is discarded
-  // from the buffer pool — a fully freed page has no live bytes to write
-  // back, so keeping it resident (or ever flushing it) would only waste a
-  // frame. This is the write path that makes the store fully dynamic; the
-  // closure algorithms themselves never delete.
-  Status Remove(int32_t list, int32_t value);
-
   // Empties the list, freeing its blocks for reuse (directory-only change;
   // no page I/O). Subsequent appends prefer the list's old first page. Used
   // by the tree algorithms, which rewrite a tree after expanding it (the
@@ -121,10 +109,6 @@ class SuccessorListStore {
   int64_t entries_written() const { return entries_written_; }
   // Number of page splits resolved by the list replacement policy.
   int64_t list_moves() const { return list_moves_; }
-  // Entries deleted via Remove, and pages discarded from the buffer pool
-  // because a removal freed their last owned block.
-  int64_t entries_removed() const { return entries_removed_; }
-  int64_t pages_released() const { return pages_released_; }
 
   int64_t TotalEntries() const;
   PageNumber NumPages() const {
@@ -175,9 +159,6 @@ class SuccessorListStore {
 
   std::vector<ListMeta> lists_;
   std::vector<PageOwners> page_owners_;
-  // Pages Remove released; NewListPage recycles these before growing the
-  // file, so a shrink-then-grow workload does not leak disk pages.
-  std::vector<PageNumber> free_pages_;
   // Page currently receiving first blocks of new lists (inter-list
   // clustering).
   PageNumber fill_page_ = kInvalidPageNumber;
@@ -187,8 +168,6 @@ class SuccessorListStore {
   mutable int64_t entries_read_ = 0;
   int64_t entries_written_ = 0;
   int64_t list_moves_ = 0;
-  int64_t entries_removed_ = 0;
-  int64_t pages_released_ = 0;
 };
 
 }  // namespace tcdb

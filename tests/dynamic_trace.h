@@ -30,7 +30,7 @@ namespace tcdb {
 struct DynamicTraceOptions {
   DynamicReachOptions service;
   // Mutations between synchronous RebuildNow + AdoptPublishedSnapshot
-  // rounds (0 = never; the overlay then grows for the whole trace).
+  // rounds (0 = never; the snapshot then stays at the base graph).
   int32_t rebuild_every = 64;
   // n <= threshold: every boundary checks all n*n pairs. Above it, each
   // boundary checks `sampled_pairs` seeded draws instead.

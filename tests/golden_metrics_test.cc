@@ -10,18 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "bench_support/catalog.h"
 #include "core/database.h"
-#include "dynamic/mutation_log.h"
 #include "graph/generator.h"
-#include "persist/file_page_device.h"
-#include "persist/fs.h"
-#include "util/random.h"
 
 namespace tcdb {
 namespace {
@@ -190,81 +185,6 @@ TEST(GoldenMetricsTest, MatrixBackendSwapKeepsGoldenCounters) {
   }
 }
 
-// The simulated-model counters the goldens above pin must be a function
-// of the access pattern alone, never of where the bytes live: the same
-// workload driven over the in-memory page device and over a real
-// file-backed one must produce byte-identical model IoStats, with real
-// traffic appearing only in the device's own DeviceIoStats (a separate
-// type precisely so it can never fold into the model numbers).
-TEST(GoldenMetricsTest, ModelIoStatsAreDeviceIndependent) {
-  GeneratorParams params;
-  params.num_nodes = 2000;
-  params.avg_out_degree = 5;
-  params.locality = 200;
-  params.seed = 9;
-  const ArcList base = GenerateDag(params);
-
-  MemFs fs;
-  ASSERT_TRUE(fs.MakeDir("pages").ok());
-  MutationLogOptions mem_options;
-  mem_options.buffer_pages = 4;  // eviction pressure -> real page traffic
-  MutationLogOptions file_options = mem_options;
-  file_options.make_device = [&fs]() {
-    return std::make_unique<FilePageDevice>(&fs, "pages");
-  };
-  auto mem_log = MutationLog::Open(base, params.num_nodes, mem_options);
-  auto file_log = MutationLog::Open(base, params.num_nodes, file_options);
-  ASSERT_TRUE(mem_log.ok());
-  ASSERT_TRUE(file_log.ok());
-
-  Rng rng(31);
-  for (int op = 0; op < 300; ++op) {
-    const NodeId s = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
-    const NodeId d = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
-    if (s != d && rng.Bernoulli(0.7)) {
-      if (mem_log.value()->HasArc(s, d)) {
-        ASSERT_TRUE(mem_log.value()->DeleteArc(s, d).ok());
-        ASSERT_TRUE(file_log.value()->DeleteArc(s, d).ok());
-      } else {
-        ASSERT_TRUE(mem_log.value()->InsertArc(s, d).ok());
-        ASSERT_TRUE(file_log.value()->InsertArc(s, d).ok());
-      }
-    } else {
-      std::vector<NodeId> mem_row, file_row;
-      ASSERT_TRUE(mem_log.value()->ReadSuccessors(s, &mem_row).ok());
-      ASSERT_TRUE(file_log.value()->ReadSuccessors(s, &file_row).ok());
-    }
-  }
-
-  // Flush both pools so dirty frames reach the devices on both sides.
-  mem_log.value()->buffers()->FlushAll();
-  file_log.value()->buffers()->FlushAll();
-
-  const IoStats& mem_stats = mem_log.value()->pager()->stats();
-  const IoStats& file_stats = file_log.value()->pager()->stats();
-  EXPECT_GT(mem_stats.Total().total(), 0u);
-  for (const Phase phase :
-       {Phase::kSetup, Phase::kRestructuring, Phase::kComputation}) {
-    EXPECT_EQ(mem_stats.ForPhase(phase).reads,
-              file_stats.ForPhase(phase).reads);
-    EXPECT_EQ(mem_stats.ForPhase(phase).writes,
-              file_stats.ForPhase(phase).writes);
-  }
-
-  const DeviceIoStats& mem_device =
-      mem_log.value()->pager()->device()->device_stats();
-  const DeviceIoStats& file_device =
-      file_log.value()->pager()->device()->device_stats();
-  EXPECT_EQ(mem_device.page_reads, 0u);
-  EXPECT_EQ(mem_device.page_writes, 0u);
-  EXPECT_EQ(mem_device.syncs, 0u);
-  EXPECT_GT(file_device.page_writes, 0u);
-}
-
-// The three full-closure algorithms must agree on what the closure *is*
-// even while their I/O profiles differ — the distinct-tuple pin above is
-// shared, and this keeps the relationship explicit if one row is ever
-// re-pinned alone.
 TEST(GoldenMetricsTest, FullClosureRowsAgreeOnClosureSize) {
   EXPECT_EQ(kGoldens[0].distinct_tuples, kGoldens[1].distinct_tuples);
   EXPECT_EQ(kGoldens[0].distinct_tuples, kGoldens[2].distinct_tuples);

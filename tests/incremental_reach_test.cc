@@ -72,7 +72,7 @@ void RunFamilyTrace(const Family& family, uint64_t seed,
     EXPECT_EQ(stats.inserts_applied + stats.deletes_applied,
               harness.mutations());
     // The tier must have actually decided queries, not just idled while
-    // the patched/live tiers answered everything.
+    // the live BFS answered everything.
     EXPECT_GT(harness.service()->stats().incremental_served, 0);
     EXPECT_GT(stats.repairs(), 0);
   } else {
@@ -121,15 +121,37 @@ IncrementalOptions PinnedPivots(std::vector<NodeId> pivots) {
   return options;
 }
 
+// An index over a private adjacency. Insert/Delete apply the arc to the
+// adjacency first, as the MutationLog does, then run the repair hook.
+struct TreeFixture {
+  TreeFixture(const ArcList& arcs, NodeId n, const IncrementalOptions& options)
+      : adj(n) {
+    for (const Arc& arc : arcs) adj.Insert(arc.src, arc.dst);
+    index = IncrementalIndex::Build(adj, options);
+  }
+  void Insert(NodeId src, NodeId dst) {
+    adj.Insert(src, dst);
+    index->OnInsert(src, dst);
+  }
+  void Delete(NodeId src, NodeId dst) {
+    adj.Delete(src, dst);
+    index->OnDelete(src, dst);
+  }
+
+  LiveAdjacency adj;
+  std::unique_ptr<IncrementalIndex> index;
+};
+
 TEST(IncrementalAdversarialTest, DeleteDisconnectsPivotTreeRoot) {
   // Deleting the root's only out-arc disconnects the pivot's ENTIRE
   // forward subtree — the worst-case affected set.
   const ArcList arcs = {{0, 1}, {1, 2}, {1, 3}, {2, 4}};
-  auto index = IncrementalIndex::Build(arcs, 5, PinnedPivots({0}));
+  TreeFixture fixture(arcs, 5, PinnedPivots({0}));
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
   ASSERT_EQ(index->pivots(), std::vector<NodeId>({0}));
   for (NodeId v = 0; v < 5; ++v) EXPECT_TRUE(index->InForwardTree(0, v));
 
-  index->OnDelete(0, 1);
+  fixture.Delete(0, 1);
   EXPECT_TRUE(index->InForwardTree(0, 0));  // the root itself survives
   for (NodeId v = 1; v < 5; ++v) EXPECT_FALSE(index->InForwardTree(0, v));
   EXPECT_EQ(index->stats().nodes_detached, 4);
@@ -139,7 +161,7 @@ TEST(IncrementalAdversarialTest, DeleteDisconnectsPivotTreeRoot) {
   EXPECT_EQ(index->Decide(0, 0), ReachIndex::Verdict::kYes);
 
   // Reinserting restores the full certificate by tree extension.
-  index->OnInsert(0, 1);
+  fixture.Insert(0, 1);
   for (NodeId v = 0; v < 5; ++v) EXPECT_TRUE(index->InForwardTree(0, v));
   EXPECT_EQ(index->stats().nodes_attached, 4);
   EXPECT_EQ(index->Decide(0, 4), ReachIndex::Verdict::kYes);
@@ -149,11 +171,12 @@ TEST(IncrementalAdversarialTest, DeleteLastArcIntoSupportiveVertex) {
   // The supportive vertex 3 has exactly one in-arc; deleting it empties
   // the backward tree down to the pivot itself.
   const ArcList arcs = {{0, 1}, {1, 3}, {3, 4}};
-  auto index = IncrementalIndex::Build(arcs, 5, PinnedPivots({3}));
+  TreeFixture fixture(arcs, 5, PinnedPivots({3}));
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
   EXPECT_TRUE(index->InBackwardTree(0, 0));
   EXPECT_TRUE(index->InBackwardTree(0, 1));
 
-  index->OnDelete(1, 3);
+  fixture.Delete(1, 3);
   EXPECT_TRUE(index->InBackwardTree(0, 3));
   EXPECT_FALSE(index->InBackwardTree(0, 0));
   EXPECT_FALSE(index->InBackwardTree(0, 1));
@@ -170,11 +193,12 @@ TEST(IncrementalAdversarialTest, DeleteSplitsScc) {
   // deleting (2, 0) splits it and every membership set must shrink to
   // the post-split truth.
   const ArcList arcs = {{0, 1}, {1, 2}, {2, 0}, {3, 0}, {2, 4}};
-  auto index = IncrementalIndex::Build(arcs, 5, PinnedPivots({1}));
+  TreeFixture fixture(arcs, 5, PinnedPivots({1}));
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
   EXPECT_TRUE(index->InForwardTree(0, 0));   // 1 -> 2 -> 0
   EXPECT_TRUE(index->InBackwardTree(0, 2));  // 2 -> 0 -> 1
 
-  index->OnDelete(2, 0);
+  fixture.Delete(2, 0);
   EXPECT_FALSE(index->InForwardTree(0, 0));  // fwd(1) = {1, 2, 4}
   EXPECT_TRUE(index->InForwardTree(0, 2));
   EXPECT_TRUE(index->InForwardTree(0, 4));
@@ -185,7 +209,7 @@ TEST(IncrementalAdversarialTest, DeleteSplitsScc) {
   EXPECT_EQ(index->Decide(3, 4), ReachIndex::Verdict::kYes);  // 3->0->1->2->4
 
   // Re-closing the cycle elsewhere merges the SCC back.
-  index->OnInsert(4, 0);
+  fixture.Insert(4, 0);
   EXPECT_EQ(index->Decide(1, 0), ReachIndex::Verdict::kYes);
   EXPECT_TRUE(index->InBackwardTree(0, 2));
 }
@@ -195,9 +219,10 @@ TEST(IncrementalAdversarialTest, TreeArcDeleteRescuesThroughAlternateAnchor) {
   // certificate chose must rescue 2 through the surviving anchor, not
   // drop it.
   const ArcList arcs = {{0, 1}, {1, 2}, {0, 3}, {3, 2}, {2, 4}};
-  auto index = IncrementalIndex::Build(arcs, 5, PinnedPivots({0}));
-  index->OnDelete(1, 2);
-  index->OnDelete(3, 2);  // second delete kills whichever path remained
+  TreeFixture fixture(arcs, 5, PinnedPivots({0}));
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
+  fixture.Delete(1, 2);
+  fixture.Delete(3, 2);  // second delete kills whichever path remained
   EXPECT_FALSE(index->InForwardTree(0, 2));
   EXPECT_FALSE(index->InForwardTree(0, 4));
   EXPECT_TRUE(index->InForwardTree(0, 1));
@@ -220,12 +245,13 @@ TEST(IncrementalRebuildPolicyTest, RepairCostAdvisesRebuildAndAdoptionResets) {
   // the order of 2 * n arcs, so ratio 8 (budget ~8 * (n + m) ~ 500 arc
   // scans) trips after a handful of rounds, not the first one.
   options.rebuild_cost_ratio = 8.0;
-  auto index = IncrementalIndex::Build(arcs, n, options);
+  TreeFixture fixture(arcs, n, options);
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
   EXPECT_FALSE(index->rebuild_advised());
   int rounds = 0;
   while (!index->rebuild_advised()) {
-    index->OnDelete(0, 1);
-    index->OnInsert(0, 1);
+    fixture.Delete(0, 1);
+    fixture.Insert(0, 1);
     ASSERT_LT(++rounds, 1000) << "never advised";
   }
   EXPECT_GE(rounds, 2);  // guarantees one round alone is under budget
@@ -235,8 +261,8 @@ TEST(IncrementalRebuildPolicyTest, RepairCostAdvisesRebuildAndAdoptionResets) {
   EXPECT_FALSE(index->rebuild_advised());
   // The accumulator reset too: one more repair round must not re-trip
   // the budget instantly.
-  index->OnDelete(0, 1);
-  index->OnInsert(0, 1);
+  fixture.Delete(0, 1);
+  fixture.Insert(0, 1);
   EXPECT_FALSE(index->rebuild_advised());
 }
 
@@ -246,10 +272,11 @@ TEST(IncrementalRebuildPolicyTest, NonPositiveRatioNeverAdvises) {
   for (NodeId v = 0; v + 1 < n; ++v) arcs.push_back({v, v + 1});
   IncrementalOptions options = PinnedPivots({0});
   options.rebuild_cost_ratio = 0.0;
-  auto index = IncrementalIndex::Build(arcs, n, options);
+  TreeFixture fixture(arcs, n, options);
+  const std::unique_ptr<IncrementalIndex>& index = fixture.index;
   for (int round = 0; round < 64; ++round) {
-    index->OnDelete(0, 1);
-    index->OnInsert(0, 1);
+    fixture.Delete(0, 1);
+    fixture.Insert(0, 1);
   }
   EXPECT_FALSE(index->rebuild_advised());
   EXPECT_EQ(index->stats().rebuilds_advised, 0);
@@ -267,14 +294,14 @@ TEST(IncrementalLadderTest, DirtyOverlayQueriesServeFromIncrementalTier) {
   ASSERT_TRUE(service_result.ok());
   DynamicReachService* service = service_result.value().get();
 
-  // Empty overlay: the snapshot tier still answers.
+  // At the snapshot epoch the snapshot tier answers.
   auto answer = service->Query(0, 2);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(service->stats().snapshot_served, 1);
   EXPECT_EQ(service->stats().incremental_served, 0);
 
-  // Dirty overlay: the O(k) decide intercepts before the patched BFS —
-  // YES through the pivot (0 -> 1 -> 2), NO out of its forward cone, and
+  // Past it, the O(k) decide intercepts before the live BFS — YES
+  // through the pivot (0 -> 1 -> 2), NO out of its forward cone, and
   // the freshly inserted arc is already in the repaired tree.
   ASSERT_TRUE(service->InsertArc(2, 3).ok());
   answer = service->Query(0, 2);

@@ -20,10 +20,8 @@
 #include "persist/crash_harness.h"
 #include "persist/durable_service.h"
 #include "persist/fault_fs.h"
-#include "persist/file_page_device.h"
 #include "persist/fs.h"
 #include "persist/wal.h"
-#include "storage/pager.h"
 #include "util/codec.h"
 #include "util/crc32.h"
 #include "util/random.h"
@@ -533,67 +531,6 @@ TEST(DurableService, DoubleRecoveryIsIdempotent) {
   EXPECT_EQ(second.replayed_entries, first.replayed_entries);
   EXPECT_EQ(second.recovered_epoch, first.recovered_epoch);
   EXPECT_EQ(db.value()->epoch(), first.recovered_epoch);
-}
-
-TEST(DurableService, FileBackedStoreMatchesMemoryStore) {
-  MemFs fs;
-  NodeId n = 0;
-  const ArcList base = SmallBase(&n);
-
-  DurableOptions file_options;
-  file_options.file_backed_store = true;
-  auto mem_db = DurableDynamicService::Create(&fs, "mem", base, n);
-  auto file_db =
-      DurableDynamicService::Create(&fs, "file", base, n, file_options);
-  ASSERT_TRUE(mem_db.ok());
-  ASSERT_TRUE(file_db.ok());
-
-  Rng rng(99);
-  for (int op = 0; op < 120; ++op) {
-    const NodeId s = static_cast<NodeId>(rng.Uniform(0, n - 1));
-    const NodeId d = static_cast<NodeId>(rng.Uniform(0, n - 1));
-    if (s == d) continue;
-    const auto a = mem_db.value()->log()->HasArc(s, d)
-                       ? mem_db.value()->DeleteArc(s, d)
-                       : mem_db.value()->InsertArc(s, d);
-    const auto b = file_db.value()->log()->HasArc(s, d)
-                       ? file_db.value()->DeleteArc(s, d)
-                       : file_db.value()->InsertArc(s, d);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    ASSERT_EQ(a.value(), b.value());
-  }
-  // Same logical state through the paged mirror, device notwithstanding.
-  for (NodeId v = 0; v < n; ++v) {
-    std::vector<NodeId> mem_row, file_row;
-    ASSERT_TRUE(mem_db.value()->log()->ReadSuccessors(v, &mem_row).ok());
-    ASSERT_TRUE(file_db.value()->log()->ReadSuccessors(v, &file_row).ok());
-    std::sort(mem_row.begin(), mem_row.end());
-    std::sort(file_row.begin(), file_row.end());
-    EXPECT_EQ(mem_row, file_row) << "node " << v;
-  }
-  // Real traffic shows up only on the real device.
-  EXPECT_EQ(mem_db.value()->store_device_stats().page_writes, 0u);
-  ASSERT_TRUE(file_db.value()->Checkpoint().ok());  // flush barrier
-  EXPECT_GT(file_db.value()->store_device_stats().page_writes, 0u);
-  EXPECT_GT(file_db.value()->store_device_stats().syncs, 0u);
-
-  // The file-backed service recovers too (the mirror is rebuilt from the
-  // checkpoint, not read back from pages).
-  file_db.value().reset();
-  RecoveryReport report;
-  auto recovered =
-      DurableDynamicService::Recover(&fs, "file", file_options, &report);
-  ASSERT_TRUE(recovered.ok());
-  EXPECT_EQ(report.replayed_entries, 0);
-  for (NodeId v = 0; v < n; ++v) {
-    std::vector<NodeId> mem_row, file_row;
-    ASSERT_TRUE(mem_db.value()->log()->ReadSuccessors(v, &mem_row).ok());
-    ASSERT_TRUE(recovered.value()->log()->ReadSuccessors(v, &file_row).ok());
-    std::sort(mem_row.begin(), mem_row.end());
-    std::sort(file_row.begin(), file_row.end());
-    EXPECT_EQ(mem_row, file_row) << "node " << v;
-  }
 }
 
 // --- fault injection ------------------------------------------------------

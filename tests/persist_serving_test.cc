@@ -35,7 +35,6 @@ TEST(PersistServing, CheckpointsUnderBackgroundRebuilds) {
 
   MemFs fs;
   DurableOptions options;
-  options.dynamic.overlay_probe_budget = 128;  // force frequent escalation
   auto db = DurableDynamicService::Create(&fs, "db", base, n, options);
   ASSERT_TRUE(db.ok());
 
@@ -97,8 +96,7 @@ TEST(PersistServing, CheckpointsUnderBackgroundRebuilds) {
   EXPECT_EQ(report.replayed_entries,
             report.recovered_epoch - report.checkpoint_epoch);
   for (NodeId v = 0; v < n; ++v) {
-    std::vector<NodeId> row;
-    ASSERT_TRUE(recovered.value()->log()->ReadSuccessors(v, &row).ok());
+    std::vector<NodeId> row = recovered.value()->log()->adjacency().Out(v);
     std::sort(row.begin(), row.end());
     ASSERT_EQ(row, reference.SortedSuccessors(v)) << "node " << v;
   }

@@ -92,7 +92,7 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
       aggregate.queries += stats.queries;
     }
     // Acceptance: the O(1) labels decide > 80% of queries per family
-    // (fallbacks are the pruned BFS and the SRCH session).
+    // (the fallback is the pruned BFS).
     EXPECT_GT(aggregate.DecidedWithoutFallback(),
               (aggregate.queries * 8) / 10)
         << "F=" << family.avg_out_degree << " l=" << family.locality
@@ -136,8 +136,7 @@ TEST(ReachDifferentialTest, BatchMatchesOracleAndWarmCacheRepeats) {
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(warm.value()[i].reachable, batch.value()[i].reachable);
       const ReachStage first = batch.value()[i].stage;
-      const bool was_fallback = first == ReachStage::kPrunedBfs ||
-                                first == ReachStage::kSessionFallback;
+      const bool was_fallback = first == ReachStage::kPrunedBfs;
       EXPECT_EQ(warm.value()[i].stage,
                 was_fallback ? ReachStage::kCache : first)
           << "warm query " << i;
@@ -236,27 +235,28 @@ TEST(ReachDifferentialTest, CyclicInputsServeOnTheCondensation) {
 }
 
 // Every rung configuration produces the same (correct) answers; the
-// session rung actually fires when the cheaper rungs are disabled.
+// unbounded pruned BFS actually fires when the cheaper rungs are disabled.
 TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
   const Digraph graph(params.num_nodes, arcs);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  ReachServiceOptions srch_only;  // no BFS, no supportive labels, no cache
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  srch_only.cache_capacity = 0;
+  // No budgeted BFS, no supportive labels, no cache: the residue goes
+  // straight to the unbounded pruned BFS.
+  ReachServiceOptions unbounded_only;
+  unbounded_only.bfs_budget = 0;
+  unbounded_only.index.num_supportive = 0;
+  unbounded_only.cache_capacity = 0;
 
-  ReachServiceOptions bfs_only;  // no session: unbounded BFS finishes
-  bfs_only.session_fallback = false;
-  bfs_only.bfs_budget = 4;  // force the budgeted pass to give up sometimes
-  bfs_only.index.num_supportive = 0;
+  ReachServiceOptions tiny_budget;
+  tiny_budget.bfs_budget = 4;  // force the budgeted pass to give up sometimes
+  tiny_budget.index.num_supportive = 0;
 
   ReachServiceOptions defaults;
 
   for (const ReachServiceOptions& options :
-       {srch_only, bfs_only, defaults}) {
+       {unbounded_only, tiny_budget, defaults}) {
     auto service = ReachService::Build(arcs, params.num_nodes, options);
     ASSERT_TRUE(service.ok());
     const auto queries = MakeQueries(arcs, params.num_nodes, 5);
@@ -267,19 +267,17 @@ TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
     }
   }
 
-  auto srch_service =
-      ReachService::Build(arcs, params.num_nodes, srch_only);
-  ASSERT_TRUE(srch_service.ok());
+  auto unbounded_service =
+      ReachService::Build(arcs, params.num_nodes, unbounded_only);
+  ASSERT_TRUE(unbounded_service.ok());
   // The diamond residue: with supportive labels off, some pair needs the
-  // SRCH rung.
+  // search.
   const auto queries = MakeQueries(arcs, params.num_nodes, 5);
-  auto batch = srch_service.value()->QueryBatch(queries);
+  auto batch = unbounded_service.value()->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
-  EXPECT_GT(srch_service.value()
-                ->stats()
-                .Decided(ReachStage::kSessionFallback),
+  EXPECT_GT(unbounded_service.value()->stats().Decided(ReachStage::kPrunedBfs),
             0);
-  EXPECT_GT(srch_service.value()->stats().session_queries, 0);
+  EXPECT_GT(unbounded_service.value()->stats().bfs_expansions, 0);
 }
 
 // Regression: cache_insertions used to count every Insert() call, even
@@ -304,45 +302,29 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
 
   // A duplicated fallback pair in one batch resolves as one group; the
   // second Insert refreshes the first and must not be counted.
-  ReachServiceOptions srch_only;
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  auto probe = ReachService::Build(arcs, params.num_nodes, srch_only);
+  ReachServiceOptions unbounded_only;
+  unbounded_only.bfs_budget = 0;
+  unbounded_only.index.num_supportive = 0;
+  auto probe = ReachService::Build(arcs, params.num_nodes, unbounded_only);
   ASSERT_TRUE(probe.ok());
   std::pair<NodeId, NodeId> fallback_pair{-1, -1};
   for (const auto& [u, v] : queries) {
     auto answer = probe.value()->Query(u, v);
     ASSERT_TRUE(answer.ok());
-    if (answer.value().stage == ReachStage::kSessionFallback) {
+    if (answer.value().stage == ReachStage::kPrunedBfs) {
       fallback_pair = {u, v};
       break;
     }
   }
-  ASSERT_GE(fallback_pair.first, 0) << "no query needed the session rung";
+  ASSERT_GE(fallback_pair.first, 0) << "no query needed the search rung";
 
-  auto service = ReachService::Build(arcs, params.num_nodes, srch_only);
+  auto service = ReachService::Build(arcs, params.num_nodes, unbounded_only);
   ASSERT_TRUE(service.ok());
   const std::vector<std::pair<NodeId, NodeId>> twice = {fallback_pair,
                                                         fallback_pair};
   auto batch = service.value()->QueryBatch(twice);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(service.value()->stats().cache_insertions, 1);
-}
-
-// Regression: a SRCH answer that does not cover the queried source used to
-// be served as an empty successor list — i.e. "reaches nothing" — instead
-// of surfacing the internal inconsistency.
-TEST(ReachServiceTest, MissingSessionAnswerIsAnInternalError) {
-  RunResult run;
-  run.answer.emplace_back(3, std::vector<NodeId>{4, 5});
-
-  auto found = ExtractSessionSuccessors(run, 3);
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), (std::vector<NodeId>{4, 5}));
-
-  auto missing = ExtractSessionSuccessors(std::move(run), 7);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kInternal);
 }
 
 // Regression: QueryBatch timed each pass-1 classification but threw the
@@ -355,25 +337,25 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
 
-  ReachServiceOptions srch_only;
-  srch_only.bfs_budget = 0;
-  srch_only.index.num_supportive = 0;
-  srch_only.cache_capacity = 0;
+  ReachServiceOptions unbounded_only;
+  unbounded_only.bfs_budget = 0;
+  unbounded_only.index.num_supportive = 0;
+  unbounded_only.cache_capacity = 0;
 
-  auto probe = ReachService::Build(arcs, params.num_nodes, srch_only);
+  auto probe = ReachService::Build(arcs, params.num_nodes, unbounded_only);
   ASSERT_TRUE(probe.ok());
   std::pair<NodeId, NodeId> fallback_pair{-1, -1};
   for (const auto& [u, v] : MakeQueries(arcs, params.num_nodes, 5)) {
     auto answer = probe.value()->Query(u, v);
     ASSERT_TRUE(answer.ok());
-    if (answer.value().stage == ReachStage::kSessionFallback) {
+    if (answer.value().stage == ReachStage::kPrunedBfs) {
       fallback_pair = {u, v};
       break;
     }
   }
-  ASSERT_GE(fallback_pair.first, 0) << "no query needed the session rung";
+  ASSERT_GE(fallback_pair.first, 0) << "no query needed the search rung";
 
-  auto service = ReachService::Build(arcs, params.num_nodes, srch_only);
+  auto service = ReachService::Build(arcs, params.num_nodes, unbounded_only);
   ASSERT_TRUE(service.ok());
   double ticks = 0.0;
   service.value()->SetClockForTesting([&ticks] { return ticks += 1.0; });
@@ -381,7 +363,7 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const std::vector<std::pair<NodeId, NodeId>> one = {fallback_pair};
   auto batch = service.value()->QueryBatch(one);
   ASSERT_TRUE(batch.ok());
-  EXPECT_EQ(batch.value()[0].stage, ReachStage::kSessionFallback);
+  EXPECT_EQ(batch.value()[0].stage, ReachStage::kPrunedBfs);
   EXPECT_DOUBLE_EQ(service.value()->stats().TotalSeconds(), 2.0);
 }
 

@@ -79,10 +79,9 @@ TEST(ScaleBackendTest, ChainServiceMatchesLabelsAndReference) {
       }
     }
   }
-  // No chain-backend query ever reached the BFS or session rungs.
+  // No chain-backend query ever reached the BFS rung.
   const ReachStats& stats = chain_service.value()->stats();
   EXPECT_EQ(stats.Decided(ReachStage::kPrunedBfs), 0);
-  EXPECT_EQ(stats.Decided(ReachStage::kSessionFallback), 0);
   EXPECT_EQ(stats.Decided(ReachStage::kChainFrontier),
             stats.queries - stats.Decided(ReachStage::kTrivial));
 }
@@ -225,7 +224,6 @@ TEST(ScaleBackendTest, ServerOverChainCoreUnderConcurrentClients) {
   EXPECT_EQ(stats.merged.queries,
             int64_t{kClients} * kBatchesPerClient * kBatchSize);
   EXPECT_EQ(stats.merged.Decided(ReachStage::kPrunedBfs), 0);
-  EXPECT_EQ(stats.merged.Decided(ReachStage::kSessionFallback), 0);
 }
 
 // The dynamic rebuild pipeline with a chain-backend rebuilder: the

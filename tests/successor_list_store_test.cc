@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "succ/successor_list_store.h"
 #include "util/random.h"
 
@@ -261,76 +259,6 @@ TEST_F(SuccStoreTest, RandomizedRoundTripAcrossPolicies) {
           << "policy " << ListPolicyName(policy) << " list " << list;
     }
   }
-}
-
-TEST_F(SuccStoreTest, RemoveRoundTripAndNotFound) {
-  auto store = MakeStore(2);
-  const std::vector<int32_t> initial = {10, 20, 30, 40};
-  ASSERT_TRUE(store->AppendMany(0, initial).ok());
-  ASSERT_TRUE(store->Remove(0, 20).ok());
-  // Order is not preserved: the final entry fills the hole.
-  std::vector<int32_t> out = ReadAll(store.get(), 0);
-  std::sort(out.begin(), out.end());
-  EXPECT_EQ(out, (std::vector<int32_t>{10, 30, 40}));
-  EXPECT_EQ(store->ListLength(0), 3);
-  EXPECT_EQ(store->entries_removed(), 1);
-  EXPECT_EQ(store->Remove(0, 99).code(), StatusCode::kNotFound);
-  EXPECT_EQ(store->Remove(1, 10).code(), StatusCode::kNotFound);
-}
-
-TEST_F(SuccStoreTest, RemoveLastEntryEmptiesListAndAllowsReuse) {
-  auto store = MakeStore(1);
-  ASSERT_TRUE(store->Append(0, 7).ok());
-  ASSERT_TRUE(store->Remove(0, 7).ok());
-  EXPECT_EQ(store->ListLength(0), 0);
-  EXPECT_EQ(ReadAll(store.get(), 0), std::vector<int32_t>{});
-  // The emptied list forgot its preferred page; growing it again works.
-  ASSERT_TRUE(store->Append(0, 8).ok());
-  EXPECT_EQ(ReadAll(store.get(), 0), std::vector<int32_t>{8});
-  EXPECT_TRUE(buffers_.AuditNoPins().ok());
-}
-
-TEST_F(SuccStoreTest, RemoveDiscardsFullyFreedPage) {
-  auto store = MakeStore(1);
-  std::vector<int32_t> values(900);  // exactly two pages of one list
-  for (int i = 0; i < 900; ++i) values[i] = i;
-  ASSERT_TRUE(store->AppendMany(0, values).ok());
-  ASSERT_EQ(store->NumPages(), 2u);
-  const auto pages = store->ListPages(0);
-  ASSERT_EQ(pages.size(), 2u);
-  // Shrink the list below one page; the drained second page goes back to
-  // the pool via DiscardPage — no write-out, no lingering frame.
-  for (int i = 899; i >= 450; --i) {
-    ASSERT_TRUE(store->Remove(0, i).ok());
-  }
-  EXPECT_EQ(store->ListLength(0), 450);
-  EXPECT_EQ(store->pages_released(), 1);
-  EXPECT_FALSE(buffers_.IsCached({file_, pages[1]}));
-  EXPECT_EQ(store->ListPages(0), std::vector<PageNumber>{pages[0]});
-  EXPECT_TRUE(buffers_.AuditNoPins().ok());
-  // The surviving prefix is intact (removals above only touched the tail).
-  std::vector<int32_t> out = ReadAll(store.get(), 0);
-  std::sort(out.begin(), out.end());
-  values.resize(450);
-  EXPECT_EQ(out, values);
-}
-
-TEST_F(SuccStoreTest, RemoveFreedPageIsReusedByLaterGrowth) {
-  auto store = MakeStore(2);
-  std::vector<int32_t> values(900, 1);
-  ASSERT_TRUE(store->AppendMany(0, values).ok());
-  ASSERT_EQ(store->NumPages(), 2u);
-  for (int i = 0; i < 450; ++i) {
-    ASSERT_TRUE(store->Remove(0, 1).ok());
-  }
-  ASSERT_EQ(store->pages_released(), 1);
-  // Growing another list reclaims the freed blocks: no new page.
-  std::vector<int32_t> other(450, 2);
-  ASSERT_TRUE(store->AppendMany(1, other).ok());
-  EXPECT_EQ(store->NumPages(), 2u);
-  EXPECT_EQ(ReadAll(store.get(), 1), other);
-  std::vector<int32_t> out = ReadAll(store.get(), 0);
-  EXPECT_EQ(out, std::vector<int32_t>(450, 1));
 }
 
 TEST_F(SuccStoreTest, PolicyNames) {

@@ -1,14 +1,17 @@
 // Unit tests for the utility layer: Status/Result, Rng, BitVector,
-// EpochSet, StatAccumulator, TablePrinter, env helpers.
+// EpochSet, StatAccumulator, TablePrinter, env helpers, strict numeric
+// parsing.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <set>
 
 #include "util/bit_vector.h"
 #include "util/env.h"
+#include "util/parse.h"
 #include "util/random.h"
 #include "util/stats.h"
 #include "util/status.h"
@@ -258,6 +261,37 @@ TEST(EnvTest, BoolSemantics) {
   EXPECT_FALSE(GetEnvBool("TCDB_TEST_ENV"));
   unsetenv("TCDB_TEST_ENV");
   EXPECT_FALSE(GetEnvBool("TCDB_TEST_ENV"));
+}
+
+TEST(ParseNumberTest, AcceptsWholeNumbers) {
+  EXPECT_EQ(ParseNumber<int32_t>("0").value(), 0);
+  EXPECT_EQ(ParseNumber<int32_t>("-17").value(), -17);
+  EXPECT_EQ(ParseNumber<int64_t>("9223372036854775807").value(),
+            INT64_MAX);
+  EXPECT_EQ(ParseNumber<uint64_t>("18446744073709551615").value(),
+            UINT64_MAX);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("0.25").value(), 0.25);
+  EXPECT_DOUBLE_EQ(ParseNumber<double>("1e-3").value(), 1e-3);
+}
+
+TEST(ParseNumberTest, RejectsNonNumericTrailingJunkAndOverflow) {
+  for (const char* bad : {"", "abc", "12x", " 5", "5 ", "+5", "1,2", "--1",
+                          "0x10"}) {
+    const Result<int64_t> parsed = ParseNumber<int64_t>(bad);
+    ASSERT_FALSE(parsed.ok()) << "'" << bad << "'";
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+  // Out of the target type's range, not merely out of int64.
+  EXPECT_FALSE(ParseNumber<int32_t>("2147483648").ok());
+  EXPECT_TRUE(ParseNumber<int32_t>("2147483647").ok());
+  EXPECT_FALSE(ParseNumber<int64_t>("9223372036854775808").ok());
+  EXPECT_FALSE(ParseNumber<uint64_t>("-1").ok());
+  EXPECT_FALSE(ParseNumber<double>("0.x").ok());
+  EXPECT_FALSE(ParseNumber<double>("1e999").ok());
+  EXPECT_FALSE(ParseNumber<double>("nan").ok());
+  EXPECT_FALSE(ParseNumber<double>("inf").ok());
+  EXPECT_EQ(ParseNumber<int32_t>("12x").status().message(),
+            "'12x' is not a number");
 }
 
 }  // namespace

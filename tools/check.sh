@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: pin-discipline lint, configure, build, full test
-# suite, then the randomized storage stress harness under ASan+UBSan.
+# Tier-1 verification: pin-discipline and serving-stack layering lints,
+# configure, build, full test suite, then the randomized storage stress
+# harness under ASan+UBSan.
 # Usage: tools/check.sh [build-dir]   (default: build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -16,6 +17,19 @@ raw_pins=$(grep -rnE '(->|\.)(FetchPage|NewPage|Unpin)\(' \
 if [[ -n "${raw_pins}" ]]; then
   echo "error: raw buffer-pin calls outside src/storage/ (use PageGuard):"
   echo "${raw_pins}"
+  exit 1
+fi
+
+# --- Serving-stack layering lint: the paged machinery (the TcSession
+# closure runs, the simulated disk and buffer pool, the successor-list
+# store) is the paper's instrument, not a query engine, so no serving-stack
+# source may include it.
+paged_includes=$(grep -rnE '#include "(core/session\.h|storage/|succ/)' \
+    src/reach src/dynamic src/persist src/replica src/oreach src/scale \
+    src/workload || true)
+if [[ -n "${paged_includes}" ]]; then
+  echo "error: serving-stack sources include the paged machinery:"
+  echo "${paged_includes}"
   exit 1
 fi
 

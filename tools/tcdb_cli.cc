@@ -17,6 +17,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -44,6 +45,7 @@
 #include "reach/reach_server.h"
 #include "reach/reach_service.h"
 #include "relation/graph_io.h"
+#include "util/parse.h"
 #include "util/random.h"
 
 namespace tcdb {
@@ -60,8 +62,8 @@ void Usage() {
                 [--dump-trace FILE] [--replay FILE]
        tcdb_cli stress [--seeds N] [--base-seed S] [--verbose]
        tcdb_cli mutate-bench <graph> [--ops N] [--update-ratio R]
-                [--delete-share D] [--rebuild-every K] [--budget B]
-                [--seed S] [--no-incremental]
+                [--delete-share D] [--rebuild-every K] [--seed S]
+                [--no-incremental]
        tcdb_cli mutate-stress [--seeds N] [--base-seed S] [--ops N]
                 [--validate-every K] [--no-incremental] [--verbose]
        tcdb_cli checkpoint <dir> [--graph <graph>] [--mutate N,SEED]
@@ -166,14 +168,12 @@ mutate-bench subcommand (dynamic serving under a mixed update workload):
     --rebuild-every K      background rebuild trigger: snapshot the log
                            and rebuild the index every K mutations
                            (default 256)
-    --budget B             overlay probe budget per patched query
-                           (default 4096)
     --seed S               workload seed (default 42)
-    --no-incremental       disable the incremental-decided tier (legacy
-                           three-tier ladder; same answers, more CPU)
-    prints ops/second, the dynamic counters (overlay size, escalation
-    rate, snapshots adopted, incremental repairs) and the per-stage
-    decision table
+    --no-incremental       disable the incremental-decided tier (every
+                           query past the snapshot epoch runs an unpruned
+                           live BFS; same answers, more CPU)
+    prints ops/second, the dynamic counters (escalation rate, snapshots
+    adopted, incremental repairs) and the per-stage decision table
 
 mutate-stress subcommand (randomized differential mutation stress):
   tcdb_cli mutate-stress [--seeds N] [--base-seed S] [--ops N]
@@ -269,19 +269,29 @@ scale-bench subcommand (chain-decomposition index over a streamed family):
 )");
 }
 
+// Parses a numeric operand or flag value into *out; a malformed or
+// out-of-range value is a usage error (exit 2), never a silent 0.
+template <typename T>
+void ParseArgOrExit(const std::string& what, const char* text, T* out) {
+  Result<T> value = ParseNumber<T>(text);
+  if (!value.ok()) {
+    std::fprintf(stderr, "%s: %s\n", what.c_str(),
+                 value.status().message().c_str());
+    std::exit(2);
+  }
+  *out = value.value();
+}
+
 bool ParseCsvInts(const std::string& text, std::vector<int64_t>* out) {
   size_t pos = 0;
-  while (pos < text.size()) {
-    char* end = nullptr;
-    errno = 0;
-    const long long value = std::strtoll(text.c_str() + pos, &end, 10);
-    if (end == text.c_str() + pos || errno != 0) return false;
-    out->push_back(value);
-    pos = static_cast<size_t>(end - text.c_str());
-    if (pos < text.size()) {
-      if (text[pos] != ',') return false;
-      ++pos;
-    }
+  while (pos <= text.size()) {
+    size_t comma = text.find(',', pos);
+    if (comma == std::string::npos) comma = text.size();
+    Result<int64_t> value =
+        ParseNumber<int64_t>(std::string_view(text).substr(pos, comma - pos));
+    if (!value.ok()) return false;
+    out->push_back(value.value());
+    pos = comma + 1;
   }
   return !out->empty();
 }
@@ -325,8 +335,10 @@ int RunReach(int argc, char** argv) {
     return 2;
   }
   const std::string graph_spec = argv[1];
-  const NodeId src = static_cast<NodeId>(std::atoll(argv[2]));
-  const NodeId dst = static_cast<NodeId>(std::atoll(argv[3]));
+  NodeId src = 0;
+  NodeId dst = 0;
+  ParseArgOrExit("<src>", argv[2], &src);
+  ParseArgOrExit("<dst>", argv[3], &dst);
   bool explain = false;
   for (int i = 4; i < argc; ++i) {
     if (std::string(argv[i]) == "--explain") {
@@ -410,17 +422,17 @@ int RunServeBench(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--shards") {
-      options.num_shards = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_shards);
     } else if (flag == "--clients") {
-      clients = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &clients);
     } else if (flag == "--queries") {
-      num_queries = std::atoll(next());
+      ParseArgOrExit(flag, next(), &num_queries);
     } else if (flag == "--batch") {
-      batch_size = static_cast<size_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &batch_size);
     } else if (flag == "--queue") {
-      options.queue_capacity = static_cast<size_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.queue_capacity);
     } else if (flag == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &seed);
     } else if (flag == "--workload") {
       workload_name = next();
     } else if (flag == "--trace") {
@@ -564,13 +576,13 @@ int RunWorkloadBench(int argc, char** argv) {
     if (flag == "--workload") {
       workload_name = next();
     } else if (flag == "--queries") {
-      num_queries = std::atoll(next());
+      ParseArgOrExit(flag, next(), &num_queries);
     } else if (flag == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &seed);
     } else if (flag == "--no-battery") {
       use_battery = false;
     } else if (flag == "--check") {
-      check_pairs = std::atoll(next());
+      ParseArgOrExit(flag, next(), &check_pairs);
     } else if (flag == "--dump-trace") {
       dump_file = next();
     } else if (flag == "--replay") {
@@ -780,9 +792,9 @@ int RunStress(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--seeds") {
-      options.num_seeds = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_seeds);
     } else if (flag == "--base-seed") {
-      options.base_seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.base_seed);
     } else if (flag == "--verbose") {
       verbose = true;
     } else {
@@ -825,7 +837,6 @@ int RunMutateBench(int argc, char** argv) {
   double update_ratio = 0.05;
   double delete_share = 0.3;
   int64_t rebuild_every = 256;
-  int64_t budget = 4096;
   uint64_t seed = 42;
   bool incremental = true;
   for (int i = 2; i < argc; ++i) {
@@ -838,17 +849,15 @@ int RunMutateBench(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--ops") {
-      num_ops = std::atoll(next());
+      ParseArgOrExit(flag, next(), &num_ops);
     } else if (flag == "--update-ratio") {
-      update_ratio = std::atof(next());
+      ParseArgOrExit(flag, next(), &update_ratio);
     } else if (flag == "--delete-share") {
-      delete_share = std::atof(next());
+      ParseArgOrExit(flag, next(), &delete_share);
     } else if (flag == "--rebuild-every") {
-      rebuild_every = std::atoll(next());
-    } else if (flag == "--budget") {
-      budget = std::atoll(next());
+      ParseArgOrExit(flag, next(), &rebuild_every);
     } else if (flag == "--seed") {
-      seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &seed);
     } else if (flag == "--no-incremental") {
       incremental = false;
     } else {
@@ -879,7 +888,6 @@ int RunMutateBench(int argc, char** argv) {
     return 1;
   }
   DynamicReachOptions options;
-  options.overlay_probe_budget = budget;
   options.incremental = incremental;
   auto service = DynamicReachService::Create(log.value().get(), options);
   if (!service.ok()) {
@@ -963,11 +971,6 @@ int RunMutateBench(int argc, char** argv) {
   rebuilder.Stop();
   serving->AdoptPublishedSnapshot();
 
-  if (const Status audit = log.value()->buffers()->AuditNoPins();
-      !audit.ok()) {
-    std::fprintf(stderr, "%s\n", audit.ToString().c_str());
-    return 1;
-  }
   std::printf(
       "replayed %lld ops (%lld inserts, %lld deletes, %lld queries) in "
       "%.3fs: %.0f ops/s\n",
@@ -996,13 +999,13 @@ int RunMutateStress(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--seeds") {
-      options.num_seeds = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_seeds);
     } else if (flag == "--base-seed") {
-      options.base_seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.base_seed);
     } else if (flag == "--ops") {
-      options.ops_per_seed = std::atoll(next());
+      ParseArgOrExit(flag, next(), &options.ops_per_seed);
     } else if (flag == "--validate-every") {
-      options.validate_every = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.validate_every);
     } else if (flag == "--no-incremental") {
       options.incremental = false;
     } else if (flag == "--verbose") {
@@ -1031,7 +1034,7 @@ int RunMutateStress(int argc, char** argv) {
   }
   std::printf(
       "mutate-stress: %lld seeds, %lld inserts, %lld deletes, %lld queries "
-      "(%lld snapshot, %lld incremental, %lld overlay, %lld escalated), "
+      "(%lld snapshot, %lld incremental, %lld escalated), "
       "%lld snapshots adopted, %lld epoch validations, all answers match\n",
       static_cast<long long>(report.seeds),
       static_cast<long long>(report.inserts),
@@ -1039,7 +1042,6 @@ int RunMutateStress(int argc, char** argv) {
       static_cast<long long>(report.queries),
       static_cast<long long>(report.snapshot_served),
       static_cast<long long>(report.incremental_served),
-      static_cast<long long>(report.overlay_served),
       static_cast<long long>(report.escalations),
       static_cast<long long>(report.snapshots_adopted),
       static_cast<long long>(report.epoch_validations));
@@ -1244,11 +1246,11 @@ int RunCrashStressCmd(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--seeds") {
-      options.num_seeds = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_seeds);
     } else if (flag == "--base-seed") {
-      options.base_seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.base_seed);
     } else if (flag == "--ops") {
-      options.ops_per_seed = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.ops_per_seed);
     } else if (flag == "--verbose") {
       verbose = true;
     } else {
@@ -1304,21 +1306,21 @@ int RunReplicateBench(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--followers") {
-      options.num_followers = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_followers);
     } else if (flag == "--clients") {
-      options.clients_per_follower = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.clients_per_follower);
     } else if (flag == "--queries") {
-      options.queries_per_follower = std::atoll(next());
+      ParseArgOrExit(flag, next(), &options.queries_per_follower);
     } else if (flag == "--mutations") {
-      options.mutations = std::atoll(next());
+      ParseArgOrExit(flag, next(), &options.mutations);
     } else if (flag == "--apply-ahead") {
-      options.max_apply_ahead = std::atoll(next());
+      ParseArgOrExit(flag, next(), &options.max_apply_ahead);
     } else if (flag == "--pipe") {
-      options.pipe_capacity_bytes = static_cast<size_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.pipe_capacity_bytes);
     } else if (flag == "--group-commit") {
-      options.group_commit_records = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.group_commit_records);
     } else if (flag == "--seed") {
-      options.seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.seed);
     } else {
       std::fprintf(stderr, "unknown replicate-bench flag '%s'\n",
                    flag.c_str());
@@ -1370,11 +1372,11 @@ int RunFailoverStressCmd(int argc, char** argv) {
       return argv[++i];
     };
     if (flag == "--seeds") {
-      options.num_seeds = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.num_seeds);
     } else if (flag == "--base-seed") {
-      options.base_seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.base_seed);
     } else if (flag == "--ops") {
-      options.ops_per_seed = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.ops_per_seed);
     } else if (flag == "--verbose") {
       verbose = true;
     } else {
@@ -1445,21 +1447,21 @@ int RunScaleBench(int argc, char** argv) {
       }
       params.family = parsed.value();
     } else if (flag == "--n") {
-      params.num_nodes = static_cast<NodeId>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.num_nodes);
     } else if (flag == "--width") {
-      params.width = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.width);
     } else if (flag == "--degree") {
-      params.degree = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.degree);
     } else if (flag == "--locality") {
-      params.locality = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.locality);
     } else if (flag == "--cyclic") {
-      params.num_back_arcs = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.num_back_arcs);
     } else if (flag == "--queries") {
-      num_queries = std::atoll(next());
+      ParseArgOrExit(flag, next(), &num_queries);
     } else if (flag == "--seed") {
-      params.seed = static_cast<uint64_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &params.seed);
     } else if (flag == "--check") {
-      check_sources = static_cast<int32_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &check_sources);
     } else {
       std::fprintf(stderr, "unknown scale-bench flag '%s'\n", flag.c_str());
       return 2;
@@ -1660,9 +1662,9 @@ int Run(int argc, char** argv) {
     } else if (flag == "--answer") {
       print_answer = true;
     } else if (flag == "--buffer-pages") {
-      options.buffer_pages = static_cast<size_t>(std::atoll(next()));
+      ParseArgOrExit(flag, next(), &options.buffer_pages);
     } else if (flag == "--ilimit") {
-      options.ilimit = std::atof(next());
+      ParseArgOrExit(flag, next(), &options.ilimit);
     } else if (flag == "--page-policy") {
       const std::string name = next();
       bool found = false;
