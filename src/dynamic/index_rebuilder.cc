@@ -53,6 +53,11 @@ int64_t IndexRebuilder::rebuilds_published() const {
   return rebuilds_published_;
 }
 
+int64_t IndexRebuilder::rebuild_failures() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return rebuild_failures_;
+}
+
 MutationLog::Epoch IndexRebuilder::published_epoch() const {
   std::lock_guard<std::mutex> lock(mu_);
   return last_published_epoch_;
@@ -61,23 +66,38 @@ MutationLog::Epoch IndexRebuilder::published_epoch() const {
 Status IndexRebuilder::MaybeRebuild(bool force) {
   std::lock_guard<std::mutex> build_lock(build_mu_);
   MutationLog::Epoch last;
+  MutationLog::Epoch failed;
   {
     std::lock_guard<std::mutex> lock(mu_);
     last = last_published_epoch_;
+    failed = last_failed_epoch_;
   }
   const MutationLog::Epoch now = log_->current_epoch();
   if (now <= last) return Status::Ok();  // nothing new since the last build
-  if (!force && now - last < options_.mutations_per_rebuild &&
-      !(options_.rebuild_advised && options_.rebuild_advised())) {
-    return Status::Ok();
+  if (!force) {
+    // A failed epoch is not retried; the next attempt waits for as many
+    // new mutations as a published one would.
+    const MutationLog::Epoch base = std::max(last, failed);
+    if (now <= failed ||
+        (now - base < options_.mutations_per_rebuild &&
+         !(options_.rebuild_advised && options_.rebuild_advised()))) {
+      return Status::Ok();
+    }
   }
   const MutationLog::ArcSnapshot snap = log_->SnapshotArcs();
   const double start = MonotonicSeconds();
-  TCDB_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ReachCore> core,
-      ReachCore::Build(snap.arcs, log_->num_nodes(), options_.index));
+  Result<std::shared_ptr<const ReachCore>> core =
+      ReachCore::Build(snap.arcs, log_->num_nodes(), options_.index);
   const double seconds = MonotonicSeconds() - start;
-  publish_(std::move(core), snap.epoch, seconds);
+  const Status status =
+      core.ok() ? publish_(std::move(core).value(), snap.epoch, seconds)
+                : core.status();
+  if (!status.ok()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    last_failed_epoch_ = std::max(last_failed_epoch_, snap.epoch);
+    ++rebuild_failures_;
+    return status;
+  }
   {
     std::lock_guard<std::mutex> lock(mu_);
     last_published_epoch_ = std::max(last_published_epoch_, snap.epoch);
@@ -94,10 +114,9 @@ void IndexRebuilder::ThreadLoop() {
                      [&] { return stopping_; });
       if (stopping_) return;
     }
-    const Status status = MaybeRebuild(/*force=*/false);
-    // Build inputs come straight from the log, which validated them; a
-    // failure here is a programming error, not an operational one.
-    TCDB_CHECK(status.ok()) << status.ToString();
+    // A failure (a label budget the grown graph no longer fits, say) is
+    // counted inside and leaves the last published snapshot serving.
+    MaybeRebuild(/*force=*/false);
   }
 }
 

@@ -8,6 +8,8 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <type_traits>
+#include <utility>
 
 #include "dynamic/mutation_log.h"
 #include "reach/reach_service.h"
@@ -54,19 +56,41 @@ class IndexRebuilder {
 
   // `publish(core, epoch, rebuild_seconds)` receives every finished
   // build; it runs on the rebuilder thread and must be thread-safe
-  // against the serving side (both provided publishers are).
-  using Publish = std::function<void(std::shared_ptr<const ReachCore>,
-                                     MutationLog::Epoch, double)>;
+  // against the serving side (both provided publishers are). A non-Ok
+  // return (ReachServer::SwapCore refusing the core) counts as a failed
+  // rebuild.
+  using Publish = std::function<Status(std::shared_ptr<const ReachCore>,
+                                       MutationLog::Epoch, double)>;
 
   // The log and the publish target must outlive the rebuilder.
   IndexRebuilder(MutationLog* log, Publish publish,
                  IndexRebuilderOptions options = {});
+
+  // Same, for a publisher that cannot fail
+  // (DynamicReachService::PublishSnapshot).
+  template <typename F>
+    requires std::is_void_v<std::invoke_result_t<
+        F&, std::shared_ptr<const ReachCore>, MutationLog::Epoch, double>>
+  IndexRebuilder(MutationLog* log, F publish,
+                 IndexRebuilderOptions options = {})
+      : IndexRebuilder(
+            log,
+            Publish([publish = std::move(publish)](
+                        std::shared_ptr<const ReachCore> core,
+                        MutationLog::Epoch epoch, double seconds) mutable {
+              publish(std::move(core), epoch, seconds);
+              return Status::Ok();
+            }),
+            std::move(options)) {}
   ~IndexRebuilder();  // Stop()
 
   IndexRebuilder(const IndexRebuilder&) = delete;
   IndexRebuilder& operator=(const IndexRebuilder&) = delete;
 
-  // Starts the background thread. Idempotent.
+  // Starts the background thread. Idempotent. A build or publish that
+  // fails on the thread is counted (rebuild_failures) and not retried
+  // until the log moves on; serving continues on the last published
+  // snapshot.
   void Start();
   // Stops and joins it. Idempotent; a build in flight completes (and
   // publishes) first.
@@ -81,13 +105,17 @@ class IndexRebuilder {
 
   // Builds published so far.
   int64_t rebuilds_published() const;
+  // Builds that failed (e.g. a kChain label budget exceeded) or whose
+  // publication was refused, on the thread or through RebuildNow.
+  int64_t rebuild_failures() const;
   // Epoch of the newest published build (initial_published_epoch before
   // any build) — the follower's "served" position for lag accounting.
   MutationLog::Epoch published_epoch() const;
 
  private:
   // Builds + publishes at the log's current epoch if it moved past
-  // `last_published_epoch_`. Returns the build status.
+  // `last_published_epoch_` (and, unless forced, past the last failed
+  // epoch). Returns the build or publish status.
   Status MaybeRebuild(bool force);
 
   void ThreadLoop();
@@ -105,6 +133,9 @@ class IndexRebuilder {
   // (epoch 0 for the base graph; a follower's checkpoint epoch).
   MutationLog::Epoch last_published_epoch_ = 0;
   int64_t rebuilds_published_ = 0;
+  // Epoch of the newest failed build or publish (-1: none), and the count.
+  MutationLog::Epoch last_failed_epoch_ = -1;
+  int64_t rebuild_failures_ = 0;
 
   std::mutex build_mu_;  // serializes RebuildNow vs. the thread's builds
 };

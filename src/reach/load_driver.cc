@@ -61,19 +61,7 @@ std::vector<std::pair<NodeId, NodeId>> MakeModelWorkload(
 
 WorkloadDecideProbe MakeLadderProbe(std::shared_ptr<const ReachCore> core) {
   return [core = std::move(core)](NodeId u, NodeId v) {
-    const NodeId cu = core->node_map[static_cast<size_t>(u)];
-    const NodeId cv = core->node_map[static_cast<size_t>(v)];
-    if (cu == cv) return true;
-    ReachStage stage;
-    if (core->DecideCondensed(cu, cv, &stage) !=
-        ReachIndex::Verdict::kUnknown) {
-      return true;
-    }
-    const std::span<const NodeId> succ = core->dag.Successors(cu);
-    if (std::binary_search(succ.begin(), succ.end(), cv)) return true;
-    return core->has_battery &&
-           core->battery.TryDecide(cu, cv) !=
-               ObservationBattery::Verdict::kUnknown;
+    return core->Decide(u, v) != ReachIndex::Verdict::kUnknown;
   };
 }
 

@@ -35,11 +35,10 @@ std::vector<std::pair<NodeId, NodeId>> MakeModelWorkload(
     WorkloadDecideProbe probe = nullptr);
 
 // The serving ladder's O(1) rungs as a predicate over input-node pairs:
-// trivial rules, index labels, adjacency, and the observation battery
-// when the core carries one — ReachService::TryServeFast minus the
-// answer cache. This is what the adversarial miner probes: pairs it
-// cannot decide are exactly the fallback residue. The returned closure
-// shares ownership of `core`.
+// ReachCore::Decide (trivial rules, index labels, adjacency, and the
+// observation battery when the core carries one). This is what the
+// adversarial miner probes: pairs it cannot decide are exactly the
+// fallback residue. The returned closure shares ownership of `core`.
 WorkloadDecideProbe MakeLadderProbe(std::shared_ptr<const ReachCore> core);
 
 struct LoadReport {

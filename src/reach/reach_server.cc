@@ -1,18 +1,11 @@
 #include "reach/reach_server.h"
 
-#include <algorithm>
-#include <chrono>
 #include <string>
+#include <utility>
 
 namespace tcdb {
 
 namespace {
-
-double MonotonicSeconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 // splitmix64 finalizer: spreads consecutive source ids across shards while
 // keeping every query for one source on one shard.
@@ -46,30 +39,18 @@ Result<std::unique_ptr<ReachServer>> ReachServer::Start(
         "num_shards must be >= 1, got " +
         std::to_string(options.num_shards));
   }
-  if (options.queue_capacity < 1) {
-    return Status::InvalidArgument("queue_capacity must be >= 1");
-  }
   auto server = std::unique_ptr<ReachServer>(new ReachServer());
   server->core_ = std::move(core);
-  server->options_ = options;
+  server->published_ = std::make_shared<const Publication>(
+      Publication{server->core_, 0, 0});
   server->shards_.reserve(static_cast<size_t>(options.num_shards));
   for (int32_t i = 0; i < options.num_shards; ++i) {
     auto shard = std::make_unique<Shard>();
     shard->service = ReachService::Create(server->core_, options.service);
     server->shards_.push_back(std::move(shard));
   }
-  // Workers start only after every shard exists: a worker never touches
-  // another shard, but Stop() joins them all.
-  for (auto& shard : server->shards_) {
-    Shard* raw = shard.get();
-    shard->worker = std::thread([server_ptr = server.get(), raw] {
-      server_ptr->WorkerLoop(raw);
-    });
-  }
   return server;
 }
-
-ReachServer::~ReachServer() { Stop(); }
 
 int32_t ReachServer::ShardOf(NodeId src) const {
   return static_cast<int32_t>(MixSource(src) %
@@ -79,11 +60,12 @@ int32_t ReachServer::ShardOf(NodeId src) const {
 void ReachServer::SetClockForTesting(
     const std::function<std::function<double()>()>& make_clock) {
   for (auto& shard : shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
     shard->service->SetClockForTesting(make_clock());
   }
 }
 
-Status ReachServer::ValidateEndpoints(
+Status ReachServer::Admit(
     std::span<const std::pair<NodeId, NodeId>> pairs) const {
   const NodeId n = core_->num_input_nodes;
   for (const auto& [src, dst] : pairs) {
@@ -93,95 +75,79 @@ Status ReachServer::ValidateEndpoints(
           std::to_string(dst) + ") with " + std::to_string(n) + " nodes");
     }
   }
+  if (stopped_.load(std::memory_order_acquire)) {
+    return Status::FailedPrecondition("reach server is stopped");
+  }
   return Status::Ok();
+}
+
+std::vector<ReachServer::Answer> ReachServer::Serve(
+    Shard* shard, const Publication& publication,
+    std::span<const std::pair<NodeId, NodeId>> pairs, bool single_query) {
+  ReachService::BatchPass pass =
+      shard->service->LabelPass(*publication.core, pairs);
+  if (single_query) pass.stats.batches = 0;
+
+  std::lock_guard<std::mutex> lock(shard->mu);
+  if (shard->adopted_generation < publication.generation) {
+    // SwapCore validated the universe, so adoption cannot fail.
+    TCDB_CHECK(shard->service->AdoptCore(publication.core).ok());
+    shard->adopted_generation = publication.generation;
+  }
+  shard->service->ServeResidue(pairs, &pass);
+  // Service time, label pass plus residue step; waiting for the mutex is
+  // not counted.
+  const double per_query = pass.seconds / static_cast<double>(pairs.size());
+  for (size_t i = 0; i < pairs.size(); ++i) shard->latency.Record(per_query);
+  return std::move(pass.answers);
 }
 
 Result<ReachServer::Answer> ReachServer::Query(NodeId src, NodeId dst) {
   const std::pair<NodeId, NodeId> pair{src, dst};
-  TCDB_RETURN_IF_ERROR(ValidateEndpoints({&pair, 1}));
-  std::vector<Answer> answers(1);
-  auto batch = std::make_shared<Batch>();
-  batch->answers = &answers;
-  Task task;
-  task.pairs.push_back(pair);
-  task.positions.push_back(0);
-  task.single_query = true;
-  task.batch = batch;
-  std::vector<std::pair<int32_t, Task>> tasks;
-  tasks.emplace_back(ShardOf(src), std::move(task));
-  TCDB_RETURN_IF_ERROR(SubmitAndWait(std::move(tasks), batch));
-  return answers[0];
+  TCDB_RETURN_IF_ERROR(Admit({&pair, 1}));
+  const std::shared_ptr<const Publication> publication = Published();
+  return Serve(shards_[static_cast<size_t>(ShardOf(src))].get(),
+               *publication, {&pair, 1}, /*single_query=*/true)[0];
 }
 
 Result<std::vector<ReachServer::Answer>> ReachServer::QueryBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs) {
-  TCDB_RETURN_IF_ERROR(ValidateEndpoints(pairs));
-  std::vector<Answer> answers(pairs.size());
-  if (pairs.empty()) return answers;
+  TCDB_RETURN_IF_ERROR(Admit(pairs));
+  if (pairs.empty()) return std::vector<Answer>();
+  const std::shared_ptr<const Publication> publication = Published();
+  if (shards_.size() == 1) {
+    return Serve(shards_[0].get(), *publication, pairs,
+                 /*single_query=*/false);
+  }
 
-  // Route by source hash, preserving input order within each shard so a
-  // one-shard server replays the exact ReachService::QueryBatch call.
-  std::vector<std::vector<size_t>> routed(shards_.size());
+  // Route by source hash, preserving input order within each shard: a
+  // counting sort into one array, shard s at [begin[s], begin[s + 1]).
+  std::vector<size_t> begin(shards_.size() + 1, 0);
+  for (const auto& pair : pairs) {
+    ++begin[static_cast<size_t>(ShardOf(pair.first)) + 1];
+  }
+  for (size_t s = 1; s <= shards_.size(); ++s) begin[s] += begin[s - 1];
+  std::vector<size_t> next(begin.begin(), begin.end() - 1);
+  std::vector<size_t> positions(pairs.size());
+  std::vector<std::pair<NodeId, NodeId>> routed(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    routed[static_cast<size_t>(ShardOf(pairs[i].first))].push_back(i);
+    const size_t at = next[static_cast<size_t>(ShardOf(pairs[i].first))]++;
+    positions[at] = i;
+    routed[at] = pairs[i];
   }
-  auto batch = std::make_shared<Batch>();
-  batch->answers = &answers;
-  std::vector<std::pair<int32_t, Task>> tasks;
-  for (size_t shard = 0; shard < routed.size(); ++shard) {
-    if (routed[shard].empty()) continue;
-    Task task;
-    task.positions = std::move(routed[shard]);
-    task.pairs.reserve(task.positions.size());
-    for (const size_t i : task.positions) task.pairs.push_back(pairs[i]);
-    task.batch = batch;
-    tasks.emplace_back(static_cast<int32_t>(shard), std::move(task));
+
+  std::vector<Answer> answers(pairs.size());
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    const std::vector<Answer> served =
+        Serve(shards_[s].get(), *publication,
+              std::span(routed).subspan(begin[s], begin[s + 1] - begin[s]),
+              /*single_query=*/false);
+    for (size_t k = 0; k < served.size(); ++k) {
+      answers[positions[begin[s] + k]] = served[k];
+    }
   }
-  TCDB_RETURN_IF_ERROR(SubmitAndWait(std::move(tasks), batch));
   return answers;
-}
-
-Status ReachServer::Enqueue(int32_t shard_index, Task task) {
-  Shard& shard = *shards_[static_cast<size_t>(shard_index)];
-  std::unique_lock<std::mutex> lock(shard.mu);
-  shard.not_full.wait(lock, [&] {
-    return shard.stopping ||
-           shard.queue.size() < options_.queue_capacity;
-  });
-  if (shard.stopping) {
-    return Status::FailedPrecondition("reach server is stopped");
-  }
-  shard.queue.push_back(std::move(task));
-  shard.max_depth = std::max(shard.max_depth,
-                             static_cast<int64_t>(shard.queue.size()));
-  shard.not_empty.notify_one();
-  return Status::Ok();
-}
-
-Status ReachServer::SubmitAndWait(
-    std::vector<std::pair<int32_t, Task>> tasks,
-    const std::shared_ptr<Batch>& batch) {
-  {
-    std::lock_guard<std::mutex> lock(batch->mu);
-    batch->pending = tasks.size();
-  }
-  size_t enqueued = 0;
-  Status submit_status;
-  for (auto& [shard_index, task] : tasks) {
-    submit_status = Enqueue(shard_index, std::move(task));
-    if (!submit_status.ok()) break;
-    ++enqueued;
-  }
-  std::unique_lock<std::mutex> lock(batch->mu);
-  if (!submit_status.ok()) {
-    // The unsent tasks will never complete; account for them here, then
-    // still wait out the ones already queued (they reference `batch` and
-    // the caller's answer vector).
-    batch->pending -= tasks.size() - enqueued;
-    if (batch->status.ok()) batch->status = submit_status;
-  }
-  batch->done.wait(lock, [&] { return batch->pending == 0; });
-  return batch->status;
 }
 
 Status ReachServer::SwapCore(std::shared_ptr<const ReachCore> core,
@@ -195,153 +161,43 @@ Status ReachServer::SwapCore(std::shared_ptr<const ReachCore> core,
         std::to_string(core->num_input_nodes) + " vs " +
         std::to_string(core_->num_input_nodes) + ")");
   }
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  if (epoch < published_epoch_) {
+  std::shared_ptr<const Publication> retired;  // freed after the unlock
+  std::lock_guard<std::mutex> lock(slot_mu_);
+  if (epoch < published_->epoch) {
     return Status::InvalidArgument(
         "SwapCore: epoch moved backwards (" + std::to_string(epoch) +
-        " < " + std::to_string(published_epoch_) + ")");
+        " < " + std::to_string(published_->epoch) + ")");
   }
-  published_core_ = std::move(core);
-  published_epoch_ = epoch;
-  // Release-publish after the slot is written: a worker that observes the
-  // new generation is guaranteed to read this core (or a newer one).
-  swap_generation_.fetch_add(1, std::memory_order_release);
+  retired = std::exchange(
+      published_, std::make_shared<const Publication>(Publication{
+                      std::move(core), epoch, published_->generation + 1}));
   return Status::Ok();
 }
 
-int64_t ReachServer::published_epoch() const {
-  std::lock_guard<std::mutex> lock(swap_mu_);
-  return published_epoch_;
+std::shared_ptr<const ReachServer::Publication> ReachServer::Published()
+    const {
+  std::lock_guard<std::mutex> lock(slot_mu_);
+  return published_;
 }
 
-void ReachServer::MaybeAdoptCore(Shard* shard) {
-  const uint64_t current =
-      swap_generation_.load(std::memory_order_acquire);
-  if (current == shard->adopted_generation) return;
-  std::shared_ptr<const ReachCore> core;
-  uint64_t generation;
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    core = published_core_;
-    generation = swap_generation_.load(std::memory_order_relaxed);
-  }
-  // SwapCore validated the universe, so adoption cannot fail.
-  TCDB_CHECK(shard->service->AdoptCore(std::move(core)).ok());
-  shard->adopted_generation = generation;
-}
+int64_t ReachServer::published_epoch() const { return Published()->epoch; }
 
-void ReachServer::WorkerLoop(Shard* shard) {
-  for (;;) {
-    Task task;
-    {
-      std::unique_lock<std::mutex> lock(shard->mu);
-      shard->not_empty.wait(lock, [&] {
-        return shard->stopping || !shard->queue.empty();
-      });
-      if (shard->queue.empty()) return;  // stopping and fully drained
-      task = std::move(shard->queue.front());
-      shard->queue.pop_front();
-      shard->not_full.notify_one();
-    }
-    // Task boundary: catch up with the latest published core before
-    // serving, so no query runs against a retired snapshot once its shard
-    // has seen the swap (and the cache generation bump inside AdoptCore
-    // retires the old answers atomically with the adoption).
-    MaybeAdoptCore(shard);
-    ExecuteTask(shard, &task);
-  }
-}
-
-void ReachServer::ExecuteTask(Shard* shard, Task* task) {
-  const double start = MonotonicSeconds();
-  Status status;
-  if (task->single_query) {
-    Result<Answer> answer =
-        shard->service->Query(task->pairs[0].first, task->pairs[0].second);
-    if (answer.ok()) {
-      (*task->batch->answers)[task->positions[0]] = answer.value();
-    } else {
-      status = answer.status();
-    }
-  } else {
-    Result<std::vector<Answer>> answers =
-        shard->service->QueryBatch(task->pairs);
-    if (answers.ok()) {
-      for (size_t i = 0; i < task->positions.size(); ++i) {
-        (*task->batch->answers)[task->positions[i]] = answers.value()[i];
-      }
-    } else {
-      status = answers.status();
-    }
-  }
-  const double elapsed = MonotonicSeconds() - start;
-
-  // Publish observability before signalling completion so a snapshot
-  // taken right after a batch returns already includes it.
-  {
-    std::lock_guard<std::mutex> lock(shard->stats_mu);
-    shard->published = shard->service->stats();
-    const double per_query =
-        elapsed / static_cast<double>(task->pairs.size());
-    for (size_t i = 0; i < task->pairs.size(); ++i) {
-      shard->latency.Record(per_query);
-    }
-    ++shard->tasks;
-  }
-
-  Batch& batch = *task->batch;
-  std::lock_guard<std::mutex> lock(batch.mu);
-  if (!status.ok() && batch.status.ok()) batch.status = status;
-  if (--batch.pending == 0) batch.done.notify_all();
-}
-
-void ReachServer::Stop() {
-  std::lock_guard<std::mutex> stop_lock(stop_mu_);
-  if (stopped_) return;
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->stopping = true;
-    shard->not_empty.notify_all();
-    shard->not_full.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->worker.joinable()) shard->worker.join();
-  }
-  stopped_ = true;
-}
+void ReachServer::Stop() { stopped_.store(true, std::memory_order_release); }
 
 ReachServerStats ReachServer::Snapshot() const {
   ReachServerStats snapshot;
   snapshot.per_shard.reserve(shards_.size());
   snapshot.per_shard_latency.reserve(shards_.size());
   for (const auto& shard : shards_) {
-    ReachStats stats;
-    LatencyHistogram latency;
-    int64_t tasks = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard->stats_mu);
-      stats = shard->published;
-      latency = shard->latency;
-      tasks = shard->tasks;
-    }
-    int64_t depth = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard->mu);
-      depth = shard->max_depth;
-    }
-    snapshot.merged.Merge(stats);
-    snapshot.latency.Merge(latency);
-    snapshot.tasks_executed += tasks;
-    snapshot.max_queue_depth = std::max(snapshot.max_queue_depth, depth);
-    snapshot.per_shard.push_back(std::move(stats));
-    snapshot.per_shard_latency.push_back(std::move(latency));
+    std::lock_guard<std::mutex> lock(shard->mu);
+    snapshot.merged.Merge(shard->service->stats());
+    snapshot.latency.Merge(shard->latency);
+    snapshot.per_shard.push_back(shard->service->stats());
+    snapshot.per_shard_latency.push_back(shard->latency);
   }
-  {
-    std::lock_guard<std::mutex> lock(swap_mu_);
-    snapshot.core_swaps = static_cast<int64_t>(
-        swap_generation_.load(std::memory_order_relaxed));
-    snapshot.published_epoch = published_epoch_;
-  }
+  const std::shared_ptr<const Publication> publication = Published();
+  snapshot.core_swaps = static_cast<int64_t>(publication->generation);
+  snapshot.published_epoch = publication->epoch;
   return snapshot;
 }
 

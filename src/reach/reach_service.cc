@@ -89,6 +89,44 @@ ReachIndex::Verdict ReachCore::DecideCondensed(NodeId csrc, NodeId cdst,
   return index.TryDecide(csrc, cdst, stage, rule);
 }
 
+ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
+                                     ReachStage* stage,
+                                     ReachRule* rule) const {
+  ReachStage unused_stage;
+  ReachRule unused_rule;
+  if (stage == nullptr) stage = &unused_stage;
+  if (rule == nullptr) rule = &unused_rule;
+  const NodeId csrc = node_map[src];
+  const NodeId cdst = node_map[dst];
+  // src == dst (reflexivity) or one shared strongly connected component.
+  if (csrc == cdst) {
+    *stage = ReachStage::kTrivial;
+    *rule = src == dst ? ReachRule::kSelf : ReachRule::kSameScc;
+    return ReachIndex::Verdict::kYes;
+  }
+  const ReachIndex::Verdict verdict =
+      DecideCondensed(csrc, cdst, stage, rule);
+  if (verdict != ReachIndex::Verdict::kUnknown) return verdict;
+  // A direct arc covers the non-tree arcs the interval labels cannot
+  // witness.
+  const std::span<const NodeId> successors = dag.Successors(csrc);
+  if (std::binary_search(successors.begin(), successors.end(), cdst)) {
+    *stage = ReachStage::kAdjacency;
+    *rule = ReachRule::kAdjacency;
+    return ReachIndex::Verdict::kYes;
+  }
+  if (!has_battery) return ReachIndex::Verdict::kUnknown;
+  const ObservationBattery::Verdict observed =
+      battery.TryDecide(csrc, cdst, rule);
+  if (observed == ObservationBattery::Verdict::kUnknown) {
+    return ReachIndex::Verdict::kUnknown;
+  }
+  *stage = ReachStage::kObservation;
+  return observed == ObservationBattery::Verdict::kYes
+             ? ReachIndex::Verdict::kYes
+             : ReachIndex::Verdict::kNo;
+}
+
 void ReachCore::SerializeAppend(std::string* out) const {
   codec::PutI32(out, num_input_nodes);
   codec::PutU8(out, static_cast<uint8_t>(backend));
@@ -216,58 +254,6 @@ Status ReachService::AdoptCore(std::shared_ptr<const ReachCore> core) {
   return Status::Ok();
 }
 
-ReachIndex::Verdict ReachService::TryServeFast(NodeId src, NodeId dst,
-                                               Answer* answer,
-                                               ReachRule* rule) {
-  bool cached = false;
-  if (cache_.Lookup(src, dst, &cached)) {
-    *answer = {cached, ReachStage::kCache};
-    *rule = ReachRule::kCacheHit;
-    return cached ? ReachIndex::Verdict::kYes : ReachIndex::Verdict::kNo;
-  }
-  const NodeId csrc = core_->node_map[src];
-  const NodeId cdst = core_->node_map[dst];
-  // src == dst (reflexivity) or one shared strongly connected component.
-  if (csrc == cdst) {
-    *answer = {true, ReachStage::kTrivial};
-    *rule = src == dst ? ReachRule::kSelf : ReachRule::kSameScc;
-    return ReachIndex::Verdict::kYes;
-  }
-  ReachStage stage = ReachStage::kTrivial;
-  ReachIndex::Verdict verdict =
-      core_->DecideCondensed(csrc, cdst, &stage, rule);
-  if (verdict == ReachIndex::Verdict::kUnknown) {
-    // Next cheap rung: a direct arc (binary search over the sorted CSR
-    // row). Covers the non-tree arcs the interval labels cannot witness.
-    const std::span<const NodeId> successors = core_->dag.Successors(csrc);
-    if (std::binary_search(successors.begin(), successors.end(), cdst)) {
-      verdict = ReachIndex::Verdict::kYes;
-      stage = ReachStage::kAdjacency;
-      *rule = ReachRule::kAdjacency;
-    }
-  }
-  if (verdict == ReachIndex::Verdict::kUnknown && core_->has_battery) {
-    // Observation battery: the last O(1) rung before the search
-    // fallbacks.
-    const ObservationBattery::Verdict observed =
-        core_->battery.TryDecide(csrc, cdst, rule);
-    if (observed != ObservationBattery::Verdict::kUnknown) {
-      verdict = observed == ObservationBattery::Verdict::kYes
-                    ? ReachIndex::Verdict::kYes
-                    : ReachIndex::Verdict::kNo;
-      stage = ReachStage::kObservation;
-    }
-  }
-  if (verdict != ReachIndex::Verdict::kUnknown) {
-    // Deliberately NOT inserted into the answer cache: an O(1)-decided
-    // answer re-derives in nanoseconds, so caching it only evicts the
-    // fallback answers whose recomputation actually costs something.
-    // Fallback answers are inserted at the fallback sites instead.
-    *answer = {verdict == ReachIndex::Verdict::kYes, stage};
-  }
-  return verdict;
-}
-
 double ReachService::NowSeconds() const {
   if (clock_) return clock_();
   return std::chrono::duration<double>(
@@ -284,15 +270,25 @@ Result<ReachService::Answer> ReachService::Query(NodeId src, NodeId dst) {
         " nodes");
   }
   const double start = NowSeconds();
-  Answer answer;
+  ReachStage stage = ReachStage::kTrivial;
   ReachRule rule = ReachRule::kFallback;
-  if (TryServeFast(src, dst, &answer, &rule) !=
-      ReachIndex::Verdict::kUnknown) {
-    stats_.Record(answer.stage, rule, answer.reachable,
-                  NowSeconds() - start);
+  const ReachIndex::Verdict verdict = core_->Decide(src, dst, &stage, &rule);
+  if (verdict != ReachIndex::Verdict::kUnknown) {
+    // Deliberately NOT inserted into the answer cache: an O(1)-decided
+    // answer re-derives in nanoseconds, so caching it only evicts the
+    // fallback answers whose recomputation actually costs something.
+    const Answer answer{verdict == ReachIndex::Verdict::kYes, stage};
+    stats_.Record(stage, rule, answer.reachable, NowSeconds() - start);
     return answer;
   }
-  answer = ServeFallback(core_->node_map[src], core_->node_map[dst]);
+  bool cached = false;
+  if (cache_.Lookup(src, dst, &cached)) {
+    stats_.Record(ReachStage::kCache, ReachRule::kCacheHit, cached,
+                  NowSeconds() - start);
+    return Answer{cached, ReachStage::kCache};
+  }
+  const Answer answer =
+      ServeFallback(core_->node_map[src], core_->node_map[dst]);
   if (cache_.Insert(src, dst, answer.reachable)) {
     ++stats_.cache_insertions;
   }
@@ -331,31 +327,86 @@ Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
           std::to_string(dst) + ")");
     }
   }
-  ++stats_.batches;
-  std::vector<Answer> answers(pairs.size());
+  BatchPass pass = LabelPass(*core_, pairs);
+  ServeResidue(pairs, &pass);
+  return std::move(pass.answers);
+}
 
-  // Pass 1: cache + O(1) labels. The residue is grouped by condensed
-  // source so each fallback search serves all of that source's targets.
-  // Time spent classifying a residue query here still belongs to that
-  // query's latency, so it is carried into its group's pass-2 share.
-  std::unordered_map<NodeId, std::vector<size_t>> residue;
-  std::unordered_map<NodeId, double> residue_pass1_seconds;
+ReachService::BatchPass ReachService::LabelPass(
+    const ReachCore& core,
+    std::span<const std::pair<NodeId, NodeId>> pairs) const {
+  BatchPass pass;
+  pass.answers.resize(pairs.size());
+  pass.stats.batches = 1;
+  pass.core = &core;
+  // Time is chained: each query is charged the span since the previous
+  // one ended, one clock reading per query.
+  const double start = NowSeconds();
+  double mark = start;
   for (size_t i = 0; i < pairs.size(); ++i) {
-    const double start = NowSeconds();
+    ReachStage stage = ReachStage::kTrivial;
     ReachRule rule = ReachRule::kFallback;
-    if (TryServeFast(pairs[i].first, pairs[i].second, &answers[i], &rule) !=
-        ReachIndex::Verdict::kUnknown) {
-      stats_.Record(answers[i].stage, rule, answers[i].reachable,
-                    NowSeconds() - start);
+    const ReachIndex::Verdict verdict =
+        core.Decide(pairs[i].first, pairs[i].second, &stage, &rule);
+    const double now = NowSeconds();
+    if (verdict == ReachIndex::Verdict::kUnknown) {
+      pass.residue.push_back(i);
+      pass.residue_seconds.push_back(now - mark);
+    } else {
+      pass.answers[i] = {verdict == ReachIndex::Verdict::kYes, stage};
+      pass.stats.Record(stage, rule, pass.answers[i].reachable, now - mark);
+    }
+    mark = now;
+  }
+  pass.seconds = mark - start;
+  return pass;
+}
+
+void ReachService::ServeResidue(
+    std::span<const std::pair<NodeId, NodeId>> pairs, BatchPass* pass) {
+  stats_.Merge(pass->stats);
+  if (pass->residue.empty()) return;
+  std::vector<Answer>& answers = pass->answers;
+
+  // Time is chained from here: each cache hit and each fallback group is
+  // charged the span since the previous one ended, on top of the
+  // label-pass time its queries already spent.
+  const double start = NowSeconds();
+  double mark = start;
+  // Cache hits end here, in input order; the rest is grouped by condensed
+  // source so each fallback search serves all of that source's targets.
+  std::unordered_map<NodeId, std::vector<size_t>> residue;
+  std::unordered_map<NodeId, double> residue_seconds;
+  const bool relabel = pass->core != core_.get();
+  for (size_t k = 0; k < pass->residue.size(); ++k) {
+    const size_t i = pass->residue[k];
+    ReachStage stage = ReachStage::kTrivial;
+    ReachRule rule = ReachRule::kFallback;
+    ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
+    if (relabel) {
+      verdict = core_->Decide(pairs[i].first, pairs[i].second, &stage, &rule);
+    }
+    bool cached = false;
+    if (verdict == ReachIndex::Verdict::kUnknown &&
+        cache_.Lookup(pairs[i].first, pairs[i].second, &cached)) {
+      stage = ReachStage::kCache;
+      rule = ReachRule::kCacheHit;
+      verdict = cached ? ReachIndex::Verdict::kYes : ReachIndex::Verdict::kNo;
+    }
+    if (verdict == ReachIndex::Verdict::kUnknown) {
+      const NodeId csrc = core_->node_map[pairs[i].first];
+      residue[csrc].push_back(i);
+      residue_seconds[csrc] += pass->residue_seconds[k];
       continue;
     }
-    const NodeId csrc = core_->node_map[pairs[i].first];
-    residue[csrc].push_back(i);
-    residue_pass1_seconds[csrc] += NowSeconds() - start;
+    answers[i] = {verdict == ReachIndex::Verdict::kYes, stage};
+    const double now = NowSeconds();
+    stats_.Record(stage, rule, answers[i].reachable,
+                  (now - mark) + pass->residue_seconds[k]);
+    mark = now;
   }
 
   for (auto& [csrc, indices] : residue) {
-    const double start = NowSeconds();
     // Distinct condensed targets of this source (with their pair indices;
     // duplicate queries resolve together).
     std::vector<NodeId> targets;
@@ -390,10 +441,11 @@ Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
       TCDB_CHECK(definitive);
     }
 
-    // The group's latency — fallback work plus the pass-1 time its
+    // The group's latency — fallback work plus the time its
     // queries already spent — is shared evenly across its queries.
-    const double group_seconds =
-        (NowSeconds() - start) + residue_pass1_seconds[csrc];
+    const double end = NowSeconds();
+    const double group_seconds = (end - mark) + residue_seconds[csrc];
+    mark = end;
     const double per_query_seconds =
         group_seconds / static_cast<double>(indices.size());
     for (size_t t = 0; t < targets.size(); ++t) {
@@ -407,7 +459,7 @@ Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
       }
     }
   }
-  return answers;
+  pass->seconds += mark - start;
 }
 
 }  // namespace tcdb

@@ -63,6 +63,16 @@ struct ReachCore {
                                       ReachStage* stage,
                                       ReachRule* rule = nullptr) const;
 
+  // Every O(1) rung of the serving ladder on input ids, in order: self
+  // and same-SCC, DecideCondensed, a direct arc (binary search over the
+  // sorted CSR row), then the observation battery. kUnknown is exactly
+  // the residue the service must search; otherwise the out-params name
+  // the deciding stage and rule. Endpoints must lie in
+  // [0, num_input_nodes).
+  ReachIndex::Verdict Decide(NodeId src, NodeId dst,
+                             ReachStage* stage = nullptr,
+                             ReachRule* rule = nullptr) const;
+
   // `arcs` may be cyclic and unsorted; endpoints must lie in
   // [0, num_nodes).
   static Result<std::shared_ptr<const ReachCore>> Build(
@@ -84,7 +94,11 @@ struct ReachCore {
 // one-shot ReachIndex build over the in-memory condensation answers most
 // queries in O(1), and the undecided residue walks a short ladder —
 //
-//   answer cache -> O(1) labels -> bounded pruned BFS -> unbounded pruned BFS
+//   O(1) labels -> answer cache -> bounded pruned BFS -> unbounded pruned BFS
+//
+// The cache only ever holds fallback answers, which the labels of the
+// same core cannot decide, so consulting it after the labels changes no
+// answer and no stage; it only keeps the cache off the O(1) path.
 //
 // The paged closure machinery (TcSession, the buffer pool, the successor-
 // list store) is the paper's instrument and plays no part in serving.
@@ -98,11 +112,13 @@ struct ReachCore {
 //
 // Threading contract: everything a query *reads* (the ReachCore) is
 // shared and immutable; everything a query *mutates* (the answer cache,
-// the BFS scratch, the statistics) is owned by this instance. One instance must
-// therefore be driven by one thread at a time — parallel serving shards
-// the graph as N services over one shared core, each shard owned by one
-// worker (see ReachServer in reach/reach_server.h, which does exactly
-// that and routes queries to shards by source hash).
+// the BFS scratch, the statistics) is owned by this instance. One
+// instance must therefore be driven by one thread at a time, with one
+// exception: LabelPass, the first half of QueryBatch, reads only the core
+// it is given and writes only its batch-local result, so any number of
+// threads may run it at once. ReachServer (reach/reach_server.h) relies
+// on that: it runs the label pass on the caller's thread and only the
+// residue step under the shard's mutex.
 class ReachService {
  public:
   struct Answer {
@@ -137,15 +153,50 @@ class ReachService {
   // Answers a batch. Beyond per-query caching, the fallback residue is
   // grouped by source so one pruned BFS serves every undecided
   // destination of that source — the per-query cost of a miss
-  // amortizes across the batch.
+  // amortizes across the batch. Exactly LabelPass(core(), pairs)
+  // followed by ServeResidue.
   Result<std::vector<Answer>> QueryBatch(
       std::span<const std::pair<NodeId, NodeId>> pairs);
+
+  // Batch-local state handed from LabelPass to ServeResidue.
+  struct BatchPass {
+    // By position; the residue slots are filled by ServeResidue.
+    std::vector<Answer> answers;
+    // The label-decided queries, and one batch.
+    ReachStats stats;
+    // Positions the labels left undecided, in input order, with the
+    // label-pass time each of them already spent.
+    std::vector<size_t> residue;
+    std::vector<double> residue_seconds;
+    // The core the labels were read from.
+    const ReachCore* core = nullptr;
+    // Time spent in LabelPass, then also in ServeResidue (by this
+    // service's clock).
+    double seconds = 0;
+  };
+
+  // First half of QueryBatch: core.Decide over `pairs`, whose endpoints
+  // the caller has validated. Reads only `core` and the clock and writes
+  // only the returned pass, so it is safe on any thread, concurrently
+  // with anything else this service does.
+  BatchPass LabelPass(const ReachCore& core,
+                      std::span<const std::pair<NodeId, NodeId>> pairs) const;
+
+  // Second half, owner-thread only: the answer cache, then the grouped
+  // pruned BFS for pass->residue against this service's current core;
+  // merges the pass's stats and records the residue's. If the service
+  // adopted another core since the label pass, the residue is first put
+  // through that core's labels.
+  void ServeResidue(std::span<const std::pair<NodeId, NodeId>> pairs,
+                    BatchPass* pass);
 
   const ReachStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
   // Replaces the clock used for latency attribution (seconds, monotonic).
   // Tests inject a tick clock to make recorded latencies deterministic.
+  // LabelPass reads it too, so a stateful clock must only be injected
+  // where one thread at a time drives this service.
   void SetClockForTesting(std::function<double()> clock) {
     clock_ = std::move(clock);
   }
@@ -159,12 +210,6 @@ class ReachService {
 
  private:
   ReachService() : cache_(0) {}
-
-  // Label-only attempt (cache, trivial, O(1) index rules) on original ids.
-  // Returns kUnknown for the fallback residue; *rule names the deciding
-  // rule otherwise.
-  ReachIndex::Verdict TryServeFast(NodeId src, NodeId dst, Answer* answer,
-                                   ReachRule* rule);
 
   // Definitive fallback for one condensed pair (bounded, then unbounded
   // pruned BFS).

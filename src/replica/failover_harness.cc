@@ -160,7 +160,6 @@ Status RunOneSeed(const FailoverStressOptions& options, uint64_t seed,
     fo.max_apply_ahead = rng.Uniform(8, 256);
     fo.checkpoint_every = rng.Bernoulli(0.5) ? rng.Uniform(24, 96) : 0;
     fo.server.num_shards = static_cast<int32_t>(rng.Uniform(1, 2));
-    fo.server.queue_capacity = 64;
     follower_options.push_back(fo);
     pipe_capacities.push_back(
         static_cast<size_t>(rng.Uniform(1 << 10, 1 << 16)));

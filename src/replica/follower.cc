@@ -223,15 +223,17 @@ Status Follower::StartServing() {
   rebuilder_ = std::make_unique<IndexRebuilder>(
       db_->log(),
       [this](std::shared_ptr<const ReachCore> core, Epoch epoch,
-             double seconds) {
-        const Status swapped = server_->SwapCore(core, epoch);
-        TCDB_CHECK(swapped.ok()) << swapped.ToString();
+             double seconds) -> Status {
+        // A refused core leaves readers on the last one; the rebuilder
+        // counts the failure and the error reaches PublishNow's caller.
+        TCDB_RETURN_IF_ERROR(server_->SwapCore(core, epoch));
         // Mirror into the dynamic service so a later local checkpoint at
         // this epoch reuses the core instead of rebuilding it.
         db_->service()->PublishSnapshot(std::move(core), epoch, seconds);
         served_.store(epoch);
         std::lock_guard<std::mutex> lock(mu_);
         state_changed_.notify_all();
+        return Status::Ok();
       },
       rebuild_options);
   // Readers must first see the bootstrap tip, not the checkpoint the

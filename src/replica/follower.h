@@ -67,7 +67,7 @@ struct FollowerStats {
 // immutable snapshot core.
 //
 // Epoch consistency is the SwapCore discipline: readers only ever see a
-// core built at a single epoch, adopted at task boundaries — never a
+// core built at a single epoch, loaded once per call — never a
 // half-applied mutation. The apply thread owns the durable stack; the
 // IndexRebuilder (synchronous use only, driven from the apply loop and
 // RefreshSnapshot) republishes cores as records accumulate.

@@ -60,7 +60,6 @@ Result<ReplicaBenchResult> RunReplicaBench(
     FollowerOptions fo;
     fo.max_apply_ahead = options.max_apply_ahead;
     fo.server.num_shards = options.follower_shards;
-    fo.server.queue_capacity = 64;
     auto [primary_end, follower_end] =
         MakeInProcessPipe(options.pipe_capacity_bytes);
     TCDB_ASSIGN_OR_RETURN(

@@ -3,14 +3,16 @@
 // pinned against the BFS reference closure across the paper generator and
 // all five scale families, cyclic inputs through the condensation front,
 // a 50-seed battery-on vs battery-off bit-identical sweep over full
-// ReachService answers, pivot-selection determinism, and image round
-// trips with truncation errors.
+// ReachService answers, pivot-selection determinism, image round trips
+// with truncation errors, and ReachCore::Decide as the one O(1) decision
+// behind both the service ladder and the adversarial miner's probe.
 
 #include "oreach/observation_battery.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "graph/digraph.h"
 #include "graph/generator.h"
 #include "graph/scale_generator.h"
+#include "reach/load_driver.h"
 #include "reach/reach_service.h"
 #include "util/codec.h"
 #include "util/random.h"
@@ -326,6 +329,61 @@ TEST(ObservationBatteryTest, ServiceLadderAttribution) {
   }
   EXPECT_EQ(rule_total, stats.queries);
   EXPECT_EQ(observation_rules, stats.Decided(ReachStage::kObservation));
+}
+
+// ReachCore::Decide is the one O(1) decision: the adversarial miner's
+// probe is exactly "Decide is not unknown", and the service ladder
+// searches exactly the pairs Decide leaves unknown, answering the rest
+// with Decide's verdict and stage. Checked on every pair of a small
+// cyclic graph with a battery.
+TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
+  GeneratorParams params;
+  params.num_nodes = 300;
+  params.avg_out_degree = 5;
+  params.locality = 100;
+  params.seed = 8;
+  ArcList arcs = GenerateDag(params);
+  arcs.push_back({250, 40});
+  arcs.push_back({299, 120});
+  const Digraph graph(params.num_nodes, arcs);
+
+  TrafficModelOptions traffic;
+  traffic.kind = WorkloadKind::kUniform;
+  traffic.seed = 5;
+  ReachServiceOptions options;
+  options.index.oreach = true;
+  options.index.oreach_traffic = MakeModelWorkload(graph, traffic, 512);
+  options.cache_capacity = 0;
+  auto built = ReachCore::Build(arcs, params.num_nodes, options.index);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ReachCore& core = *built.value();
+  ASSERT_TRUE(core.condensed());
+  ASSERT_TRUE(core.has_battery);
+  const WorkloadDecideProbe probe = MakeLadderProbe(built.value());
+  const std::unique_ptr<ReachService> service =
+      ReachService::Create(built.value(), options);
+
+  int64_t undecided = 0;
+  for (NodeId u = 0; u < params.num_nodes; ++u) {
+    for (NodeId v = 0; v < params.num_nodes; ++v) {
+      ReachStage stage = ReachStage::kTrivial;
+      const ReachIndex::Verdict verdict = core.Decide(u, v, &stage);
+      const bool decided = verdict != ReachIndex::Verdict::kUnknown;
+      ASSERT_EQ(probe(u, v), decided) << "u=" << u << " v=" << v;
+      auto answer = service->Query(u, v);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      if (decided) {
+        EXPECT_EQ(answer.value().reachable,
+                  verdict == ReachIndex::Verdict::kYes);
+        EXPECT_EQ(answer.value().stage, stage);
+      } else {
+        ++undecided;
+        EXPECT_EQ(answer.value().stage, ReachStage::kPrunedBfs);
+      }
+    }
+  }
+  EXPECT_GT(undecided, 0);
+  EXPECT_EQ(undecided, service->stats().Decided(ReachStage::kPrunedBfs));
 }
 
 }  // namespace

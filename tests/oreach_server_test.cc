@@ -72,7 +72,6 @@ std::unique_ptr<ReachServer> StartOrDie(std::shared_ptr<const ReachCore> core,
                                         int32_t shards) {
   ReachServerOptions options;
   options.num_shards = shards;
-  options.queue_capacity = 32;
   auto server = ReachServer::Start(std::move(core), options);
   TCDB_CHECK(server.ok()) << server.status().ToString();
   return std::move(server).value();
@@ -83,7 +82,7 @@ TEST(OreachServerTest, ShardedBatteryAnswersMatchBaseline) {
   const std::unique_ptr<ReachServer> off = StartOrDie(f.baseline, 4);
   const std::unique_ptr<ReachServer> on = StartOrDie(f.battery, 4);
 
-  // One big batch: splits across all four shards and runs concurrently.
+  // One big batch: splits across all four shards.
   auto off_answers = off->QueryBatch(f.adversarial);
   auto on_answers = on->QueryBatch(f.adversarial);
   ASSERT_TRUE(off_answers.ok()) << off_answers.status().ToString();
@@ -139,8 +138,8 @@ TEST(OreachServerTest, SwapCorePublishesBatteryToAllShards) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   EXPECT_EQ(server->Snapshot().merged.Decided(ReachStage::kObservation), 0);
 
-  // Publish the battery core, then drive traffic until every shard has
-  // adopted it (adoption happens at task boundaries).
+  // Publish the battery core, then drive traffic: every call after the
+  // swap reads the battery core's labels.
   ASSERT_TRUE(server->SwapCore(f.battery, /*epoch=*/1).ok());
   auto volley = RunServingLoad(server.get(), f.adversarial, 4, 128);
   ASSERT_TRUE(volley.ok()) << volley.status().ToString();

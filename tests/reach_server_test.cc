@@ -1,8 +1,8 @@
 // Concurrency tests for the sharded ReachServer (ctest label:
 // `concurrency`; check.sh reruns this binary under ThreadSanitizer).
 // Multi-threaded clients are cross-checked differentially against the
-// sequential ReferenceClosure oracle; shutdown, backpressure, and the
-// merge-on-read stats snapshot get dedicated races.
+// sequential ReferenceClosure oracle; shutdown and the merge-on-read
+// stats snapshot get dedicated races.
 
 #include <gtest/gtest.h>
 
@@ -53,7 +53,6 @@ void RunDifferential(const ArcList& arcs, NodeId num_nodes,
 
   ReachServerOptions options;
   options.num_shards = num_shards;
-  options.queue_capacity = 8;
   auto server = ReachServer::Start(arcs, num_nodes, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
@@ -101,8 +100,6 @@ void RunDifferential(const ArcList& arcs, NodeId num_nodes,
   EXPECT_EQ(shard_queries, stats.merged.queries);
   EXPECT_EQ(shard_positive, stats.merged.positive_answers);
   EXPECT_EQ(stats.latency.count(), expected);
-  EXPECT_LE(stats.max_queue_depth,
-            static_cast<int64_t>(options.queue_capacity));
 }
 
 TEST(ReachServerTest, ConcurrentBatchesMatchOracleAcyclic) {
@@ -150,7 +147,6 @@ TEST(ReachServerTest, StopUnderLoadDrainsWithoutHanging) {
 
   ReachServerOptions options;
   options.num_shards = 2;
-  options.queue_capacity = 4;  // small queue: Stop races real backpressure
   auto server = ReachServer::Start(arcs, kNodes, options);
   ASSERT_TRUE(server.ok());
 
@@ -188,9 +184,9 @@ TEST(ReachServerTest, StopUnderLoadDrainsWithoutHanging) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(violations.load(), 0);
 
-  // Accepted submissions were drained, not dropped: the snapshot's merged
-  // counter covers at least every batch that returned Ok. (Batches caught
-  // mid-drain by Stop may add more.)
+  // Accepted submissions were served, not dropped: the snapshot's merged
+  // counter covers at least every batch that returned Ok. (Calls already
+  // in flight when Stop landed may add more.)
   EXPECT_GE(server.value()->Snapshot().merged.queries, accepted.load());
 
   // Stop is idempotent, and post-stop traffic is cleanly rejected.
@@ -198,38 +194,6 @@ TEST(ReachServerTest, StopUnderLoadDrainsWithoutHanging) {
   auto after = server.value()->Query(0, 1);
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST(ReachServerTest, BackpressureBoundsQueueDepth) {
-  constexpr NodeId kNodes = 300;
-  const ArcList arcs = GenerateDag({kNodes, 5, 200, 41});
-
-  ReachServerOptions options;
-  options.num_shards = 1;       // every batch lands on the lone queue
-  options.queue_capacity = 2;   // tiny bound: submitters must block
-  auto server = ReachServer::Start(arcs, kNodes, options);
-  ASSERT_TRUE(server.ok());
-
-  std::vector<std::thread> clients;
-  for (int c = 0; c < 8; ++c) {
-    clients.emplace_back([&, c] {
-      for (int b = 0; b < 50; ++b) {
-        const auto queries =
-            MakeQueries(kNodes, 8, 700 + 13 * c + static_cast<uint64_t>(b));
-        auto answers = server.value()->QueryBatch(queries);
-        ASSERT_TRUE(answers.ok());
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  const ReachServerStats stats = server.value()->Snapshot();
-  EXPECT_EQ(stats.merged.queries, int64_t{8} * 50 * 8);
-  // The high-water mark proves the bound held: with 8 eager clients and
-  // capacity 2, an unbounded queue would overshoot immediately.
-  EXPECT_GT(stats.max_queue_depth, 0);
-  EXPECT_LE(stats.max_queue_depth,
-            static_cast<int64_t>(options.queue_capacity));
 }
 
 TEST(ReachServerTest, SnapshotIsSafeDuringTraffic) {
@@ -283,9 +247,6 @@ TEST(ReachServerTest, RejectsInvalidArgumentsWithoutEnqueueing) {
 
   // Bad server configurations fail Start instead of limping along.
   EXPECT_FALSE(ReachServer::Start(arcs, 50, WithShards(0)).ok());
-  ReachServerOptions no_queue;
-  no_queue.queue_capacity = 0;
-  EXPECT_FALSE(ReachServer::Start(arcs, 50, no_queue).ok());
 }
 
 TEST(ReachServerTest, RoutingIsStableAndCoversAllShards) {

@@ -137,7 +137,7 @@ cmake --build "$SAN_DIR" -j "$(nproc)" --target oreach_battery_test
 # (concurrent clients over a kChain core, scale_backend_test), the
 # battery-core sharded-serving tests (oreach_server_test — the battery is
 # shared read-only by every shard, so a missing happens-before is a TSan
-# report here), and the CLI smokes that drive worker/rebuilder/apply
+# report here), and the CLI smokes that drive client/rebuilder/apply
 # threads rerun in a separate TSan tree — TSan cannot share a build with
 # ASan, hence the third directory.
 TSAN_DIR="${BUILD_DIR}-tsan"

@@ -55,7 +55,7 @@ void Usage() {
   std::fprintf(stderr, R"(usage: tcdb_cli [options]
        tcdb_cli reach <graph> <src> <dst> [--explain]
        tcdb_cli serve-bench <graph> [--shards N] [--clients N]
-                [--queries N] [--batch N] [--queue N] [--seed S]
+                [--queries N] [--batch N] [--seed S]
                 [--workload W] [--battery] [--trace FILE]
        tcdb_cli workload-bench <graph> [--workload W] [--queries N]
                 [--seed S] [--no-battery] [--check K]
@@ -114,11 +114,10 @@ reach subcommand (online point query via the src/reach/ index):
 serve-bench subcommand (multi-threaded sharded serving throughput):
   tcdb_cli serve-bench <graph> [flags]
     <graph>                arc-list file, or gen:N,F,L,SEED
-    --shards N             server shards / worker threads (default 4)
+    --shards N             server shards (default 4)
     --clients N            client threads firing batches (default =shards)
     --queries N            workload size (default 100000)
     --batch N              queries per QueryBatch call (default 256)
-    --queue N              per-shard queue capacity (default 64)
     --seed S               workload seed (default 42)
     --workload W           draw the mix from the traffic model instead of
                            the legacy fixed mix: uniform|zipf|hot-pair|
@@ -404,7 +403,6 @@ int RunServeBench(int argc, char** argv) {
   }
   const std::string graph_spec = argv[1];
   ReachServerOptions options;
-  options.queue_capacity = 64;
   int32_t clients = -1;  // default: one client per shard
   int64_t num_queries = 100000;
   size_t batch_size = 256;
@@ -429,8 +427,6 @@ int RunServeBench(int argc, char** argv) {
       ParseArgOrExit(flag, next(), &num_queries);
     } else if (flag == "--batch") {
       ParseArgOrExit(flag, next(), &batch_size);
-    } else if (flag == "--queue") {
-      ParseArgOrExit(flag, next(), &options.queue_capacity);
     } else if (flag == "--seed") {
       ParseArgOrExit(flag, next(), &seed);
     } else if (flag == "--workload") {
@@ -532,9 +528,6 @@ int RunServeBench(int argc, char** argv) {
   std::printf("latency %s\n", stats.latency.Summary().c_str());
   std::printf("cache hit rate %.2f%%\n",
               100.0 * stats.merged.CacheHitRate());
-  std::printf("queue high-water mark %lld (capacity %lld)\n",
-              static_cast<long long>(stats.max_queue_depth),
-              static_cast<long long>(options.queue_capacity));
   for (size_t s = 0; s < stats.per_shard.size(); ++s) {
     std::printf("shard %zu: %lld queries, latency %s\n", s,
                 static_cast<long long>(stats.per_shard[s].queries),
