@@ -17,6 +17,11 @@ uint64_t MixSource(NodeId src) {
   return x ^ (x >> 31);
 }
 
+// Source of ReachServer::id_. Ids are never reused, so a thread's cached
+// publication can never be mistaken for one of a later server that
+// happens to occupy the same address.
+std::atomic<uint64_t> next_server_id{1};
+
 }  // namespace
 
 Result<std::unique_ptr<ReachServer>> ReachServer::Start(
@@ -40,6 +45,7 @@ Result<std::unique_ptr<ReachServer>> ReachServer::Start(
         std::to_string(options.num_shards));
   }
   auto server = std::unique_ptr<ReachServer>(new ReachServer());
+  server->id_ = next_server_id.fetch_add(1, std::memory_order_relaxed);
   server->core_ = std::move(core);
   server->published_ = std::make_shared<const Publication>(
       Publication{server->core_, 0, 0});
@@ -81,13 +87,10 @@ Status ReachServer::Admit(
   return Status::Ok();
 }
 
-std::vector<ReachServer::Answer> ReachServer::Serve(
+std::vector<ReachServer::Answer> ReachServer::ServeResidue(
     Shard* shard, const Publication& publication,
-    std::span<const std::pair<NodeId, NodeId>> pairs, bool single_query) {
-  ReachService::BatchPass pass =
-      shard->service->LabelPass(*publication.core, pairs);
-  if (single_query) pass.stats.batches = 0;
-
+    std::span<const std::pair<NodeId, NodeId>> pairs,
+    ReachService::BatchPass pass) {
   std::lock_guard<std::mutex> lock(shard->mu);
   if (shard->adopted_generation < publication.generation) {
     // SwapCore validated the universe, so adoption cannot fail.
@@ -105,20 +108,19 @@ std::vector<ReachServer::Answer> ReachServer::Serve(
 Result<ReachServer::Answer> ReachServer::Query(NodeId src, NodeId dst) {
   const std::pair<NodeId, NodeId> pair{src, dst};
   TCDB_RETURN_IF_ERROR(Admit({&pair, 1}));
-  const std::shared_ptr<const Publication> publication = Published();
-  return Serve(shards_[static_cast<size_t>(ShardOf(src))].get(),
-               *publication, {&pair, 1}, /*single_query=*/true)[0];
+  const Publication& publication = Current();
+  Shard* shard = shards_[static_cast<size_t>(ShardOf(src))].get();
+  ReachService::BatchPass pass =
+      shard->service->LabelPass(*publication.core, {&pair, 1});
+  pass.stats.batches = 0;  // a single query is not a batch
+  return ServeResidue(shard, publication, {&pair, 1}, std::move(pass))[0];
 }
 
 Result<std::vector<ReachServer::Answer>> ReachServer::QueryBatch(
     std::span<const std::pair<NodeId, NodeId>> pairs) {
   TCDB_RETURN_IF_ERROR(Admit(pairs));
   if (pairs.empty()) return std::vector<Answer>();
-  const std::shared_ptr<const Publication> publication = Published();
-  if (shards_.size() == 1) {
-    return Serve(shards_[0].get(), *publication, pairs,
-                 /*single_query=*/false);
-  }
+  const Publication& publication = Current();
 
   // Route by source hash, preserving input order within each shard: a
   // counting sort into one array, shard s at [begin[s], begin[s + 1]).
@@ -139,10 +141,12 @@ Result<std::vector<ReachServer::Answer>> ReachServer::QueryBatch(
   std::vector<Answer> answers(pairs.size());
   for (size_t s = 0; s < shards_.size(); ++s) {
     if (begin[s] == begin[s + 1]) continue;
+    Shard* shard = shards_[s].get();
+    const std::span<const std::pair<NodeId, NodeId>> part =
+        std::span(routed).subspan(begin[s], begin[s + 1] - begin[s]);
     const std::vector<Answer> served =
-        Serve(shards_[s].get(), *publication,
-              std::span(routed).subspan(begin[s], begin[s + 1] - begin[s]),
-              /*single_query=*/false);
+        ServeResidue(shard, publication, part,
+                     shard->service->LabelPass(*publication.core, part));
     for (size_t k = 0; k < served.size(); ++k) {
       answers[positions[begin[s] + k]] = served[k];
     }
@@ -171,6 +175,8 @@ Status ReachServer::SwapCore(std::shared_ptr<const ReachCore> core,
   retired = std::exchange(
       published_, std::make_shared<const Publication>(Publication{
                       std::move(core), epoch, published_->generation + 1}));
+  // Stored under slot_mu_, so generations reach the atomic in order.
+  generation_.store(published_->generation, std::memory_order_release);
   return Status::Ok();
 }
 
@@ -178,6 +184,24 @@ std::shared_ptr<const ReachServer::Publication> ReachServer::Published()
     const {
   std::lock_guard<std::mutex> lock(slot_mu_);
   return published_;
+}
+
+const ReachServer::Publication& ReachServer::Current() const {
+  // One entry per thread: the server it last called and the publication
+  // it read there. While that is still the newest, a call costs one
+  // acquire load; only a swap, or a switch to another server, takes
+  // slot_mu_ and touches the publication's shared reference count.
+  struct Cached {
+    uint64_t server = 0;
+    std::shared_ptr<const Publication> publication;
+  };
+  thread_local Cached cached;
+  if (cached.server != id_ || cached.publication->generation !=
+                                  generation_.load(std::memory_order_acquire)) {
+    cached.publication = Published();
+    cached.server = id_;
+  }
+  return *cached.publication;
 }
 
 int64_t ReachServer::published_epoch() const { return Published()->epoch; }

@@ -45,9 +45,10 @@ struct ReachServerStats {
 // Threading model (see DESIGN.md §10): there are no server threads. The
 // caller's thread does all the work of its call. An immutable ReachCore
 // (the condensation + O(1) labels) is published through one slot; a
-// call copies it once, and its label pass (ReachService::LabelPass)
-// reads only that core, lock-free; it decides nearly every query on a
-// labelled core. Only the residue the labels leave needs a shard's
+// call reads it once, through a per-thread copy that one atomic load
+// shows to be current, so no lock is taken between swaps. The call's
+// label pass (ReachService::LabelPass) reads only that core, lock-free;
+// it decides nearly every query on a labelled core. Only the residue the labels leave needs a shard's
 // private state: each shard is a mutex around one ReachService (answer
 // cache, pruned-BFS scratch, stats) and its latency histogram, taken
 // once per call per shard involved to serve that residue and merge the
@@ -82,9 +83,10 @@ class ReachServer {
   ReachServer(const ReachServer&) = delete;
   ReachServer& operator=(const ReachServer&) = delete;
 
-  // One query: labels on the calling thread, the residue under its
-  // shard's mutex. Thread-safe. InvalidArgument on out-of-range
-  // endpoints; FailedPrecondition after Stop().
+  // One query: the same two halves as ReachService::Query, the labels on
+  // the calling thread and the residue under its shard's mutex.
+  // Thread-safe. InvalidArgument on out-of-range endpoints;
+  // FailedPrecondition after Stop().
   Result<Answer> Query(NodeId src, NodeId dst);
 
   // A batch: splits by shard (preserving input order within each shard),
@@ -155,13 +157,14 @@ class ReachServer {
   // InvalidArgument on a bad endpoint, FailedPrecondition after Stop().
   Status Admit(std::span<const std::pair<NodeId, NodeId>> pairs) const;
 
-  // Answers `pairs` (all routed to `shard`) against `publication`: the
-  // label pass lock-free, then the residue step under the shard's mutex,
-  // after adopting `publication` if the shard is behind it. A single
-  // query is not counted as a batch.
-  std::vector<Answer> Serve(Shard* shard, const Publication& publication,
-                            std::span<const std::pair<NodeId, NodeId>> pairs,
-                            bool single_query);
+  // Second half of a call on one shard, under its mutex: adopts
+  // `publication` if the shard is behind it, serves the residue `pass`
+  // (the label pass of `pairs`, all routed to `shard`) left, and records
+  // the latency. Returns the answers by position within `pairs`.
+  std::vector<Answer> ServeResidue(
+      Shard* shard, const Publication& publication,
+      std::span<const std::pair<NodeId, NodeId>> pairs,
+      ReachService::BatchPass pass);
 
   // The core the server started with. Never reassigned (endpoint
   // validation and num_nodes() read it); swapped cores are published
@@ -169,12 +172,23 @@ class ReachServer {
   std::shared_ptr<const ReachCore> core_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // The publication slot: calls copy it once under slot_mu_, held only
-  // for that copy; swaps replace it under the same mutex, so the epoch
-  // check and the generation count stay exact.
+  // The publication slot. Swaps replace published_ and then store its
+  // generation into generation_, both under slot_mu_, so the epoch check
+  // and the generation count stay exact and generation_ never moves
+  // backwards. A call reads generation_ once with an acquire load and
+  // takes slot_mu_ only when its thread's cached publication is older
+  // (Current()).
   std::shared_ptr<const Publication> Published() const;
   mutable std::mutex slot_mu_;
   std::shared_ptr<const Publication> published_;
+  std::atomic<uint64_t> generation_{0};
+
+  // The newest publication, through the calling thread's one-entry cache
+  // (keyed by id_). The reference stays valid until the thread's next
+  // call into any ReachServer. A thread keeps the last publication it
+  // read alive until then, or until it exits.
+  const Publication& Current() const;
+  uint64_t id_ = 0;  // unique per server, never reused
 
   std::atomic<bool> stopped_{false};
 };

@@ -269,52 +269,40 @@ Result<ReachService::Answer> ReachService::Query(NodeId src, NodeId dst) {
         std::to_string(dst) + ") with " + std::to_string(core_->num_input_nodes) +
         " nodes");
   }
-  const double start = NowSeconds();
-  ReachStage stage = ReachStage::kTrivial;
-  ReachRule rule = ReachRule::kFallback;
-  const ReachIndex::Verdict verdict = core_->Decide(src, dst, &stage, &rule);
-  if (verdict != ReachIndex::Verdict::kUnknown) {
-    // Deliberately NOT inserted into the answer cache: an O(1)-decided
-    // answer re-derives in nanoseconds, so caching it only evicts the
-    // fallback answers whose recomputation actually costs something.
-    const Answer answer{verdict == ReachIndex::Verdict::kYes, stage};
-    stats_.Record(stage, rule, answer.reachable, NowSeconds() - start);
-    return answer;
-  }
-  bool cached = false;
-  if (cache_.Lookup(src, dst, &cached)) {
-    stats_.Record(ReachStage::kCache, ReachRule::kCacheHit, cached,
-                  NowSeconds() - start);
-    return Answer{cached, ReachStage::kCache};
-  }
-  const Answer answer =
-      ServeFallback(core_->node_map[src], core_->node_map[dst]);
-  if (cache_.Insert(src, dst, answer.reachable)) {
-    ++stats_.cache_insertions;
-  }
-  stats_.Record(answer.stage, ReachRule::kFallback, answer.reachable,
-                NowSeconds() - start);
-  return answer;
+  const std::pair<NodeId, NodeId> pair{src, dst};
+  BatchPass pass = LabelPass(*core_, {&pair, 1});
+  pass.stats.batches = 0;  // a single query is not a batch
+  ServeResidue({&pair, 1}, &pass);
+  return pass.answers[0];
 }
 
-ReachService::Answer ReachService::ServeFallback(NodeId csrc, NodeId cdst) {
-  ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
-  if (options_.bfs_budget > 0) {
-    int64_t expansions = 0;
-    verdict = core_->index.PrunedBfs(core_->dag, csrc, cdst,
-                                     options_.bfs_budget, &scratch_,
-                                     &expansions);
-    stats_.bfs_expansions += expansions;
-  }
-  if (verdict == ReachIndex::Verdict::kUnknown) {
-    int64_t expansions = 0;
-    verdict = core_->index.PrunedBfs(core_->dag, csrc, cdst,
-                                     std::numeric_limits<int64_t>::max(),
-                                     &scratch_, &expansions);
-    stats_.bfs_expansions += expansions;
+void ReachService::SearchGroup(NodeId csrc, std::span<const NodeId> targets,
+                               std::vector<bool>* reached) {
+  const int64_t unbounded = std::numeric_limits<int64_t>::max();
+  if (targets.size() == 1) {
+    ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
+    for (const int64_t budget : {options_.bfs_budget, unbounded}) {
+      if (budget <= 0) continue;
+      int64_t expansions = 0;
+      verdict = core_->index.PrunedBfs(core_->dag, csrc, targets[0], budget,
+                                       &scratch_, &expansions);
+      stats_.bfs_expansions += expansions;
+      if (verdict != ReachIndex::Verdict::kUnknown) break;
+    }
     TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
+    reached->assign(1, verdict == ReachIndex::Verdict::kYes);
+    return;
   }
-  return Answer{verdict == ReachIndex::Verdict::kYes, ReachStage::kPrunedBfs};
+  bool definitive = false;
+  for (const int64_t budget : {options_.bfs_budget, unbounded}) {
+    if (budget <= 0) continue;
+    int64_t expansions = 0;
+    definitive = core_->index.PrunedMultiBfs(core_->dag, csrc, targets, budget,
+                                             reached, &scratch_, &expansions);
+    stats_.bfs_expansions += expansions;
+    if (definitive) break;
+  }
+  TCDB_CHECK(definitive);
 }
 
 Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
@@ -353,6 +341,9 @@ ReachService::BatchPass ReachService::LabelPass(
       pass.residue.push_back(i);
       pass.residue_seconds.push_back(now - mark);
     } else {
+      // Deliberately never cached: an O(1)-decided answer re-derives in
+      // nanoseconds, so caching it would only evict the fallback answers
+      // whose recomputation costs something.
       pass.answers[i] = {verdict == ReachIndex::Verdict::kYes, stage};
       pass.stats.Record(stage, rule, pass.answers[i].reachable, now - mark);
     }
@@ -424,22 +415,7 @@ void ReachService::ServeResidue(
     }
 
     std::vector<bool> reached;
-    bool definitive = false;
-    if (options_.bfs_budget > 0) {
-      int64_t expansions = 0;
-      definitive = core_->index.PrunedMultiBfs(core_->dag, csrc, targets,
-                                               options_.bfs_budget, &reached,
-                                               &scratch_, &expansions);
-      stats_.bfs_expansions += expansions;
-    }
-    if (!definitive) {
-      int64_t expansions = 0;
-      definitive = core_->index.PrunedMultiBfs(
-          core_->dag, csrc, targets, std::numeric_limits<int64_t>::max(),
-          &reached, &scratch_, &expansions);
-      stats_.bfs_expansions += expansions;
-      TCDB_CHECK(definitive);
-    }
+    SearchGroup(csrc, targets, &reached);
 
     // The group's latency — fallback work plus the time its
     // queries already spent — is shared evenly across its queries.

@@ -139,7 +139,8 @@ class ReachService {
       std::shared_ptr<const ReachCore> core,
       const ReachServiceOptions& options = {});
 
-  // Answers one query. InvalidArgument on out-of-range endpoints.
+  // Answers one query: LabelPass and ServeResidue over the one pair, not
+  // counted as a batch. InvalidArgument on out-of-range endpoints.
   Result<Answer> Query(NodeId src, NodeId dst);
 
   // Hot-swaps the shared core under this service (the dynamic rebuild
@@ -211,9 +212,13 @@ class ReachService {
  private:
   ReachService() : cache_(0) {}
 
-  // Definitive fallback for one condensed pair (bounded, then unbounded
-  // pruned BFS).
-  Answer ServeFallback(NodeId csrc, NodeId cdst);
+  // The fallback for one residue group: sets (*reached)[t] to whether
+  // condensed `csrc` reaches targets[t], by a pruned BFS bounded by
+  // options_.bfs_budget, then an unbounded one. A single target takes
+  // PrunedBfs, which prunes with the labels at every node; several share
+  // one PrunedMultiBfs.
+  void SearchGroup(NodeId csrc, std::span<const NodeId> targets,
+                   std::vector<bool>* reached);
 
   // Current time in seconds from clock_ (steady_clock when not injected).
   double NowSeconds() const;

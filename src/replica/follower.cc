@@ -406,8 +406,8 @@ Result<std::unique_ptr<Primary>> Follower::Promote(PrimaryOptions options) {
   if (apply_thread_.joinable()) apply_thread_.join();
   // Publish the final position, then retire the read path: the promoted
   // primary is the sole owner of the stack from here on. (Callers must
-  // have quiesced their own reader threads; Stop() drains in-flight
-  // queries.)
+  // have quiesced their own reader threads: Stop() only rejects later
+  // queries and does not wait for calls already in flight.)
   TCDB_RETURN_IF_ERROR(PublishNow());
   server_->Stop();
   db_->service()->AdoptPublishedSnapshot();

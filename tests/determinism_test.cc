@@ -123,6 +123,56 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
   EXPECT_EQ(snapshot.latency.count(), served_stats.queries);
 }
 
+// Single queries take the same two halves on both sides (label pass,
+// then the residue step with its one fallback routine), so a one-shard
+// server's Query replays ReachService::Query call by call and tick by
+// tick: the same answers, stages, search expansions and seconds, and
+// neither counts a batch.
+TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
+  const GeneratorParams params{400, 5, 100, 93};
+  const ArcList arcs = GenerateDag(params);
+
+  ReachServiceOptions service_options;
+  service_options.bfs_budget = 8;  // both search rungs run
+  auto service = ReachService::Build(arcs, params.num_nodes, service_options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  service.value()->SetClockForTesting(MakeTickClock());
+
+  ReachServerOptions options;
+  options.num_shards = 1;
+  options.service = service_options;
+  auto server = ReachServer::Start(arcs, params.num_nodes, options);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  server.value()->SetClockForTesting(MakeTickClock);
+
+  Rng rng(19);
+  for (int i = 0; i < 800; ++i) {
+    const auto u = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+    const auto v = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+    auto direct = service.value()->Query(u, v);
+    auto served = server.value()->Query(u, v);
+    ASSERT_TRUE(direct.ok());
+    ASSERT_TRUE(served.ok());
+    EXPECT_EQ(direct.value().reachable, served.value().reachable);
+    EXPECT_EQ(direct.value().stage, served.value().stage);
+  }
+
+  const ReachStats& direct_stats = service.value()->stats();
+  const ReachStats served_stats = server.value()->Snapshot().merged;
+  EXPECT_GT(direct_stats.Decided(ReachStage::kPrunedBfs), 0);
+  EXPECT_GT(direct_stats.bfs_expansions, 0);
+  EXPECT_EQ(direct_stats.batches, 0);
+  EXPECT_EQ(served_stats.batches, 0);
+  EXPECT_EQ(direct_stats.queries, served_stats.queries);
+  EXPECT_EQ(direct_stats.positive_answers, served_stats.positive_answers);
+  EXPECT_EQ(direct_stats.cache_insertions, served_stats.cache_insertions);
+  EXPECT_EQ(direct_stats.bfs_expansions, served_stats.bfs_expansions);
+  for (int s = 0; s < kNumReachStages; ++s) {
+    EXPECT_EQ(direct_stats.decided[s], served_stats.decided[s]) << s;
+    EXPECT_EQ(direct_stats.seconds[s], served_stats.seconds[s]) << s;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, DeterminismTest,
     testing::Values(Algorithm::kBtc, Algorithm::kHyb, Algorithm::kBj,

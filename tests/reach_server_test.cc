@@ -266,5 +266,37 @@ TEST(ReachServerTest, RoutingIsStableAndCoversAllShards) {
   for (const int64_t h : hits) EXPECT_GT(h, 2000 / 16);
 }
 
+// A call reads the current core through a per-thread copy. One thread
+// alternating between servers over different graphs, and a server
+// destroyed and replaced (possibly at the same address), must each
+// answer from their own core.
+TEST(ReachServerTest, OneThreadAlternatingServersReadsEachServersCore) {
+  auto forward = ReachServer::Start(ArcList{{0, 1}}, 2, WithShards(2));
+  auto backward = ReachServer::Start(ArcList{{1, 0}}, 2, WithShards(2));
+  ASSERT_TRUE(forward.ok());
+  ASSERT_TRUE(backward.ok());
+  const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 1}, {1, 0}};
+  for (int round = 0; round < 3; ++round) {
+    auto f = forward.value()->QueryBatch(pairs);
+    auto b = backward.value()->QueryBatch(pairs);
+    ASSERT_TRUE(f.ok());
+    ASSERT_TRUE(b.ok());
+    EXPECT_TRUE(f.value()[0].reachable);
+    EXPECT_FALSE(f.value()[1].reachable);
+    EXPECT_FALSE(b.value()[0].reachable);
+    EXPECT_TRUE(b.value()[1].reachable);
+    EXPECT_TRUE(forward.value()->Query(0, 1).value().reachable);
+    EXPECT_FALSE(backward.value()->Query(0, 1).value().reachable);
+  }
+
+  for (int round = 0; round < 4; ++round) {
+    const bool arc = round % 2 == 0;
+    auto server = ReachServer::Start(arc ? ArcList{{0, 1}} : ArcList{}, 2,
+                                     WithShards(1));
+    ASSERT_TRUE(server.ok());
+    EXPECT_EQ(server.value()->Query(0, 1).value().reachable, arc) << round;
+  }
+}
+
 }  // namespace
 }  // namespace tcdb
