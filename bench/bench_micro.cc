@@ -5,6 +5,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "bench_support/catalog.h"
 #include "core/bit_matrix.h"
 #include "core/database.h"
@@ -12,6 +15,7 @@
 #include "graph/analyzer.h"
 #include "graph/generator.h"
 #include "index/bplus_tree.h"
+#include "relation/relation_file.h"
 #include "storage/page_guard.h"
 #include "succ/successor_list_store.h"
 #include "succ/tree_codec.h"
@@ -46,6 +50,72 @@ void BM_BufferFetchMissEvict(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BufferFetchMissEvict);
+
+// A hit on a full 20-frame pool (the closure workload's size), cycling
+// over the resident pages of two files so each fetch names a different
+// frame, as the algorithms' interleaved relation and list reads do.
+void BM_PageGuardFetchHit(benchmark::State& state) {
+  Pager pager;
+  const FileId files[2] = {pager.CreateFile("a"), pager.CreateFile("b")};
+  for (const FileId file : files) {
+    for (int i = 0; i < 10; ++i) pager.AllocatePage(file);
+  }
+  BufferManager buffers(&pager, 20, PagePolicy::kLru);
+  uint32_t next = 0;
+  for (auto _ : state) {
+    PageGuard page =
+        PageGuard::Fetch(&buffers, {files[next & 1], next >> 1}).value();
+    benchmark::DoNotOptimize(page.get());
+    next = (next + 7) % 20;
+  }
+}
+BENCHMARK(BM_PageGuardFetchHit);
+
+// RelationFile::LookupSrc over the G9 relation (n=2000, F=20, l=2000)
+// through a 20-frame LRU pool: one index descent plus the data pages of
+// the node's tuples. The Hit variant repeats one node, so every access is
+// a pool hit; the Random variant walks the nodes in a scattered order, so
+// the data pages miss and evict as SRCH's lookups do.
+std::unique_ptr<RelationFile> BuildG9Relation(Pager* pager,
+                                              BufferManager* buffers) {
+  ArcList arcs = GenerateDag(CatalogParams(FamilyByName("G9"), 0));
+  std::sort(arcs.begin(), arcs.end());
+  std::unique_ptr<RelationFile> relation;
+  TCDB_CHECK(RelationFile::Build(buffers, pager->CreateFile("rel"),
+                                 pager->CreateFile("idx"), arcs, &relation)
+                 .ok());
+  return relation;
+}
+
+void BM_LookupSrcHit(benchmark::State& state) {
+  Pager pager;
+  BufferManager buffers(&pager, 20, PagePolicy::kLru);
+  const std::unique_ptr<RelationFile> relation =
+      BuildG9Relation(&pager, &buffers);
+  std::vector<int32_t> out;
+  for (auto _ : state) {
+    out.clear();
+    TCDB_CHECK(relation->LookupSrc(1000, &out).ok());
+    benchmark::DoNotOptimize(out.data());
+  }
+}
+BENCHMARK(BM_LookupSrcHit);
+
+void BM_LookupSrcRandom(benchmark::State& state) {
+  Pager pager;
+  BufferManager buffers(&pager, 20, PagePolicy::kLru);
+  const std::unique_ptr<RelationFile> relation =
+      BuildG9Relation(&pager, &buffers);
+  std::vector<int32_t> out;
+  int32_t src = 0;
+  for (auto _ : state) {
+    out.clear();
+    TCDB_CHECK(relation->LookupSrc(src, &out).ok());
+    benchmark::DoNotOptimize(out.data());
+    src = (src + 769) % kCatalogNumNodes;
+  }
+}
+BENCHMARK(BM_LookupSrcRandom);
 
 void BM_BitVectorUnion(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -186,7 +186,6 @@ Status RunHyb(RunContext* ctx, const QuerySpec& query, RunResult* result) {
     std::set<PageNumber> block_pages;
     std::vector<int32_t> block;  // positions, descending
     std::vector<PageGuard> pinned_pages;  // exact pins taken for the block
-    bool unpinned_singleton = false;
     while (next >= 0) {
       const std::vector<PageNumber> pages = ctx->succ->ListPages(next);
       size_t new_pages = 0;
@@ -214,7 +213,6 @@ Status RunHyb(RunContext* ctx, const QuerySpec& query, RunResult* result) {
           // Even alone it does not fit pinned; expand it unpinned (BTC
           // style) so progress is always possible.
           block.push_back(next);
-          unpinned_singleton = true;
           --next;
         }
         break;
@@ -234,7 +232,6 @@ Status RunHyb(RunContext* ctx, const QuerySpec& query, RunResult* result) {
     std::map<NodeId, std::vector<int32_t>> off_diag;  // child -> positions
     std::map<int32_t, std::vector<int32_t>> diag_children;  // pos -> children
     for (const int32_t pos : block) {
-      const NodeId x = rs.topo_order[pos];
       ListState& st = state[pos];
       st.seen.Resize(static_cast<size_t>(n));
       st.in_list.Resize(static_cast<size_t>(n));
@@ -250,8 +247,6 @@ Status RunHyb(RunContext* ctx, const QuerySpec& query, RunResult* result) {
           diag_children[pos].push_back(c);
         }
       }
-      (void)x;
-      (void)block_lo;
     }
 
     // --- Off-diagonal phase: each off-diagonal list is brought in once and
@@ -323,7 +318,6 @@ Status RunHyb(RunContext* ctx, const QuerySpec& query, RunResult* result) {
     }
 
     // --- Release the block.
-    (void)unpinned_singleton;
     pinned_pages.clear();
   }
 
@@ -348,49 +342,43 @@ Status RunSearch(RunContext* ctx, const QuerySpec& query, RunResult* result) {
       ctx->buffers.get(), ctx->succ_file, ctx->options.list_policy);
   ctx->succ->Reset(static_cast<int32_t>(sources.size()));
 
-  // Adjacency observed during the searches, reused only for the post-hoc
-  // locality statistic (the lookups below are still performed per source).
+  // The adjacency of every node whose arcs were looked up, kept for the
+  // magic-graph statistics (the lookups below are still performed on every
+  // expansion, since each one is the page I/O the paper charges).
   std::vector<std::vector<NodeId>> adj(static_cast<size_t>(n));
-  // How often each discovered arc was traversed across all searches, so the
-  // locality average weights arcs exactly as often as they were processed.
-  std::vector<std::vector<int64_t>> arc_traversals(static_cast<size_t>(n));
-  std::vector<bool> looked_up(static_cast<size_t>(n), false);
-  std::vector<bool> in_magic(static_cast<size_t>(n), false);
+  // How often each node was expanded across all searches. An expansion of
+  // v processes every arc of v, so weighting v's arcs by this count
+  // weights each arc exactly as often as it was processed.
+  std::vector<int64_t> expansions(static_cast<size_t>(n), 0);
 
   EpochSet members(static_cast<size_t>(n));
   std::vector<NodeId> stack;
   std::vector<NodeId> imm;
+  std::vector<int32_t> batch;
   for (size_t idx = 0; idx < sources.size(); ++idx) {
     const NodeId s = sources[idx];
-    in_magic[s] = true;
     members.ClearAll();
     stack.assign(1, s);
     while (!stack.empty()) {
       const NodeId v = stack.back();
       stack.pop_back();
       // Union S_s with the *immediate* successor list of v (no
-      // immediate-successor optimization).
+      // immediate-successor optimization). The first lookup of v lands
+      // straight in its adjacency record; later ones in scratch.
       ++m.list_unions;
-      imm.clear();
-      TCDB_RETURN_IF_ERROR(ctx->relation->LookupSrc(v, &imm));
-      if (!looked_up[v]) {
-        looked_up[v] = true;
-        adj[v] = imm;
-        arc_traversals[v].assign(imm.size(), 0);
-      }
-      std::vector<int32_t> batch;
-      for (size_t k = 0; k < imm.size(); ++k) {
-        const NodeId w = imm[k];
-        ++m.arcs_processed;
-        ++m.tuples_generated;
-        ++arc_traversals[v][k];
-        in_magic[w] = true;
+      std::vector<NodeId>* arcs = expansions[v]++ == 0 ? &adj[v] : &imm;
+      arcs->clear();
+      TCDB_RETURN_IF_ERROR(ctx->relation->LookupSrc(v, arcs));
+      batch.clear();
+      for (const NodeId w : *arcs) {
         if (w != s && members.InsertIfAbsent(w)) {
           batch.push_back(w);
-          ++m.tuples_inserted;
           stack.push_back(w);
         }
       }
+      m.arcs_processed += static_cast<int64_t>(arcs->size());
+      m.tuples_generated += static_cast<int64_t>(arcs->size());
+      m.tuples_inserted += static_cast<int64_t>(batch.size());
       TCDB_RETURN_IF_ERROR(
           ctx->succ->AppendMany(static_cast<int32_t>(idx), batch));
     }
@@ -399,29 +387,30 @@ Status RunSearch(RunContext* ctx, const QuerySpec& query, RunResult* result) {
   m.distinct_tuples = m.selected_tuples;
 
   // Magic-graph statistics and the locality metric (CPU-side bookkeeping;
-  // no extra I/O is charged).
+  // no extra I/O is charged). The magic graph is the sources plus every
+  // looked-up arc.
   {
+    std::vector<bool> in_magic(static_cast<size_t>(n), false);
+    for (const NodeId s : sources) in_magic[s] = true;
     ArcList arcs;
     for (NodeId v = 0; v < n; ++v) {
-      if (!looked_up[v]) continue;
-      for (NodeId w : adj[v]) arcs.push_back(Arc{v, w});
+      for (const NodeId w : adj[v]) {
+        arcs.push_back(Arc{v, w});
+        in_magic[w] = true;
+      }
     }
     Digraph magic(n, arcs);
     Result<std::vector<int32_t>> levels = ComputeNodeLevels(magic);
     if (levels.ok()) {
-      // SRCH marks nothing, so every traversal contributes a locality term,
-      // weighted by how often the arc was processed across the searches.
+      // SRCH marks nothing, so every traversal contributes a locality term.
+      const std::vector<int32_t>& level = levels.value();
       for (NodeId v = 0; v < n; ++v) {
-        for (size_t k = 0; k < adj[v].size(); ++k) {
-          m.unmarked_locality_sum +=
-              arc_traversals[v][k] *
-              (levels.value()[v] - levels.value()[adj[v][k]]);
-        }
+        int64_t arc_sum = 0;
+        for (const NodeId w : adj[v]) arc_sum += level[v] - level[w];
+        m.unmarked_locality_sum += expansions[v] * arc_sum;
       }
     }
-    int64_t magic_nodes = 0;
-    for (NodeId v = 0; v < n; ++v) magic_nodes += in_magic[v] ? 1 : 0;
-    m.magic_nodes = magic_nodes;
+    m.magic_nodes = std::count(in_magic.begin(), in_magic.end(), true);
     m.magic_arcs = static_cast<int64_t>(arcs.size());
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "storage/page_guard.h"
+#include "util/lower_bound.h"
 
 namespace tcdb {
 namespace {
@@ -43,20 +44,11 @@ const Entry* Entries(const Page* page) {
 PageNumber ChildFor(const Page* page, uint32_t key) {
   const NodeHeader* header = Header(page);
   const Entry* entries = Entries(page);
-  // Binary search for the last entry with entry.key <= key.
-  int lo = 0;
-  int hi = static_cast<int>(header->count) - 1;
-  int found = -1;
-  while (lo <= hi) {
-    const int mid = (lo + hi) / 2;
-    if (entries[mid].key <= key) {
-      found = mid;
-      lo = mid + 1;
-    } else {
-      hi = mid - 1;
-    }
-  }
-  return found < 0 ? header->link : entries[found].child_or_value;
+  // The first separator > key; the one before it, if any, is the last
+  // separator <= key.
+  const Entry* upper = BranchlessLowerBound(
+      entries, header->count, [key](const Entry& e) { return e.key <= key; });
+  return upper == entries ? header->link : (upper - 1)->child_or_value;
 }
 
 }  // namespace
@@ -141,7 +133,7 @@ Status BPlusTree::BulkLoad(
 }
 
 Result<PageNumber> BPlusTree::FindLeaf(uint32_t key) const {
-  if (height_ == 0) return Status::NotFound("empty tree");
+  TCDB_CHECK_GT(height_, 0u) << "FindLeaf on an empty tree";
   PageNumber page_no = root_;
   for (uint32_t depth = 1; depth < height_; ++depth) {
     TCDB_ASSIGN_OR_RETURN(PageGuard page,
@@ -153,21 +145,27 @@ Result<PageNumber> BPlusTree::FindLeaf(uint32_t key) const {
   return page_no;
 }
 
-Result<uint32_t> BPlusTree::Search(uint32_t key) const {
-  Result<PageNumber> leaf_no = FindLeaf(key);
-  if (!leaf_no.ok()) return Status::NotFound("key not found");
+Result<std::optional<uint32_t>> BPlusTree::Find(uint32_t key) const {
+  using Out = std::optional<uint32_t>;
+  if (height_ == 0) return Out(std::nullopt);
+  TCDB_ASSIGN_OR_RETURN(const PageNumber leaf_no, FindLeaf(key));
   TCDB_ASSIGN_OR_RETURN(PageGuard page,
-                        PageGuard::Fetch(buffers_, {file_, leaf_no.value()},
+                        PageGuard::Fetch(buffers_, {file_, leaf_no},
                                          "BPlusTree::Search"));
   TCDB_CHECK_EQ(Header(page.get())->type, kLeafType);
   const Entry* entries = Entries(page.get());
-  const uint16_t count = Header(page.get())->count;
-  const Entry* end = entries + count;
-  const Entry* it = std::lower_bound(
-      entries, end, key,
-      [](const Entry& e, uint32_t k) { return e.key < k; });
-  if (it != end && it->key == key) return it->child_or_value;
-  return Status::NotFound("key not found");
+  const Entry* end = entries + Header(page.get())->count;
+  const Entry* it = BranchlessLowerBound(
+      entries, static_cast<size_t>(end - entries),
+      [key](const Entry& e) { return e.key < key; });
+  if (it != end && it->key == key) return Out(it->child_or_value);
+  return Out(std::nullopt);
+}
+
+Result<uint32_t> BPlusTree::Search(uint32_t key) const {
+  TCDB_ASSIGN_OR_RETURN(const std::optional<uint32_t> value, Find(key));
+  if (!value.has_value()) return Status::NotFound("key not found");
+  return *value;
 }
 
 Result<std::optional<std::pair<uint32_t, uint32_t>>> BPlusTree::LowerBound(

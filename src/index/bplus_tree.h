@@ -36,7 +36,13 @@ class BPlusTree {
   // Inserts (key, value); returns InvalidArgument if the key already exists.
   Status Insert(uint32_t key, uint32_t value);
 
-  // Exact-match lookup.
+  // Exact-match lookup: the value mapped to `key`, or nullopt when the key
+  // is absent. An absent key is an answer, not an error: only a failed
+  // page access (e.g. kResourceExhausted with every frame pinned) is.
+  Result<std::optional<uint32_t>> Find(uint32_t key) const;
+
+  // Exact-match lookup that reports an absent key as kNotFound. Every
+  // other error of the descent is returned as is.
   Result<uint32_t> Search(uint32_t key) const;
 
   // Returns the first entry with key >= `key`, or nullopt if none.
@@ -56,6 +62,7 @@ class BPlusTree {
 
  private:
   // Descends to the leaf that may contain `key`. Returns its page number.
+  // Requires a non-empty tree.
   Result<PageNumber> FindLeaf(uint32_t key) const;
 
   // Insert helper: recursive descent returning an optional split

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "storage/page_guard.h"
+#include "util/lower_bound.h"
 
 namespace tcdb {
 
@@ -59,36 +60,25 @@ Status RelationFile::Build(BufferManager* buffers, FileId data_file,
 }
 
 Status RelationFile::LookupSrc(int32_t src, std::vector<int32_t>* out) const {
-  Result<uint32_t> first_page = index_->Search(static_cast<uint32_t>(src));
-  if (!first_page.ok()) {
-    if (first_page.status().code() == StatusCode::kNotFound) {
-      return Status::Ok();  // No outgoing arcs.
-    }
-    return first_page.status();
-  }
+  TCDB_ASSIGN_OR_RETURN(const std::optional<uint32_t> first_page,
+                        index_->Find(static_cast<uint32_t>(src)));
+  if (!first_page.has_value()) return Status::Ok();  // No outgoing arcs.
   // Scan forward from the first page containing `src` until the tuples pass
   // it (tuples are clustered, so all matches are contiguous).
-  PageNumber page_no = first_page.value();
-  bool done = false;
-  while (!done && page_no < num_data_pages_) {
+  for (PageNumber page_no = *first_page; page_no < num_data_pages_;
+       ++page_no) {
     TCDB_ASSIGN_OR_RETURN(PageGuard page,
                           PageGuard::Fetch(buffers_, {data_file_, page_no},
                                            "RelationFile::LookupSrc"));
     const Arc* tuples = page->As<Arc>(0);
-    const size_t count = PageTupleCount(page_no);
-    // Binary search within the page for the first tuple with src >= key.
-    const Arc* begin = tuples;
-    const Arc* end = tuples + count;
-    const Arc* it = std::lower_bound(
-        begin, end, src, [](const Arc& a, int32_t key) { return a.src < key; });
-    for (; it != end; ++it) {
-      if (it->src != src) {
-        done = true;
-        break;
-      }
-      out->push_back(it->dst);
-    }
-    ++page_no;
+    const Arc* end = tuples + PageTupleCount(page_no);
+    // The page's matching tuples form one run: binary-search its start,
+    // then copy destinations until the run ends.
+    const Arc* it = BranchlessLowerBound(
+        tuples, static_cast<size_t>(end - tuples),
+        [src](const Arc& a) { return a.src < src; });
+    for (; it != end && it->src == src; ++it) out->push_back(it->dst);
+    if (it != end) break;  // the run ended on this page
   }
   return Status::Ok();
 }

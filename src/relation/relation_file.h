@@ -33,7 +33,8 @@ class RelationFile {
 
   // Appends the destinations of every tuple with the given src to `out`,
   // using the clustered index. I/O: one index descent plus the data pages
-  // holding the matching tuples. Missing keys yield an empty result.
+  // holding the matching tuples. A src with no tuples yields an empty
+  // result and allocates nothing; a failed page access is returned.
   Status LookupSrc(int32_t src, std::vector<int32_t>* out) const;
 
   // Invokes `fn` for every tuple in clustered order (sequential scan).

@@ -26,15 +26,20 @@ BufferManager::BufferManager(Pager* pager, size_t num_frames,
                              PagePolicy policy, uint64_t seed)
     : pager_(pager),
       frames_(num_frames),
+      pages_(num_frames),
+      evictable_(num_frames, 0),
       policy_(MakeReplacementPolicy(policy, num_frames, seed)) {
   TCDB_CHECK_GT(num_frames, 0u);
+  TCDB_CHECK_LT(num_frames, size_t{kNoFrame});
   free_frames_.reserve(num_frames);
-  for (size_t f = num_frames; f-- > 0;) free_frames_.push_back(f);
+  for (size_t f = num_frames; f-- > 0;) {
+    free_frames_.push_back(static_cast<uint32_t>(f));
+  }
 }
 
 bool BufferManager::IsPinned(PageId id) const {
-  auto it = page_table_.find(id);
-  return it != page_table_.end() && frames_[it->second].pin_count > 0;
+  const uint32_t f = FrameOf(id);
+  return f != kNoFrame && frames_[f].pin_count > 0;
 }
 
 size_t BufferManager::PinnedCount() const {
@@ -45,143 +50,129 @@ size_t BufferManager::PinnedCount() const {
   return count;
 }
 
-Result<Page*> BufferManager::FetchPage(PageId id, const char* tag) {
-  const Phase phase = pager_->phase();
-  auto it = page_table_.find(id);
-  if (it != page_table_.end()) {
-    Frame& frame = frames_[it->second];
-    frame.pin_count++;
-    frame.pin_tag = tag;
-    frame.pin_phase = phase;
-    policy_->OnAccess(it->second);
-    access_stats_.RecordHit(id.file, phase);
-    return &frame.page;
+void BufferManager::SetFrameOf(PageId id, uint32_t frame) {
+  if (id.file >= page_table_.size()) page_table_.resize(id.file + 1);
+  std::vector<uint32_t>& table = page_table_[id.file];
+  if (id.page_no >= table.size()) {
+    table.resize(static_cast<size_t>(id.page_no) + 1, kNoFrame);
   }
-  Result<size_t> frame_index = AcquireFrame();
-  if (!frame_index.ok()) return frame_index.status();
-  const size_t f = frame_index.value();
+  table[id.page_no] = frame;
+}
+
+Result<BufferManager::Pin> BufferManager::PinMiss(PageId id,
+                                                  const char* tag) {
+  const Phase phase = pager_->phase();
+  TCDB_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrame());
   Frame& frame = frames_[f];
-  pager_->ReadPage(id.file, id.page_no, &frame.page);
+  pager_->ReadPage(id.file, id.page_no, &pages_[f]);
   frame.id = id;
   frame.pin_count = 1;
   frame.dirty = false;
   frame.valid = true;
   frame.pin_tag = tag;
   frame.pin_phase = phase;
-  page_table_[id] = f;
+  SetFrameOf(id, f);
   policy_->OnInsert(f);
   access_stats_.RecordMiss(id.file, phase);
-  return &frame.page;
+  return Pin{&pages_[f], f};
 }
 
 Result<std::pair<PageNumber, Page*>> BufferManager::NewPage(FileId file,
                                                             const char* tag) {
-  Result<size_t> frame_index = AcquireFrame();
-  if (!frame_index.ok()) return frame_index.status();
-  const size_t f = frame_index.value();
+  TCDB_ASSIGN_OR_RETURN(const auto page, NewPinnedPage(file, tag));
+  return std::make_pair(page.first, page.second.page);
+}
+
+Result<std::pair<PageNumber, BufferManager::Pin>> BufferManager::NewPinnedPage(
+    FileId file, const char* tag) {
+  TCDB_ASSIGN_OR_RETURN(const uint32_t f, AcquireFrame());
   const PageNumber page_no = pager_->AllocatePage(file);
   Frame& frame = frames_[f];
-  frame.page.Zero();
+  pages_[f].Zero();
   frame.id = PageId{file, page_no};
   frame.pin_count = 1;
   frame.dirty = true;
   frame.valid = true;
   frame.pin_tag = tag;
   frame.pin_phase = pager_->phase();
-  page_table_[frame.id] = f;
+  SetFrameOf(frame.id, f);
   policy_->OnInsert(f);
-  return std::make_pair(page_no, &frame.page);
+  return std::make_pair(page_no, Pin{&pages_[f], f});
 }
 
-void BufferManager::Unpin(PageId id, bool dirty) {
-  auto it = page_table_.find(id);
-  TCDB_CHECK(it != page_table_.end()) << "unpin of uncached page";
-  Frame& frame = frames_[it->second];
-  TCDB_CHECK_GT(frame.pin_count, 0u) << "unpin of unpinned page";
-  frame.pin_count--;
-  frame.dirty = frame.dirty || dirty;
-}
-
-Result<size_t> BufferManager::AcquireFrame() {
+Result<uint32_t> BufferManager::AcquireFrame() {
   if (!free_frames_.empty()) {
-    const size_t f = free_frames_.back();
+    const uint32_t f = free_frames_.back();
     free_frames_.pop_back();
     return f;
   }
-  auto is_candidate = [this](size_t f) {
-    return frames_[f].valid && frames_[f].pin_count == 0;
-  };
-  std::optional<size_t> victim = policy_->PickVictim(is_candidate);
+  const std::optional<size_t> victim = policy_->PickVictim(evictable_);
   if (!victim.has_value()) {
     return Status::ResourceExhausted("all buffer frames are pinned");
   }
-  EvictFrame(*victim);
-  return *victim;
+  const uint32_t f = static_cast<uint32_t>(*victim);
+  DropFrame(f, /*discard=*/false);
+  return f;
 }
 
-void BufferManager::EvictFrame(size_t f) {
+void BufferManager::DropFrame(uint32_t f, bool discard) {
   Frame& frame = frames_[f];
   TCDB_CHECK(frame.valid);
   TCDB_CHECK_EQ(frame.pin_count, 0u);
-  if (frame.dirty) {
-    pager_->WritePage(frame.id.file, frame.id.page_no, frame.page);
+  if (frame.dirty && !discard) {
+    pager_->WritePage(frame.id.file, frame.id.page_no, pages_[f]);
   }
-  page_table_.erase(frame.id);
+  SetFrameOf(frame.id, kNoFrame);
   policy_->OnRemove(f);
   frame.valid = false;
   frame.dirty = false;
+  evictable_[f] = 0;
 }
 
 void BufferManager::FlushAll() {
-  for (Frame& frame : frames_) {
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
+    Frame& frame = frames_[f];
     if (frame.valid && frame.dirty) {
-      pager_->WritePage(frame.id.file, frame.id.page_no, frame.page);
+      pager_->WritePage(frame.id.file, frame.id.page_no, pages_[f]);
       frame.dirty = false;
     }
   }
 }
 
 void BufferManager::FlushFile(FileId file) {
-  for (Frame& frame : frames_) {
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
+    Frame& frame = frames_[f];
     if (frame.valid && frame.dirty && frame.id.file == file) {
-      pager_->WritePage(frame.id.file, frame.id.page_no, frame.page);
+      pager_->WritePage(frame.id.file, frame.id.page_no, pages_[f]);
       frame.dirty = false;
     }
   }
 }
 
 void BufferManager::FlushPage(PageId id) {
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return;
-  Frame& frame = frames_[it->second];
+  const uint32_t f = FrameOf(id);
+  if (f == kNoFrame) return;
+  Frame& frame = frames_[f];
   if (frame.dirty) {
-    pager_->WritePage(frame.id.file, frame.id.page_no, frame.page);
+    pager_->WritePage(frame.id.file, frame.id.page_no, pages_[f]);
     frame.dirty = false;
   }
 }
 
 void BufferManager::DiscardPage(PageId id) {
-  auto it = page_table_.find(id);
-  if (it == page_table_.end()) return;
-  const size_t f = it->second;
-  Frame& frame = frames_[f];
-  TCDB_CHECK_EQ(frame.pin_count, 0u) << "discard of pinned page";
-  page_table_.erase(it);
-  policy_->OnRemove(f);
-  frame.valid = false;
-  frame.dirty = false;
+  const uint32_t f = FrameOf(id);
+  if (f == kNoFrame) return;
+  TCDB_CHECK_EQ(frames_[f].pin_count, 0u) << "discard of pinned page";
+  DropFrame(f, /*discard=*/true);
   free_frames_.push_back(f);
 }
 
 void BufferManager::DiscardFile(FileId file) {
-  for (size_t f = 0; f < frames_.size(); ++f) {
-    Frame& frame = frames_[f];
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
+    const Frame& frame = frames_[f];
     if (!frame.valid || frame.id.file != file) continue;
     TCDB_CHECK_EQ(frame.pin_count, 0u) << "DiscardFile with pinned page";
-    page_table_.erase(frame.id);
-    policy_->OnRemove(f);
-    frame.valid = false;
-    frame.dirty = false;
+    DropFrame(f, /*discard=*/true);
     free_frames_.push_back(f);
   }
 }
@@ -204,34 +195,55 @@ Status BufferManager::AuditNoPins() const {
 
 Status BufferManager::AuditCachedCountConsistent() const {
   size_t valid_count = 0;
-  for (size_t f = 0; f < frames_.size(); ++f) {
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
     const Frame& frame = frames_[f];
+    const bool evictable = frame.valid && frame.pin_count == 0;
+    if (evictable != (evictable_[f] != 0)) {
+      return Status::Internal("frame " + std::to_string(f) +
+                              " evictable flag is " +
+                              std::to_string(evictable_[f]) +
+                              " but the frame is " +
+                              (evictable ? "valid and unpinned"
+                                         : "invalid or pinned"));
+    }
     if (!frame.valid) continue;
     ++valid_count;
-    auto it = page_table_.find(frame.id);
-    if (it == page_table_.end()) {
+    const uint32_t mapped = FrameOf(frame.id);
+    if (mapped == kNoFrame) {
       return Status::Internal("valid frame " + std::to_string(f) +
                               " (file '" + pager_->FileName(frame.id.file) +
                               "' page " + std::to_string(frame.id.page_no) +
                               ") missing from page table");
     }
-    if (it->second != f) {
+    if (mapped != f) {
       return Status::Internal("page table maps file '" +
                               pager_->FileName(frame.id.file) + "' page " +
                               std::to_string(frame.id.page_no) +
-                              " to frame " + std::to_string(it->second) +
+                              " to frame " + std::to_string(mapped) +
                               " but the page lives in frame " +
                               std::to_string(f));
     }
   }
-  if (page_table_.size() != valid_count) {
+  size_t table_entries = 0;
+  for (const std::vector<uint32_t>& table : page_table_) {
+    for (const uint32_t f : table) {
+      if (f == kNoFrame) continue;
+      if (f >= frames_.size() || !frames_[f].valid) {
+        return Status::Internal("page table entry points at frame " +
+                                std::to_string(f) +
+                                ", which holds no valid page");
+      }
+      ++table_entries;
+    }
+  }
+  if (table_entries != valid_count) {
     return Status::Internal(
-        "page table has " + std::to_string(page_table_.size()) +
+        "page table has " + std::to_string(table_entries) +
         " entries but only " + std::to_string(valid_count) +
         " frames are valid");
   }
   std::vector<bool> is_free(frames_.size(), false);
-  for (const size_t f : free_frames_) {
+  for (const uint32_t f : free_frames_) {
     if (f >= frames_.size() || is_free[f]) {
       return Status::Internal("free list entry " + std::to_string(f) +
                               " is out of range or duplicated");
@@ -252,14 +264,10 @@ Status BufferManager::AuditCachedCountConsistent() const {
 }
 
 void BufferManager::DiscardAll() {
-  for (size_t f = 0; f < frames_.size(); ++f) {
-    Frame& frame = frames_[f];
-    if (!frame.valid) continue;
-    TCDB_CHECK_EQ(frame.pin_count, 0u) << "DiscardAll with pinned page";
-    page_table_.erase(frame.id);
-    policy_->OnRemove(f);
-    frame.valid = false;
-    frame.dirty = false;
+  for (uint32_t f = 0; f < frames_.size(); ++f) {
+    if (!frames_[f].valid) continue;
+    TCDB_CHECK_EQ(frames_[f].pin_count, 0u) << "DiscardAll with pinned page";
+    DropFrame(f, /*discard=*/true);
     free_frames_.push_back(f);
   }
 }

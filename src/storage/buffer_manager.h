@@ -2,8 +2,9 @@
 #define TCDB_STORAGE_BUFFER_MANAGER_H_
 
 #include <array>
+#include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "storage/io_stats.h"
@@ -68,8 +69,22 @@ class AccessStats {
 // The optional `tag` on FetchPage/NewPage (a string literal with static
 // lifetime) records pin provenance so AuditNoPins() can name the call site
 // that leaked a dangling pin.
+//
+// The page table is one dense array per file, indexed by page number and
+// holding the frame index (or kNoFrame), grown on demand to the largest
+// page number cached. A lookup is two array indexes; the hit path is
+// inline. PageGuard keeps the frame index of its pin, so releasing it
+// needs no lookup at all.
 class BufferManager {
  public:
+  static constexpr uint32_t kNoFrame = UINT32_MAX;
+
+  // A pinned page together with the frame that holds it.
+  struct Pin {
+    Page* page;
+    uint32_t frame;
+  };
+
   BufferManager(Pager* pager, size_t num_frames, PagePolicy policy,
                 uint64_t seed = 0x7c0ffee);
 
@@ -77,17 +92,52 @@ class BufferManager {
   BufferManager& operator=(const BufferManager&) = delete;
 
   // Returns the page pinned, reading it from disk on a miss.
-  Result<Page*> FetchPage(PageId id, const char* tag = nullptr);
+  Result<Page*> FetchPage(PageId id, const char* tag = nullptr) {
+    TCDB_ASSIGN_OR_RETURN(const Pin pin, PinPage(id, tag));
+    return pin.page;
+  }
+
+  // FetchPage that also returns the frame, for UnpinFrame.
+  Result<Pin> PinPage(PageId id, const char* tag = nullptr) {
+    const uint32_t f = FrameOf(id);
+    if (f == kNoFrame) return PinMiss(id, tag);
+    const Phase phase = pager_->phase();
+    Frame& frame = frames_[f];
+    frame.pin_count++;
+    frame.pin_tag = tag;
+    frame.pin_phase = phase;
+    evictable_[f] = 0;
+    policy_->OnAccess(f);
+    access_stats_.RecordHit(id.file, phase);
+    return Pin{&pages_[f], f};
+  }
 
   // Allocates a fresh zeroed page in `file`, pinned and dirty. The new page
   // is born in the pool (no device read).
   Result<std::pair<PageNumber, Page*>> NewPage(FileId file,
                                                const char* tag = nullptr);
 
-  // Releases one pin; `dirty` marks the frame as modified.
-  void Unpin(PageId id, bool dirty);
+  // NewPage that also returns the frame, for UnpinFrame.
+  Result<std::pair<PageNumber, Pin>> NewPinnedPage(FileId file,
+                                                   const char* tag = nullptr);
 
-  bool IsCached(PageId id) const { return page_table_.contains(id); }
+  // Releases one pin; `dirty` marks the frame as modified.
+  void Unpin(PageId id, bool dirty) {
+    const uint32_t f = FrameOf(id);
+    TCDB_CHECK(f != kNoFrame) << "unpin of uncached page";
+    UnpinFrame(f, dirty);
+  }
+
+  // Unpin by the frame a PinPage/NewPinnedPage returned. The frame cannot
+  // have changed pages in between: a pinned frame is never a victim.
+  void UnpinFrame(uint32_t f, bool dirty) {
+    Frame& frame = frames_[f];
+    TCDB_CHECK_GT(frame.pin_count, 0u) << "unpin of unpinned page";
+    frame.dirty = frame.dirty || dirty;
+    if (--frame.pin_count == 0) evictable_[f] = 1;
+  }
+
+  bool IsCached(PageId id) const { return FrameOf(id) != kNoFrame; }
   bool IsPinned(PageId id) const;
 
   // Writes all dirty unpinned-or-pinned frames to disk (does not evict).
@@ -114,12 +164,13 @@ class BufferManager {
 
   size_t num_frames() const { return frames_.size(); }
   size_t PinnedCount() const;
-  size_t CachedCount() const { return page_table_.size(); }
+  size_t CachedCount() const { return frames_.size() - free_frames_.size(); }
 
   // Invariant audits. Both return OK when the pool is consistent and
   // kInternal with a diagnostic report otherwise. They are cheap (linear in
-  // the frame count) and are asserted at phase boundaries and at end of run;
-  // the stress harness also calls them explicitly after every run.
+  // the frame count and the page-table size) and are asserted at phase
+  // boundaries and at end of run; the stress harness also calls them
+  // explicitly after every run.
 
   // Verifies that no frame holds a pin. The failure report names each
   // dangling pin's file, page number, pin count, pinning tag, and the phase
@@ -128,8 +179,8 @@ class BufferManager {
 
   // Verifies the page-table / frame / free-list bookkeeping: every table
   // entry maps to a valid frame with a matching id, every valid frame is in
-  // the table, free frames are invalid and not duplicated, and
-  // free + valid == num_frames.
+  // the table, free frames are invalid and not duplicated, the evictable
+  // flags match the pin counts, and free + valid == num_frames.
   Status AuditCachedCountConsistent() const;
 
   const AccessStats& access_stats() const { return access_stats_; }
@@ -138,6 +189,8 @@ class BufferManager {
   Pager* pager() { return pager_; }
 
  private:
+  // Frame bookkeeping, kept apart from the page bytes so the victim scan
+  // and the audits walk one compact array.
   struct Frame {
     PageId id;
     uint32_t pin_count = 0;
@@ -145,21 +198,41 @@ class BufferManager {
     bool valid = false;
     // Pin provenance for the leak report: the tag and phase of the most
     // recent pinning call (string literal; never owned).
-    const char* pin_tag = nullptr;
     Phase pin_phase = Phase::kSetup;
-    Page page;
+    const char* pin_tag = nullptr;
   };
+
+  uint32_t FrameOf(PageId id) const {
+    if (id.file >= page_table_.size()) return kNoFrame;
+    const std::vector<uint32_t>& table = page_table_[id.file];
+    return id.page_no < table.size() ? table[id.page_no] : kNoFrame;
+  }
+
+  // Points the page table entry of `id` at `frame` (or kNoFrame).
+  void SetFrameOf(PageId id, uint32_t frame);
+
+  // The out-of-line half of PinPage: reads `id` into a free or evicted
+  // frame.
+  Result<Pin> PinMiss(PageId id, const char* tag);
 
   // Finds a free frame, evicting a victim if necessary. Returns the frame
   // index or kResourceExhausted.
-  Result<size_t> AcquireFrame();
+  Result<uint32_t> AcquireFrame();
 
-  void EvictFrame(size_t frame);
+  // Writes frame `f` back if dirty (unless `discard`), then unmaps it and
+  // returns it to the invalid state. The caller decides whether it joins
+  // the free list.
+  void DropFrame(uint32_t f, bool discard);
 
   Pager* pager_;
   std::vector<Frame> frames_;
-  std::vector<size_t> free_frames_;
-  std::unordered_map<PageId, size_t, PageIdHash> page_table_;
+  std::vector<Page> pages_;  // pages_[f] is the page held by frame f
+  // evictable_[f] is 1 iff frame f is valid and unpinned: the victim
+  // candidates handed to the replacement policy.
+  std::vector<uint8_t> evictable_;
+  std::vector<uint32_t> free_frames_;
+  // page_table_[file][page_no] is the frame holding that page, or kNoFrame.
+  std::vector<std::vector<uint32_t>> page_table_;
   std::unique_ptr<ReplacementPolicy> policy_;
   AccessStats access_stats_;
 };

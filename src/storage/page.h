@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <functional>
 
 #include "util/check.h"
 
@@ -25,13 +24,6 @@ struct PageId {
   PageNumber page_no = kInvalidPageNumber;
 
   bool operator==(const PageId& other) const = default;
-};
-
-struct PageIdHash {
-  size_t operator()(const PageId& id) const {
-    return std::hash<uint64_t>()((static_cast<uint64_t>(id.file) << 32) |
-                                 id.page_no);
-  }
 };
 
 // A raw 2048-byte page. Typed views are obtained via As<T>(); callers are

@@ -34,14 +34,16 @@ class PageGuard {
   // manager's pin-provenance report.
   static Result<PageGuard> Fetch(BufferManager* buffers, PageId id,
                                  const char* tag = nullptr) {
-    TCDB_ASSIGN_OR_RETURN(Page* page, buffers->FetchPage(id, tag));
-    return PageGuard(buffers, id, page, /*dirty=*/false);
+    TCDB_ASSIGN_OR_RETURN(const BufferManager::Pin pin,
+                          buffers->PinPage(id, tag));
+    return PageGuard(buffers, id, pin, /*dirty=*/false);
   }
 
   PageGuard(PageGuard&& other) noexcept
       : buffers_(std::exchange(other.buffers_, nullptr)),
         id_(other.id_),
         page_(std::exchange(other.page_, nullptr)),
+        frame_(other.frame_),
         dirty_(other.dirty_) {}
 
   PageGuard& operator=(PageGuard&& other) noexcept {
@@ -50,6 +52,7 @@ class PageGuard {
       buffers_ = std::exchange(other.buffers_, nullptr);
       id_ = other.id_;
       page_ = std::exchange(other.page_, nullptr);
+      frame_ = other.frame_;
       dirty_ = other.dirty_;
     }
     return *this;
@@ -64,9 +67,10 @@ class PageGuard {
   void MarkDirty() { dirty_ = true; }
 
   // Releases the pin now (idempotent). The guard no longer holds a page.
+  // The pin is released by frame index: no page-table lookup.
   void Release() {
     if (page_ != nullptr) {
-      buffers_->Unpin(id_, dirty_);
+      buffers_->UnpinFrame(frame_, dirty_);
       buffers_ = nullptr;
       page_ = nullptr;
       dirty_ = false;
@@ -86,12 +90,18 @@ class PageGuard {
  private:
   friend class NewPageGuard;
 
-  PageGuard(BufferManager* buffers, PageId id, Page* page, bool dirty)
-      : buffers_(buffers), id_(id), page_(page), dirty_(dirty) {}
+  PageGuard(BufferManager* buffers, PageId id, BufferManager::Pin pin,
+            bool dirty)
+      : buffers_(buffers),
+        id_(id),
+        page_(pin.page),
+        frame_(pin.frame),
+        dirty_(dirty) {}
 
   BufferManager* buffers_ = nullptr;
   PageId id_{};
   Page* page_ = nullptr;
+  uint32_t frame_ = BufferManager::kNoFrame;  // the frame holding the pin
   bool dirty_ = false;
 };
 
@@ -104,7 +114,7 @@ class NewPageGuard {
 
   static Result<NewPageGuard> Alloc(BufferManager* buffers, FileId file,
                                     const char* tag = nullptr) {
-    TCDB_ASSIGN_OR_RETURN(auto page, buffers->NewPage(file, tag));
+    TCDB_ASSIGN_OR_RETURN(auto page, buffers->NewPinnedPage(file, tag));
     NewPageGuard out;
     out.guard_ = PageGuard(buffers, PageId{file, page.first}, page.second,
                            /*dirty=*/true);

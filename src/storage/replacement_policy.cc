@@ -44,10 +44,10 @@ class StampPolicy : public ReplacementPolicy {
   }
 
   std::optional<size_t> PickVictim(
-      const std::function<bool(size_t)>& is_candidate) override {
+      std::span<const uint8_t> candidates) override {
     std::optional<size_t> best;
     for (size_t f = 0; f < stamps_.size(); ++f) {
-      if (!is_candidate(f)) continue;
+      if (candidates[f] == 0) continue;
       if (!best.has_value()) {
         best = f;
         continue;
@@ -77,7 +77,7 @@ class ClockPolicy : public ReplacementPolicy {
   void OnRemove(size_t frame) override { referenced_[frame] = false; }
 
   std::optional<size_t> PickVictim(
-      const std::function<bool(size_t)>& is_candidate) override {
+      std::span<const uint8_t> candidates) override {
     const size_t n = referenced_.size();
     // At most two sweeps: the first clears reference bits, the second must
     // find an unreferenced candidate if any candidate exists at all.
@@ -85,7 +85,7 @@ class ClockPolicy : public ReplacementPolicy {
     for (size_t step = 0; step < 2 * n; ++step) {
       const size_t f = hand_;
       hand_ = (hand_ + 1) % n;
-      if (!is_candidate(f)) continue;
+      if (candidates[f] == 0) continue;
       any_candidate = true;
       if (referenced_[f]) {
         referenced_[f] = false;
@@ -99,7 +99,7 @@ class ClockPolicy : public ReplacementPolicy {
     for (size_t step = 0; step < n; ++step) {
       const size_t f = hand_;
       hand_ = (hand_ + 1) % n;
-      if (is_candidate(f)) return f;
+      if (candidates[f] != 0) return f;
     }
     return std::nullopt;
   }
@@ -112,7 +112,9 @@ class ClockPolicy : public ReplacementPolicy {
 class RandomPolicy : public ReplacementPolicy {
  public:
   RandomPolicy(size_t num_frames, uint64_t seed)
-      : num_frames_(num_frames), rng_(seed) {}
+      : num_frames_(num_frames), rng_(seed) {
+    eligible_.reserve(num_frames);
+  }
 
   const char* name() const override { return "random"; }
 
@@ -121,20 +123,20 @@ class RandomPolicy : public ReplacementPolicy {
   void OnRemove(size_t) override {}
 
   std::optional<size_t> PickVictim(
-      const std::function<bool(size_t)>& is_candidate) override {
-    std::vector<size_t> candidates;
-    candidates.reserve(num_frames_);
+      std::span<const uint8_t> candidates) override {
+    eligible_.clear();
     for (size_t f = 0; f < num_frames_; ++f) {
-      if (is_candidate(f)) candidates.push_back(f);
+      if (candidates[f] != 0) eligible_.push_back(f);
     }
-    if (candidates.empty()) return std::nullopt;
-    return candidates[static_cast<size_t>(
-        rng_.Uniform(0, static_cast<int64_t>(candidates.size()) - 1))];
+    if (eligible_.empty()) return std::nullopt;
+    return eligible_[static_cast<size_t>(
+        rng_.Uniform(0, static_cast<int64_t>(eligible_.size()) - 1))];
   }
 
  private:
   size_t num_frames_;
   Rng rng_;
+  std::vector<size_t> eligible_;  // scratch, reused across picks
 };
 
 }  // namespace

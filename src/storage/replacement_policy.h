@@ -1,10 +1,10 @@
 #ifndef TCDB_STORAGE_REPLACEMENT_POLICY_H_
 #define TCDB_STORAGE_REPLACEMENT_POLICY_H_
 
-#include <functional>
+#include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
+#include <span>
 
 #include "util/random.h"
 
@@ -39,10 +39,11 @@ class ReplacementPolicy {
   // Called when the page leaves `frame` (eviction or discard).
   virtual void OnRemove(size_t frame) = 0;
 
-  // Returns a victim frame among those for which `is_candidate` returns
-  // true (i.e. valid and unpinned), or nullopt if there is none.
+  // Returns a victim frame among those whose `candidates` byte is nonzero
+  // (i.e. valid and unpinned; one byte per frame), or nullopt if there is
+  // none.
   virtual std::optional<size_t> PickVictim(
-      const std::function<bool(size_t)>& is_candidate) = 0;
+      std::span<const uint8_t> candidates) = 0;
 };
 
 // Creates a policy instance. `seed` is only used by the random policy.

@@ -12,35 +12,10 @@ void FlatTree::Reset(NodeId root) {
   Append(root, -1);
 }
 
-int32_t FlatTree::Append(NodeId node, int32_t parent_index) {
-  const int32_t index = size();
-  if (static_cast<size_t>(node) >= index_.size()) {
-    index_.resize(static_cast<size_t>(node) + 1, -1);
-  }
-  index_[node] = index;
-  nodes_.push_back(node);
-  links_.push_back(Links{parent_index, -1, -1, -1});
-  return index;
-}
-
 int32_t FlatTree::NumChildren(int32_t index) const {
   int32_t count = 0;
   for (int32_t c = FirstChild(index); c != -1; c = NextSibling(c)) ++count;
   return count;
-}
-
-int32_t FlatTree::AddChild(int32_t parent_index, NodeId node) {
-  TCDB_CHECK(parent_index >= 0 && parent_index < size());
-  TCDB_CHECK(node >= 0 && !Contains(node)) << "node absent or negative";
-  const int32_t index = Append(node, parent_index);
-  Links& parent = links_[parent_index];
-  if (parent.first_child == -1) {
-    parent.first_child = index;
-  } else {
-    links_[parent.last_child].next_sibling = index;
-  }
-  parent.last_child = index;
-  return index;
 }
 
 void EncodeTreeInto(const FlatTree& tree, std::vector<int32_t>* queue,

@@ -50,8 +50,21 @@ class FlatTree {
   int32_t NumChildren(int32_t index) const;
 
   // Adds `node` (non-negative, absent) as the last child of
-  // `parent_index`. Returns the new node's index.
-  int32_t AddChild(int32_t parent_index, NodeId node);
+  // `parent_index`. Returns the new node's index. Inline: the tree
+  // kernels call it once per tree node they build.
+  int32_t AddChild(int32_t parent_index, NodeId node) {
+    TCDB_CHECK(parent_index >= 0 && parent_index < size());
+    TCDB_CHECK(node >= 0 && !Contains(node)) << "node absent or negative";
+    const int32_t index = Append(node, parent_index);
+    Links& parent = links_[parent_index];
+    if (parent.first_child == -1) {
+      parent.first_child = index;
+    } else {
+      links_[parent.last_child].next_sibling = index;
+    }
+    parent.last_child = index;
+    return index;
+  }
 
   // All node ids in index (insertion) order.
   const std::vector<NodeId>& nodes() const { return nodes_; }
@@ -65,7 +78,16 @@ class FlatTree {
   };
 
   // Appends `node` with no links and indexes it.
-  int32_t Append(NodeId node, int32_t parent_index);
+  int32_t Append(NodeId node, int32_t parent_index) {
+    const int32_t index = size();
+    if (static_cast<size_t>(node) >= index_.size()) {
+      index_.resize(static_cast<size_t>(node) + 1, -1);
+    }
+    index_[node] = index;
+    nodes_.push_back(node);
+    links_.push_back(Links{parent_index, -1, -1, -1});
+    return index;
+  }
 
   std::vector<NodeId> nodes_;
   std::vector<Links> links_;

@@ -24,12 +24,17 @@ const char* StatusCodeName(StatusCode code) {
   return "Unknown";
 }
 
+const std::string& Status::EmptyMessage() {
+  static const std::string* const empty = new std::string();
+  return *empty;
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
-  std::string out = StatusCodeName(code_);
-  if (!message_.empty()) {
+  std::string out = StatusCodeName(rep_->code);
+  if (!rep_->message.empty()) {
     out += ": ";
-    out += message_;
+    out += rep_->message;
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #ifndef TCDB_UTIL_STATUS_H_
 #define TCDB_UTIL_STATUS_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -26,15 +27,34 @@ enum class StatusCode {
 // Returns a human-readable name for `code` (e.g. "InvalidArgument").
 const char* StatusCodeName(StatusCode code);
 
-// A lightweight success-or-error value. Cheap to copy on the success path
-// (no allocation); error paths carry a message.
+// A success-or-error value the size of one pointer: null means OK, and
+// only an error allocates its code and message on the heap. Passing or
+// returning an OK status therefore costs a pointer copy and no allocation.
 class Status {
  public:
   // Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  Status() = default;
 
+  // An OK `code` yields the OK status; its `message` is dropped.
   Status(StatusCode code, std::string message)
-      : code_(code), message_(std::move(message)) {}
+      : rep_(code == StatusCode::kOk
+                 ? nullptr
+                 : std::make_unique<Rep>(Rep{code, std::move(message)})) {}
+
+  // Copying an error copies its code and message.
+  Status(const Status& other)
+      : rep_(other.rep_ == nullptr ? nullptr
+                                   : std::make_unique<Rep>(*other.rep_)) {}
+  Status& operator=(const Status& other) {
+    if (this != &other) {
+      rep_ = other.rep_ == nullptr ? nullptr
+                                   : std::make_unique<Rep>(*other.rep_);
+    }
+    return *this;
+  }
+  // A moved-from status is OK.
+  Status(Status&& other) noexcept = default;
+  Status& operator=(Status&& other) noexcept = default;
 
   static Status Ok() { return Status(); }
   static Status InvalidArgument(std::string msg) {
@@ -59,16 +79,27 @@ class Status {
     return Status(StatusCode::kInternal, std::move(msg));
   }
 
-  bool ok() const { return code_ == StatusCode::kOk; }
-  StatusCode code() const { return code_; }
-  const std::string& message() const { return message_; }
+  bool ok() const { return rep_ == nullptr; }
+  StatusCode code() const {
+    return rep_ == nullptr ? StatusCode::kOk : rep_->code;
+  }
+  // Empty for OK.
+  const std::string& message() const {
+    return rep_ == nullptr ? EmptyMessage() : rep_->message;
+  }
 
   // Returns "OK" or "<CodeName>: <message>".
   std::string ToString() const;
 
  private:
-  StatusCode code_;
-  std::string message_;
+  struct Rep {
+    StatusCode code;
+    std::string message;
+  };
+
+  static const std::string& EmptyMessage();
+
+  std::unique_ptr<Rep> rep_;
 };
 
 // A Status or a value of type T. Accessing the value of a non-OK result is a

@@ -33,6 +33,31 @@ TEST_F(BPlusTreeTest, EmptyTree) {
   EXPECT_TRUE(tree_.CheckInvariants().ok());
 }
 
+// Find answers "absent" with nullopt, not an error; Search keeps
+// reporting it as kNotFound.
+TEST_F(BPlusTreeTest, FindTreatsAbsentKeysAsAnswers) {
+  auto empty = tree_.Find(5);
+  ASSERT_TRUE(empty.ok());
+  EXPECT_FALSE(empty.value().has_value());
+  EXPECT_EQ(tree_.Search(5).status().code(), StatusCode::kNotFound);
+
+  std::vector<std::pair<uint32_t, uint32_t>> entries;
+  for (uint32_t k = 0; k < 2000; k += 2) entries.emplace_back(k, k * 10);
+  ASSERT_TRUE(tree_.BulkLoad(entries).ok());
+  ASSERT_GE(tree_.height(), 2u);
+  for (uint32_t k = 0; k < 2002; ++k) {
+    auto found = tree_.Find(k);
+    ASSERT_TRUE(found.ok());
+    if (k % 2 == 0 && k < 2000) {
+      ASSERT_TRUE(found.value().has_value()) << k;
+      EXPECT_EQ(*found.value(), k * 10);
+    } else {
+      EXPECT_FALSE(found.value().has_value()) << k;
+      EXPECT_EQ(tree_.Search(k).status().code(), StatusCode::kNotFound);
+    }
+  }
+}
+
 TEST_F(BPlusTreeTest, BulkLoadAndSearch) {
   std::vector<std::pair<uint32_t, uint32_t>> entries;
   for (uint32_t k = 0; k < 2000; k += 2) entries.emplace_back(k, k * 10);

@@ -29,6 +29,43 @@ TEST_F(BufferManagerTest, FetchPinsAndCaches) {
   EXPECT_TRUE(buffers.IsCached({file_, 0}));
 }
 
+// PinPage names the frame holding the page; UnpinFrame releases by that
+// frame without a page-table lookup, and the audits see the frame
+// evictable again.
+TEST_F(BufferManagerTest, PinPageAndUnpinFrame) {
+  BufferManager buffers(&pager_, 2, PagePolicy::kLru);
+  auto first = buffers.PinPage({file_, 3});
+  ASSERT_TRUE(first.ok());
+  auto again = buffers.PinPage({file_, 3});  // a nested pin, same frame
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again.value().frame, first.value().frame);
+  EXPECT_EQ(again.value().page, first.value().page);
+  auto second = buffers.PinPage({file_, 4});
+  ASSERT_TRUE(second.ok());
+  EXPECT_NE(second.value().frame, first.value().frame);
+  EXPECT_EQ(buffers.PinPage({file_, 5}).status().code(),
+            StatusCode::kResourceExhausted);
+
+  buffers.UnpinFrame(first.value().frame, /*dirty=*/true);
+  EXPECT_TRUE(buffers.IsPinned({file_, 3}));
+  buffers.UnpinFrame(first.value().frame, /*dirty=*/false);
+  EXPECT_FALSE(buffers.IsPinned({file_, 3}));
+  EXPECT_TRUE(buffers.AuditCachedCountConsistent().ok());
+
+  // Page 3 is the only unpinned frame, so it is the victim, written back
+  // because one of its pins was released dirty.
+  pager_.ResetStats();
+  auto third = buffers.PinPage({file_, 5});
+  ASSERT_TRUE(third.ok());
+  EXPECT_EQ(third.value().frame, first.value().frame);
+  EXPECT_FALSE(buffers.IsCached({file_, 3}));
+  EXPECT_EQ(pager_.stats().Total().writes, 1u);
+  buffers.UnpinFrame(third.value().frame, false);
+  buffers.UnpinFrame(second.value().frame, false);
+  EXPECT_TRUE(buffers.AuditNoPins().ok());
+  EXPECT_TRUE(buffers.AuditCachedCountConsistent().ok());
+}
+
 TEST_F(BufferManagerTest, SecondFetchIsHit) {
   BufferManager buffers(&pager_, 4, PagePolicy::kLru);
   ASSERT_TRUE(buffers.FetchPage({file_, 0}).ok());

@@ -185,6 +185,49 @@ TEST(GoldenMetricsTest, MatrixBackendSwapKeepsGoldenCounters) {
   }
 }
 
+// SRCH's statistics that the page counters above do not see: the
+// magic-graph size, the arcs walked, the tuples kept and the locality sum
+// weighted by how often each arc was processed. Recorded on G5 instance 0
+// at M=20/LRU before the search loop counted expansions per node instead
+// of traversals per arc; that rewrite had to leave every value unchanged.
+struct SrchGolden {
+  const char* name;
+  bool full_closure;
+  int64_t unmarked_locality_sum;
+  int64_t magic_nodes;
+  int64_t magic_arcs;
+  int64_t arcs_processed;
+  int64_t tuples_inserted;
+};
+
+const SrchGolden kSrchGoldens[] = {
+    {"SRCH", true, 74145215, 2000, 9758, 7227219, 1497673},
+    {"SRCH_PTC_s10", false, 226320, 1445, 6997, 23025, 4812},
+};
+
+TEST(GoldenMetricsTest, G5SrchStatisticsAreExactlyPinned) {
+  const GraphFamily& family = FamilyByName("G5");
+  auto db = MakeCatalogDatabase(family, 0);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  ExecOptions options;
+  options.buffer_pages = 20;
+  for (const SrchGolden& golden : kSrchGoldens) {
+    SCOPED_TRACE(golden.name);
+    const QuerySpec query =
+        golden.full_closure
+            ? QuerySpec::Full()
+            : QuerySpec::Partial(CatalogSources(family, 0, 0, 10));
+    auto run = db.value()->Execute(Algorithm::kSrch, query, options);
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    const RunMetrics& m = run.value().metrics;
+    EXPECT_EQ(m.unmarked_locality_sum, golden.unmarked_locality_sum);
+    EXPECT_EQ(m.magic_nodes, golden.magic_nodes);
+    EXPECT_EQ(m.magic_arcs, golden.magic_arcs);
+    EXPECT_EQ(m.arcs_processed, golden.arcs_processed);
+    EXPECT_EQ(m.tuples_inserted, golden.tuples_inserted);
+  }
+}
+
 TEST(GoldenMetricsTest, FullClosureRowsAgreeOnClosureSize) {
   EXPECT_EQ(kGoldens[0].distinct_tuples, kGoldens[1].distinct_tuples);
   EXPECT_EQ(kGoldens[0].distinct_tuples, kGoldens[2].distinct_tuples);

@@ -7,6 +7,7 @@
 
 #include "graph/generator.h"
 #include "relation/relation_file.h"
+#include "storage/page_guard.h"
 
 namespace tcdb {
 namespace {
@@ -151,6 +152,51 @@ TEST_F(RelationTest, ColdLookupCostsIndexDescentPlusData) {
   EXPECT_EQ(pager_.stats().ForFile(index_).reads, relation_->index().height());
   EXPECT_GE(pager_.stats().ForFile(data_).reads, 1u);
   EXPECT_LE(pager_.stats().ForFile(data_).reads, 2u);
+}
+
+// A failed page access during the index descent is an error, not "no
+// arcs": with both frames of a 2-frame pool pinned, the root of a
+// height-2 index cannot be read, and LookupSrc must say so instead of
+// returning an empty adjacency.
+TEST(RelationLookupErrorTest, DescentFailureIsReturnedNotEmpty) {
+  Pager pager;
+  const FileId data = pager.CreateFile("rel.dat");
+  const FileId index = pager.CreateFile("rel.idx");
+  BufferManager buffers(&pager, 2, PagePolicy::kLru);
+  ArcList arcs;
+  for (int32_t i = 0; i < 600; ++i) arcs.push_back(Arc{i, i + 1});
+  std::unique_ptr<RelationFile> relation;
+  ASSERT_TRUE(RelationFile::Build(&buffers, data, index, arcs, &relation).ok());
+  ASSERT_EQ(relation->index().height(), 2u);  // 600 keys > one leaf
+
+  std::vector<int32_t> out;
+  ASSERT_TRUE(relation->LookupSrc(300, &out).ok());
+  EXPECT_EQ(out, std::vector<int32_t>{301});
+
+  auto first = PageGuard::Fetch(&buffers, {data, 0});
+  auto second = PageGuard::Fetch(&buffers, {data, 1});
+  ASSERT_TRUE(first.ok() && second.ok());
+  ASSERT_EQ(buffers.PinnedCount(), 2u);  // every frame, none of the index
+  out.clear();
+  const Status status = relation->LookupSrc(300, &out);
+  EXPECT_EQ(status.code(), StatusCode::kResourceExhausted)
+      << status.ToString();
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(relation->index().Search(300).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(relation->index().Find(300).status().code(),
+            StatusCode::kResourceExhausted);
+
+  // An absent key is still an answer once the pool has room.
+  first.value().Release();
+  second.value().Release();
+  ASSERT_TRUE(relation->LookupSrc(5000, &out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(relation->index().Search(5000).status().code(),
+            StatusCode::kNotFound);
+  auto absent = relation->index().Find(5000);
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(absent.value().has_value());
 }
 
 }  // namespace

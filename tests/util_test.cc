@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <memory>
 #include <set>
+#include <string>
 
 #include "util/bit_vector.h"
 #include "util/env.h"
@@ -35,6 +37,45 @@ TEST(StatusTest, ErrorCarriesCodeAndMessage) {
   EXPECT_EQ(status.ToString(), "NotFound: missing key");
 }
 
+// An OK status is a null pointer; only errors own heap state.
+static_assert(sizeof(Status) == sizeof(void*));
+
+TEST(StatusTest, CopyOfErrorIsDeep) {
+  Status original = Status::Corruption("torn page");
+  Status copy = original;
+  EXPECT_EQ(copy.code(), StatusCode::kCorruption);
+  EXPECT_EQ(copy.message(), "torn page");
+  EXPECT_NE(&copy.message(), &original.message());
+  original = Status::Ok();  // the copy outlives its source's state
+  EXPECT_TRUE(original.ok());
+  EXPECT_EQ(copy.ToString(), "Corruption: torn page");
+
+  Status assigned;
+  assigned = copy;
+  EXPECT_EQ(assigned.code(), StatusCode::kCorruption);
+  EXPECT_EQ(assigned.message(), "torn page");
+  EXPECT_NE(&assigned.message(), &copy.message());
+  assigned = Status::NotFound("other");
+  EXPECT_EQ(copy.message(), "torn page");
+}
+
+TEST(StatusTest, OkCodeWithMessageIsOk) {
+  Status status(StatusCode::kOk, "x");
+  EXPECT_TRUE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kOk);
+  EXPECT_TRUE(status.message().empty());
+  EXPECT_EQ(status.ToString(), "OK");
+}
+
+TEST(StatusTest, ToStringFormat) {
+  EXPECT_EQ(Status::InvalidArgument("bad").ToString(),
+            "InvalidArgument: bad");
+  EXPECT_EQ(Status(StatusCode::kInternal, "").ToString(), "Internal");
+  EXPECT_EQ(Status::ResourceExhausted("all buffer frames are pinned")
+                .ToString(),
+            "ResourceExhausted: all buffer frames are pinned");
+}
+
 TEST(StatusTest, AllCodesHaveNames) {
   for (StatusCode code :
        {StatusCode::kOk, StatusCode::kInvalidArgument, StatusCode::kNotFound,
@@ -54,6 +95,17 @@ TEST(ResultTest, HoldsError) {
   Result<int> result(Status::OutOfRange("x"));
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);
+}
+
+TEST(ResultTest, ErrorKeepsCodeAndMessage) {
+  const Status error = Status::FailedPrecondition("not loaded");
+  Result<std::string> result(error);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(result.status().message(), "not loaded");
+  Result<std::string> moved(Status::NotFound("gone"));
+  EXPECT_EQ(moved.status().ToString(), "NotFound: gone");
+  EXPECT_EQ(error.message(), "not loaded");  // copied, not moved from
 }
 
 TEST(ResultTest, MoveOnlyValue) {

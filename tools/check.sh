@@ -47,6 +47,20 @@ cmake -B "$SAN_DIR" -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build "$SAN_DIR" -j "$(nproc)" --target tcdb_cli
 "$SAN_DIR"/tools/tcdb_cli stress --seeds 50 --base-seed 1
 
+# --- Sanitized storage layer: the buffer pool (dense per-file page table,
+# frame-indexed unpin, candidate-span victim picks under all five
+# policies), the B+-tree and the relation lookups over it (including the
+# descent-failure regression), and the one-pointer Status/Result, under
+# ASan+UBSan so a stale frame index, an out-of-range page-table slot or a
+# double-owned error state is a report, not a silent miscount.
+cmake --build "$SAN_DIR" -j "$(nproc)" --target buffer_model_test \
+    buffer_manager_test bplus_tree_test relation_test util_test
+"$SAN_DIR"/tests/buffer_model_test
+"$SAN_DIR"/tests/buffer_manager_test
+"$SAN_DIR"/tests/bplus_tree_test
+"$SAN_DIR"/tests/relation_test
+"$SAN_DIR"/tests/util_test
+
 # --- Sanitized tree decoder: FlatTree and the SPN/JKB tree codec under
 # ASan+UBSan, including the mutational decode test that feeds the decoder
 # bit-flipped, truncated, inflated and spliced encodings (each must fail
