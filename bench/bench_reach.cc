@@ -1,8 +1,9 @@
 // bench_reach — Online reachability serving over the study's 12 graph
 // families (Table 2: n = 2000, F in {2, 5, 20, 50}, l in {20, 200, 2000}):
-// build a ReachIndex per family and serve three point-query mixes, then
-// report which rung of the serving ladder decided the traffic and what
-// each rung cost. The interesting output is the *why* column split — the
+// build the default core per family (chain labels where their frontier
+// fits the byte budget, the label index elsewhere; the "core" column) and
+// serve three point-query mixes, then report which rung of the serving
+// ladder decided the traffic and what each rung cost. The interesting output is the *why* column split — the
 // paper's own PTC results (Figures 8/14) show selective point lookups are
 // a distinct regime, and this bench shows how much of that regime never
 // touches the closure machinery at all.
@@ -85,7 +86,7 @@ int RunBench() {
   std::cout << "Online reachability serving: the 12 graph families x "
                "three query mixes ("
             << kQueriesPerMix << " queries each)\n\n";
-  TablePrinter table({"family", "F", "l", "arcs", "build ms", "mix",
+  TablePrinter table({"family", "F", "l", "arcs", "core", "build ms", "mix",
                       "reach %", "O(1) %", "bfs %", "cache %",
                       "us/query"});
   ReachStats aggregate;
@@ -147,6 +148,10 @@ int RunBench() {
           .AddCell(family.avg_out_degree)
           .AddCell(family.locality)
           .AddCell(static_cast<int64_t>(arcs.size()))
+          .AddCell(std::string(service.value()->core().backend ==
+                                       ReachBackend::kChain
+                                   ? "chain"
+                                   : "labels"))
           .AddCell(build_ms, 2)
           .AddCell(std::string(mix.name))
           .AddCell(100.0 * stats.positive_answers / q, 1)
@@ -165,7 +170,8 @@ int RunBench() {
   aggregate.Print(std::cout);
   std::cout
       << "\nReading the table: \"O(1) %\" is the share the precomputed "
-         "labels decided (topological bounds, DFS intervals, chains, "
+         "labels decided (chain frontiers on a chain core, which decide "
+         "everything; otherwise topological bounds, DFS intervals, chains, "
          "supportive pivots, adjacency); the pruned-BFS fallback serves "
          "only the residue, which is why point "
          "queries stay microseconds even on the dense families.\n";

@@ -206,7 +206,11 @@ int RunBench() {
       GetEnvInt("REACH_MT_WORKLOAD_QUERIES", quick ? 8000 : 60000);
   const int32_t serve_threads = 4;
 
-  auto baseline_core = ReachCore::Build(arcs, params.num_nodes);
+  // Both cores pin the label ladder: the battery is one of its rungs.
+  ReachIndexOptions baseline_options;
+  baseline_options.backend = ReachBackend::kLabels;
+  auto baseline_core =
+      ReachCore::Build(arcs, params.num_nodes, baseline_options);
   if (!baseline_core.ok()) {
     std::cerr << "core: " << baseline_core.status().ToString() << "\n";
     return 1;
@@ -245,7 +249,7 @@ int RunBench() {
     // exact pairs it will serve.
     TrafficModelOptions train_options = traffic_options;
     train_options.seed += 7777;
-    ReachIndexOptions battery_options;
+    ReachIndexOptions battery_options = baseline_options;
     battery_options.oreach = true;
     battery_options.oreach_traffic =
         MakeModelWorkload(graph, train_options, 4096, baseline_probe);

@@ -3,8 +3,8 @@
 // reachability queries against one mostly-static graph. Instead of
 // materializing the transitive closure (the paper's offline CTC/PTC
 // regime), a ReachService builds O(1) labels once and serves queries from
-// them, falling back to a bounded search and, last, to the paper's SRCH
-// machinery for the rare undecidable pair.
+// them: exact chain labels when they fit a byte budget, otherwise partial
+// labels that leave the rare undecided pair to a pruned search.
 //
 //   ./examples/online_reachability [num_nodes] [avg_degree] [num_queries]
 
@@ -40,11 +40,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf(
-      "Dependency graph: %d nodes, %zu arcs; index built in %.2f ms "
-      "(%d supportive pivots, %d chains).\n\n",
+      "Dependency graph: %d nodes, %zu arcs; core built in %.2f ms\n"
+      "(%s).\n\n",
       num_nodes, arcs.size(), build_timer.ElapsedSeconds() * 1e3,
-      service.value()->index().num_supportive(),
-      service.value()->index().num_chains());
+      service.value()->core().BackendSummary().c_str());
 
   // A few point queries, explained.
   Rng rng(3);
@@ -79,6 +78,6 @@ int main(int argc, char** argv) {
   const double serve_s = serve_timer.ElapsedSeconds();
   std::printf("\nServed a batch of %d queries in %.2f ms (%.0f kq/s).\n\n",
               num_queries, serve_s * 1e3, num_queries / serve_s / 1e3);
-  service.value()->stats().Print(std::cout);
+  service.value()->stats().Print(std::cout, &service.value()->core());
   return 0;
 }

@@ -1,6 +1,7 @@
 #ifndef TCDB_REACH_REACH_INDEX_H_
 #define TCDB_REACH_REACH_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -51,18 +52,37 @@ const char* ReachStageName(ReachStage stage);
 
 // Which label structure a ReachCore builds over the condensation.
 enum class ReachBackend : uint8_t {
-  // The partial O(1) rules below plus the pruned-BFS fallback —
-  // the default, tuned for the paper-scale graphs.
+  // The partial O(1) rules below plus the pruned-BFS fallback.
   kLabels = 0,
   // scale/chain_index.h frontier labels: exact O(1) answers, ~O(n + m*k)
-  // build, n*k label bytes. The million-node backend; no fallback rungs
-  // ever run.
+  // build, n*k label bytes. No fallback rung ever runs.
   kChain = 1,
+  // The default: build the chain labels when their frontier fits within
+  // kAutoChainBudgetFactor times the label core they replace
+  // (LabelCoreBytes) and within `chain`'s budget, else the label core. A
+  // built core always holds kLabels or kChain; kAuto is never stored.
+  kAuto = 2,
 };
 
+// The image bytes of a kLabels core without battery over a condensation
+// of n nodes and m arcs, less its fixed-size header: 8 per arc, 36 per
+// node (node map, SCC size and the seven int32 label arrays of
+// ReachIndex) and two n-bit sets per supportive pivot. p is the pivot
+// count asked for (ReachIndexOptions::num_supportive), clamped to
+// [0, n] as the build does.
+inline int64_t LabelCoreBytes(int64_t n, int64_t m, int64_t p) {
+  p = std::clamp<int64_t>(p, 0, n);
+  return 8 * m + 36 * n + 2 * p * 8 * ((n + 63) / 64);
+}
+
+// kAuto keeps the chain labels while their frontier is at most this many
+// times LabelCoreBytes.
+inline constexpr int64_t kAutoChainBudgetFactor = 2;
+
 struct ReachIndexOptions {
-  ReachBackend backend = ReachBackend::kLabels;
-  // kChain backend: label memory guard (see ChainIndexOptions).
+  ReachBackend backend = ReachBackend::kAuto;
+  // The chain build's budget (see ChainIndexOptions): the cap for kChain,
+  // and an upper limit on kAuto's own budget.
   ChainIndexOptions chain;
   // Number of supportive pivot vertices. Each pivot stores one forward and
   // one backward reachability bit-set (2 * n bits), giving one O(1)
@@ -75,7 +95,8 @@ struct ReachIndexOptions {
   int32_t pivot_candidates_per_slot = 4;
   // O'Reach observation battery (src/oreach/): a second bank of O(1)
   // labels consulted between the rules above and the search fallbacks
-  // (serving stage kObservation). kLabels backend only; off by default —
+  // (serving stage kObservation). Built only with a kLabels core (pinned,
+  // or chosen by kAuto); off by default —
   // it earns its memory on skewed/adversarial mixes, which the benches
   // opt into explicitly.
   bool oreach = false;

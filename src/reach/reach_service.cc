@@ -10,6 +10,47 @@
 
 namespace tcdb {
 
+namespace {
+
+// Fills core->index over core->dag, plus the observation battery when
+// options.oreach is set.
+Status BuildLabelCore(const ReachIndexOptions& options, ReachCore* core) {
+  core->backend = ReachBackend::kLabels;
+  TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Build(core->dag, options));
+  if (!options.oreach) return Status::Ok();
+  // Battery pivot training sees the traffic in condensation ids and
+  // treats everything the base ladder (rules + adjacency) already
+  // decides as covered, so the greedy selection spends its pivots on the
+  // true fallback residue.
+  std::vector<std::pair<NodeId, NodeId>> traffic;
+  traffic.reserve(options.oreach_traffic.size());
+  for (const auto& [src, dst] : options.oreach_traffic) {
+    if (src < 0 || src >= core->num_input_nodes || dst < 0 ||
+        dst >= core->num_input_nodes) {
+      continue;
+    }
+    const NodeId csrc = core->node_map[src];
+    const NodeId cdst = core->node_map[dst];
+    if (csrc != cdst) traffic.emplace_back(csrc, cdst);
+  }
+  const ReachIndex& index = core->index;
+  const Digraph& dag = core->dag;
+  auto base_decides = [&index, &dag](NodeId u, NodeId v) {
+    if (index.TryDecide(u, v) != ReachIndex::Verdict::kUnknown) {
+      return true;
+    }
+    const std::span<const NodeId> successors = dag.Successors(u);
+    return std::binary_search(successors.begin(), successors.end(), v);
+  };
+  TCDB_ASSIGN_OR_RETURN(
+      core->battery, ObservationBattery::Build(core->dag, options.oreach_options,
+                                               traffic, base_decides));
+  core->has_battery = true;
+  return Status::Ok();
+}
+
+}  // namespace
+
 Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
     const ArcList& arcs, NodeId num_nodes,
     const ReachIndexOptions& options) {
@@ -37,44 +78,55 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
     ++core->scc_size[component];
   }
 
-  if (options.backend == ReachBackend::kChain) {
+  if (options.backend == ReachBackend::kLabels) {
+    TCDB_RETURN_IF_ERROR(BuildLabelCore(options, core.get()));
+    return std::shared_ptr<const ReachCore>(std::move(core));
+  }
+  // kChain, or kAuto's attempt under the tighter of its two budgets; a
+  // refused attempt falls back to the label core.
+  ChainIndexOptions chain_options = options.chain;
+  if (options.backend == ReachBackend::kAuto) {
+    const int64_t n = core->dag.NumNodes();
+    const int64_t label_budget =
+        kAutoChainBudgetFactor *
+        LabelCoreBytes(n, core->dag.NumArcs(), options.num_supportive);
+    chain_options.max_label_bytes =
+        std::min(label_budget, ChainLabelBudget(options.chain, n));
+  }
+  ChainBudgetReport report;
+  Result<ChainIndex> chain =
+      ChainIndex::Build(core->dag, chain_options, &report);
+  core->chain_count = report.chains;
+  core->chain_stop_rank = report.stopped_at_rank;
+  core->chain_bytes = report.needed_bytes;
+  core->chain_budget_bytes = report.budget_bytes;
+  if (chain.ok()) {
     core->backend = ReachBackend::kChain;
-    TCDB_ASSIGN_OR_RETURN(core->chain,
-                          ChainIndex::Build(core->dag, options.chain));
+    core->chain = std::move(chain).value();
+  } else if (options.backend == ReachBackend::kAuto &&
+             chain.status().code() == StatusCode::kResourceExhausted) {
+    TCDB_RETURN_IF_ERROR(BuildLabelCore(options, core.get()));
   } else {
-    TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Build(core->dag, options));
-    if (options.oreach) {
-      // Battery pivot training sees the traffic in condensation ids and
-      // treats everything the base ladder (rules + adjacency) already
-      // decides as covered, so the greedy selection spends its pivots on
-      // the true fallback residue.
-      std::vector<std::pair<NodeId, NodeId>> traffic;
-      traffic.reserve(options.oreach_traffic.size());
-      for (const auto& [src, dst] : options.oreach_traffic) {
-        if (src < 0 || src >= num_nodes || dst < 0 || dst >= num_nodes) {
-          continue;
-        }
-        const NodeId csrc = core->node_map[src];
-        const NodeId cdst = core->node_map[dst];
-        if (csrc != cdst) traffic.emplace_back(csrc, cdst);
-      }
-      const ReachIndex& index = core->index;
-      const Digraph& dag = core->dag;
-      auto base_decides = [&index, &dag](NodeId u, NodeId v) {
-        if (index.TryDecide(u, v) != ReachIndex::Verdict::kUnknown) {
-          return true;
-        }
-        const std::span<const NodeId> successors = dag.Successors(u);
-        return std::binary_search(successors.begin(), successors.end(), v);
-      };
-      TCDB_ASSIGN_OR_RETURN(
-          core->battery,
-          ObservationBattery::Build(core->dag, options.oreach_options,
-                                    traffic, base_decides));
-      core->has_battery = true;
-    }
+    return chain.status();
   }
   return std::shared_ptr<const ReachCore>(std::move(core));
+}
+
+std::string ReachCore::BackendSummary() const {
+  const std::string budget =
+      chain_budget_bytes > 0
+          ? " of " + std::to_string(chain_budget_bytes) + " B budget"
+          : "";
+  if (backend == ReachBackend::kChain) {
+    return "backend chain: k=" + std::to_string(chain_count) + ", frontier " +
+           std::to_string(chain_bytes) + " B" + budget;
+  }
+  if (chain_budget_bytes == 0) return "backend labels: no chain build";
+  return "backend labels: chain build refused at rank " +
+         std::to_string(chain_stop_rank) + " of " +
+         std::to_string(dag.NumNodes()) + " with " +
+         std::to_string(chain_count) + " chains, frontier >= " +
+         std::to_string(chain_bytes) + " B" + budget;
 }
 
 ReachIndex::Verdict ReachCore::DecideCondensed(NodeId csrc, NodeId cdst,
@@ -158,9 +210,12 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
   if (!reader->ReadI32(&core->num_input_nodes) ||
       !reader->ReadU8(&backend_byte) || !reader->ReadI32(&dag_nodes) ||
       !reader->ReadU64(&num_arcs) || core->num_input_nodes < 0 ||
-      dag_nodes < 0 || dag_nodes > core->num_input_nodes ||
-      backend_byte > static_cast<uint8_t>(ReachBackend::kChain)) {
+      dag_nodes < 0 || dag_nodes > core->num_input_nodes) {
     return Status::Corruption("reach core image truncated");
+  }
+  // A built core is kLabels or kChain; kAuto is an option, never a tag.
+  if (backend_byte > static_cast<uint8_t>(ReachBackend::kChain)) {
+    return Status::Corruption("reach core backend tag invalid");
   }
   core->backend = static_cast<ReachBackend>(backend_byte);
   // 8 bytes per arc: reject oversized counts before allocating.
@@ -196,6 +251,8 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
     if (core->chain.num_nodes() != dag_nodes) {
       return Status::Corruption("reach core chain index size mismatch");
     }
+    core->chain_count = core->chain.num_chains();
+    core->chain_bytes = core->chain.FrontierBytes();
   } else {
     TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Deserialize(reader));
     if (core->index.num_nodes() != dag_nodes) {

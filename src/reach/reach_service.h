@@ -4,6 +4,7 @@
 #include <functional>
 #include <memory>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -40,10 +41,23 @@ struct ReachCore {
   // Which of the two label structures below is populated. kLabels fills
   // `index` (partial rules + fallback ladder); kChain fills `chain`
   // (exact frontier labels, no fallback ever runs). The other member
-  // stays empty.
+  // stays empty. Never kAuto: that option resolves to one of the two.
   ReachBackend backend = ReachBackend::kLabels;
   ReachIndex index;
   ChainIndex chain;
+
+  // Why `backend` was chosen: the chain build's budget check
+  // (ChainBudgetReport). chain_budget_bytes is 0 when no chain build ran
+  // (a kLabels pin, or a core restored from an image, which keeps only
+  // the backend tag; a restored chain core still reports its k and
+  // frontier bytes). On a chain core chain_count is k and chain_bytes
+  // its frontier bytes; after a refused kAuto attempt they are the chains
+  // open and the frontier lower bound at chain_stop_rank, the
+  // topological rank where that bound crossed the budget (else -1).
+  int32_t chain_count = 0;
+  int64_t chain_stop_rank = -1;
+  int64_t chain_bytes = 0;
+  int64_t chain_budget_bytes = 0;
   // O'Reach observation battery (options.oreach): a second bank of O(1)
   // labels consulted when the kLabels rules come up unknown, before the
   // service ladder falls back to searching. Never populated for kChain
@@ -54,6 +68,10 @@ struct ReachCore {
   // True when the input contained a cycle (queries run on the
   // condensation).
   bool condensed() const { return dag.NumNodes() != num_input_nodes; }
+
+  // One line naming the backend and the figures above, e.g.
+  // "backend chain: k=108, frontier 784056 B of 1616480 B budget".
+  std::string BackendSummary() const;
 
   // Exact reachability between condensation nodes, whatever the backend
   // answers it: reflexive, never unknown for kChain; kUnknown only for
@@ -74,7 +92,11 @@ struct ReachCore {
                              ReachRule* rule = nullptr) const;
 
   // `arcs` may be cyclic and unsorted; endpoints must lie in
-  // [0, num_nodes).
+  // [0, num_nodes). options.backend picks the structure; kAuto (the
+  // default) tries the chain labels under a budget of
+  // kAutoChainBudgetFactor * LabelCoreBytes(n, m, num_supportive) for the
+  // condensation's n and m, capped by options.chain's budget, and builds
+  // the label core when that attempt is refused.
   static Result<std::shared_ptr<const ReachCore>> Build(
       const ArcList& arcs, NodeId num_nodes,
       const ReachIndexOptions& options = {});

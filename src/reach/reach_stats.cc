@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "reach/reach_service.h"
+
 namespace tcdb {
 
 TablePrinter ReachStats::ToTable() const {
@@ -34,7 +36,7 @@ TablePrinter ReachStats::RuleTable() const {
   return table;
 }
 
-void ReachStats::Print(std::ostream& out) const {
+void ReachStats::Print(std::ostream& out, const ReachCore* core) const {
   ToTable().Print(out);
   int64_t attributed = 0;
   for (int r = 0; r < kNumReachRules; ++r) attributed += rule_decided[r];
@@ -47,11 +49,12 @@ void ReachStats::Print(std::ostream& out) const {
   }
   out << "\ncache insertions " << cache_insertions << ", BFS expansions "
       << bfs_expansions << "\n";
+  if (core != nullptr) out << "core " << core->BackendSummary() << "\n";
 }
 
-std::string ReachStats::ToString() const {
+std::string ReachStats::ToString(const ReachCore* core) const {
   std::ostringstream out;
-  Print(out);
+  Print(out, core);
   return out.str();
 }
 

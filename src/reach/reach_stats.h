@@ -10,6 +10,8 @@
 
 namespace tcdb {
 
+struct ReachCore;
+
 // Per-service observability counters: how many queries each rung of the
 // serving ladder decided and how much wall time it consumed. The point is
 // not just "queries were fast" but *why* — benches and the CLI's --explain
@@ -84,8 +86,10 @@ struct ReachStats {
   // One row per populated rule: decided count and share of attributed
   // queries (empty when no rule-aware owner recorded anything).
   TablePrinter RuleTable() const;
-  void Print(std::ostream& out) const;
-  std::string ToString() const;
+  // The tables and totals; with a non-null `core`, closed by the line
+  // naming its backend and why it was chosen (ReachCore::BackendSummary).
+  void Print(std::ostream& out, const ReachCore* core = nullptr) const;
+  std::string ToString(const ReachCore* core = nullptr) const;
 
   // Adds `other`'s counters into this one. Cross-shard aggregation:
   // ReachServer snapshots merge every shard's stats through this, and the

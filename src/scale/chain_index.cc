@@ -1,6 +1,7 @@
 #include "scale/chain_index.h"
 
 #include <algorithm>
+#include <new>
 #include <string>
 
 #include "scale/topo_order.h"
@@ -9,8 +10,16 @@
 namespace tcdb {
 
 Result<ChainIndex> ChainIndex::Build(const Digraph& dag,
-                                     const ChainIndexOptions& options) {
+                                     const ChainIndexOptions& options,
+                                     ChainBudgetReport* report) {
+  if (options.max_label_bytes < 0) {
+    return Status::InvalidArgument("negative chain index label budget");
+  }
   const NodeId n = dag.NumNodes();
+  ChainBudgetReport unused_report;
+  if (report == nullptr) report = &unused_report;
+  *report = ChainBudgetReport();
+  report->budget_bytes = ChainLabelBudget(options, n);
   ChainIndex index;
   index.n_ = n;
   if (n == 0) return index;
@@ -53,22 +62,31 @@ Result<ChainIndex> ChainIndex::Build(const Digraph& dag,
   std::vector<uint32_t> chain_len;   // current length per chain
   std::vector<NodeId> merge_order;   // per-node predecessor buffer
 
+  const auto refuse = [&](const char* why, int64_t rank,
+                          int64_t needed_bytes) {
+    report->needed_bytes = needed_bytes;
+    report->chains = index.num_chains_;
+    report->stopped_at_rank = rank;
+    return Status::ResourceExhausted(
+        std::string("chain index ") + why + ": needs at least " +
+        std::to_string(needed_bytes) + " bytes, budget " +
+        std::to_string(report->budget_bytes) + ", with " +
+        std::to_string(index.num_chains_) + " chains at topological rank " +
+        std::to_string(rank) + " of " + std::to_string(n));
+  };
+
   for (size_t rank = 0; rank < order.size(); ++rank) {
     const NodeId v = order[rank];
     const int32_t k = index.num_chains_;
-    if (options.max_label_bytes > 0 &&
-        (static_cast<int64_t>(frontier.size()) + k + 1) * 4 >
-            options.max_label_bytes) {
-      return Status::ResourceExhausted(
-          "chain index label budget exceeded (" +
-          std::to_string(options.max_label_bytes) + " bytes) with " +
-          std::to_string(k) + " chains at topological rank " +
-          std::to_string(rank) + " of " + std::to_string(n));
-    }
     // Provision k slots for the merge plus one spare in case v opens a
     // new chain; the spare is returned below when it does not.
     const int64_t base = static_cast<int64_t>(frontier.size());
-    frontier.resize(static_cast<size_t>(base) + k + 1, 0);
+    try {
+      frontier.resize(static_cast<size_t>(base) + k + 1, 0);
+    } catch (const std::bad_alloc&) {
+      return refuse("frontier allocation failed", static_cast<int64_t>(rank),
+                    (base + k + 1) * 4);
+    }
     index.row_begin_[v] = base;
     uint32_t* const row_v = frontier.data() + base;
 
@@ -123,7 +141,22 @@ Result<ChainIndex> ChainIndex::Build(const Digraph& dag,
       index.row_len_[v] = k + 1;
       index.num_chains_ = k + 1;
     }
+
+    // Every node still to come gets a row of at least the chains open
+    // now: a lower bound on the finished matrix, exact after the last
+    // node.
+    const int64_t bound_bytes =
+        (static_cast<int64_t>(frontier.size()) +
+         (static_cast<int64_t>(n) - static_cast<int64_t>(rank) - 1) *
+             index.num_chains_) *
+        4;
+    if (bound_bytes > report->budget_bytes) {
+      return refuse("label budget exceeded", static_cast<int64_t>(rank),
+                    bound_bytes);
+    }
   }
+  report->needed_bytes = index.FrontierBytes();
+  report->chains = index.num_chains_;
   return index;
 }
 

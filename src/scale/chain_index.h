@@ -1,6 +1,7 @@
 #ifndef TCDB_SCALE_CHAIN_INDEX_H_
 #define TCDB_SCALE_CHAIN_INDEX_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -12,11 +13,38 @@
 namespace tcdb {
 
 struct ChainIndexOptions {
-  // Hard cap on frontier-label memory. Build fails with ResourceExhausted
-  // instead of thrashing when the decomposition needs more chains than
-  // the budget allows (the label matrix is width-sensitive; see below).
-  // 0 = unlimited.
+  // Cap on the frontier matrix, in bytes (4 per slot; the fixed 20
+  // bytes/node of per-node labels are not counted). Build fails with
+  // ResourceExhausted as soon as a lower bound on the finished matrix
+  // crosses it, so a graph too wide for the budget stops within its first
+  // few ranks instead of filling memory (the matrix is width-sensitive;
+  // see below). 0 selects the default (ChainLabelBudget); negative
+  // values are rejected.
   int64_t max_label_bytes = 0;
+};
+
+// The frontier budget of an n-node build: options.max_label_bytes when
+// set, else the default of 1 KiB per node (a width of 256 chains), never
+// less than 64 MiB. The default admits the width-64 layered family at
+// 10^6 nodes (~340 B/node) and every catalog family at n = 2000, and
+// refuses wide-shallow and Kronecker at 10^5 nodes.
+inline int64_t ChainLabelBudget(const ChainIndexOptions& options,
+                                int64_t n) {
+  if (options.max_label_bytes > 0) return options.max_label_bytes;
+  return std::max<int64_t>(int64_t{64} << 20, n * 1024);
+}
+
+// What a budgeted Build measured, whether or not the matrix fit (see
+// ChainIndex::Build).
+struct ChainBudgetReport {
+  int64_t budget_bytes = 0;  // the cap the build ran against
+  // Frontier bytes: exact when the build fit; otherwise the lower bound
+  // on the finished matrix that crossed the budget.
+  int64_t needed_bytes = 0;
+  int32_t chains = 0;  // chains open when the build ended or stopped
+  // Topological rank whose processing pushed the bound past the budget;
+  // -1 when the build fit.
+  int64_t stopped_at_rank = -1;
 };
 
 // Exact point-reachability index over a DAG via concatenable-chain
@@ -48,8 +76,8 @@ struct ChainIndexOptions {
 //
 // Space is n*k frontier slots (4 bytes each) plus fixed per-node labels —
 // bytes/node ~ 4k + 20. k is reported (num_chains) and bounded below by
-// the true width; families with unbounded width need the
-// max_label_bytes guard.
+// the true width; families with unbounded width are stopped by the
+// max_label_bytes budget, which every build runs against.
 //
 // A built index is immutable: queries are safe from any number of
 // threads concurrently (ReachServer shares one across its shards).
@@ -59,10 +87,18 @@ class ChainIndex {
   ChainIndex() = default;
 
   // Builds the labels. `dag` must be acyclic (condense cyclic inputs
-  // first); fails with InvalidArgument otherwise, ResourceExhausted when
-  // the label matrix would exceed options.max_label_bytes.
+  // first); fails with InvalidArgument otherwise, and with
+  // ResourceExhausted when the frontier matrix would exceed the budget
+  // (options.max_label_bytes, or its default) or cannot be allocated.
+  // After each node the build checks the lower bound
+  //   frontier slots so far + (nodes left) * (chains open)
+  // against the budget: a row covers every chain open when its node is
+  // processed and the chain count never falls, so the bound holds, and
+  // after the last node it is the exact size. A non-null `report`
+  // receives the budget check's figures on success and on failure.
   static Result<ChainIndex> Build(const Digraph& dag,
-                                  const ChainIndexOptions& options = {});
+                                  const ChainIndexOptions& options = {},
+                                  ChainBudgetReport* report = nullptr);
 
   // O(1), exact, reflexive.
   bool Reaches(NodeId u, NodeId v) const {
@@ -91,10 +127,13 @@ class ChainIndex {
   int64_t merges_done() const { return merges_done_; }
   int64_t merges_skipped() const { return merges_skipped_; }
 
+  // Bytes of the frontier matrix alone: what max_label_bytes caps.
+  int64_t FrontierBytes() const {
+    return static_cast<int64_t>(frontier_.size()) * 4;
+  }
   // Total label footprint in bytes (frontier matrix + per-node labels).
   int64_t LabelBytes() const {
-    return static_cast<int64_t>(frontier_.size()) * 4 +
-           static_cast<int64_t>(n_) * (4 + 4 + 8 + 4);
+    return FrontierBytes() + static_cast<int64_t>(n_) * (4 + 4 + 8 + 4);
   }
   double BytesPerNode() const {
     return n_ == 0 ? 0.0

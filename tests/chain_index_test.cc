@@ -2,7 +2,8 @@
 // reachability index (scale/chain_index.h): all-pairs agreement with the
 // reference closure on small graphs, sampled agreement at moderate scale,
 // cyclic inputs through the SCC-condensation front, chain invariants, the
-// label-budget guard, and image round trips.
+// label budget (its exact boundary and the default that stops wide
+// families early), and image round trips.
 
 #include "scale/chain_index.h"
 
@@ -22,8 +23,9 @@
 namespace tcdb {
 namespace {
 
-ChainIndex BuildOrDie(const Digraph& dag) {
-  auto built = ChainIndex::Build(dag);
+ChainIndex BuildOrDie(const Digraph& dag,
+                      const ChainIndexOptions& options = {}) {
+  auto built = ChainIndex::Build(dag, options);
   TCDB_CHECK(built.ok()) << built.status().ToString();
   return std::move(built).value();
 }
@@ -105,7 +107,10 @@ TEST(ChainIndexTest, SampledDifferentialAtModerateScale) {
     params.locality = 128;
     params.seed = 3;
     const Digraph dag = BuildScaleGraph(params);
-    const ChainIndex index = BuildOrDie(dag);
+    // Wide-shallow and Kronecker need more than the default budget here.
+    ChainIndexOptions options;
+    options.max_label_bytes = int64_t{1} << 30;
+    const ChainIndex index = BuildOrDie(dag, options);
     SCOPED_TRACE(ScaleFamilyName(family));
     EXPECT_TRUE(VerifySampledReachability(
         dag, /*num_sources=*/24, /*seed=*/11,
@@ -232,6 +237,82 @@ TEST(ChainIndexTest, LabelBudgetGuard) {
   ChainIndexOptions ample;
   ample.max_label_bytes = int64_t{1} << 30;
   EXPECT_TRUE(ChainIndex::Build(dag, ample).ok());
+}
+
+// The budget check is exact: a cap equal to the finished frontier's bytes
+// builds, one byte less is refused, and the report carries the figures.
+TEST(ChainIndexTest, BudgetBoundaryIsExact) {
+  ScaleGraphParams params;
+  params.family = ScaleFamily::kScaleFree;
+  params.num_nodes = 1500;
+  params.degree = 3;
+  params.locality = 40;
+  params.seed = 4;
+  const Digraph dag = BuildScaleGraph(params);
+  const ChainIndex reference = BuildOrDie(dag);
+  const int64_t frontier_bytes = reference.FrontierBytes();
+
+  ChainIndexOptions exact;
+  exact.max_label_bytes = frontier_bytes;
+  ChainBudgetReport report;
+  auto fits = ChainIndex::Build(dag, exact, &report);
+  ASSERT_TRUE(fits.ok()) << fits.status().ToString();
+  EXPECT_EQ(fits.value().num_chains(), reference.num_chains());
+  EXPECT_EQ(report.budget_bytes, frontier_bytes);
+  EXPECT_EQ(report.needed_bytes, frontier_bytes);
+  EXPECT_EQ(report.chains, reference.num_chains());
+  EXPECT_EQ(report.stopped_at_rank, -1);
+
+  ChainIndexOptions short_by_one;
+  short_by_one.max_label_bytes = frontier_bytes - 1;
+  EXPECT_EQ(ChainIndex::Build(dag, short_by_one, &report).status().code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_GT(report.needed_bytes, report.budget_bytes);
+  EXPECT_GE(report.stopped_at_rank, 0);
+  EXPECT_LT(report.stopped_at_rank, params.num_nodes);
+
+  ChainIndexOptions negative;
+  negative.max_label_bytes = -1;
+  EXPECT_EQ(ChainIndex::Build(dag, negative).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+// Regression: max_label_bytes = 0 used to mean "unbounded", so Kronecker
+// at n = 10^5 filled memory until std::bad_alloc aborted the process and
+// wide-shallow ran for 14.5 s. The default budget (1 KiB per node, at
+// least 64 MiB) now refuses both within the first few hundred ranks,
+// while the width-64 layered family still fits.
+TEST(ChainIndexTest, DefaultBudgetRefusesWideFamiliesEarly) {
+  constexpr NodeId kNodes = 100000;
+  EXPECT_EQ(ChainLabelBudget({}, kNodes), int64_t{kNodes} * 1024);
+  EXPECT_EQ(ChainLabelBudget({}, 2000), int64_t{64} << 20);
+  for (const ScaleFamily family :
+       {ScaleFamily::kKronecker, ScaleFamily::kWideShallow}) {
+    SCOPED_TRACE(ScaleFamilyName(family));
+    ScaleGraphParams params;
+    params.family = family;
+    params.num_nodes = kNodes;
+    const Digraph dag = BuildScaleGraph(params);
+    ChainBudgetReport report;
+    const auto built = ChainIndex::Build(dag, {}, &report);
+    EXPECT_EQ(built.status().code(), StatusCode::kResourceExhausted)
+        << built.status().ToString();
+    EXPECT_EQ(report.budget_bytes, ChainLabelBudget({}, kNodes));
+    EXPECT_GT(report.needed_bytes, report.budget_bytes);
+    EXPECT_GE(report.stopped_at_rank, 0);
+    EXPECT_LT(report.stopped_at_rank, 1000);
+  }
+
+  ScaleGraphParams layered;
+  layered.family = ScaleFamily::kLayered;
+  layered.num_nodes = kNodes;
+  layered.width = 64;
+  layered.degree = 4;
+  ChainBudgetReport report;
+  const auto built = ChainIndex::Build(BuildScaleGraph(layered), {}, &report);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  EXPECT_EQ(report.needed_bytes, built.value().FrontierBytes());
+  EXPECT_LT(report.needed_bytes, report.budget_bytes);
 }
 
 TEST(ChainIndexTest, SerializeRoundTrip) {

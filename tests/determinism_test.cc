@@ -77,12 +77,17 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
   const GeneratorParams params{400, 5, 100, 91};
   const ArcList arcs = GenerateDag(params);
 
-  auto service = ReachService::Build(arcs, params.num_nodes);
+  // The label ladder, pinned: its stages, searches and cache are what the
+  // two sides must attribute identically.
+  ReachServiceOptions service_options;
+  service_options.index.backend = ReachBackend::kLabels;
+  auto service = ReachService::Build(arcs, params.num_nodes, service_options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service.value()->SetClockForTesting(MakeTickClock());
 
   ReachServerOptions options;
   options.num_shards = 1;
+  options.service = service_options;
   auto server = ReachServer::Start(arcs, params.num_nodes, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   server.value()->SetClockForTesting(MakeTickClock);
@@ -133,6 +138,7 @@ TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
   const ArcList arcs = GenerateDag(params);
 
   ReachServiceOptions service_options;
+  service_options.index.backend = ReachBackend::kLabels;
   service_options.bfs_budget = 8;  // both search rungs run
   auto service = ReachService::Build(arcs, params.num_nodes, service_options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();

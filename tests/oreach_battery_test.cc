@@ -141,6 +141,7 @@ TEST(ObservationBatteryTest, CyclicCondensedDifferential) {
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
   ReachServiceOptions options;
+  options.index.backend = ReachBackend::kLabels;  // the battery's ladder
   options.index.oreach = true;
   auto service = ReachService::Build(arcs, params.num_nodes, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -172,10 +173,12 @@ TEST(ObservationBatteryTest, BatteryOnOffBitIdenticalAcross50Seeds) {
     const ArcList arcs = GenerateDag(params);
 
     ReachServiceOptions off_options;
+    off_options.index.backend = ReachBackend::kLabels;
     auto off = ReachService::Build(arcs, params.num_nodes, off_options);
     ASSERT_TRUE(off.ok()) << off.status().ToString();
 
     ReachServiceOptions on_options;
+    on_options.index.backend = ReachBackend::kLabels;
     on_options.index.oreach = true;
     on_options.index.oreach_options.seed = seed;  // vary battery internals
     auto on = ReachService::Build(arcs, params.num_nodes, on_options);
@@ -301,6 +304,7 @@ TEST(ObservationBatteryTest, ServiceLadderAttribution) {
   const ArcList arcs = GenerateDag(params);
 
   ReachServiceOptions options;
+  options.index.backend = ReachBackend::kLabels;  // the battery's ladder
   options.index.oreach = true;
   auto service = ReachService::Build(arcs, params.num_nodes, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -351,6 +355,7 @@ TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   traffic.kind = WorkloadKind::kUniform;
   traffic.seed = 5;
   ReachServiceOptions options;
+  options.index.backend = ReachBackend::kLabels;  // the battery's ladder
   options.index.oreach = true;
   options.index.oreach_traffic = MakeModelWorkload(graph, traffic, 512);
   options.cache_capacity = 0;

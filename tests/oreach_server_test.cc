@@ -45,7 +45,10 @@ Fixture MakeFixture(uint64_t seed) {
   f.num_nodes = params.num_nodes;
   f.graph = Digraph(f.num_nodes, f.arcs);
 
-  auto baseline = ReachCore::Build(f.arcs, f.num_nodes);
+  // Both cores pin the label ladder: the battery is one of its rungs.
+  ReachIndexOptions baseline_options;
+  baseline_options.backend = ReachBackend::kLabels;
+  auto baseline = ReachCore::Build(f.arcs, f.num_nodes, baseline_options);
   TCDB_CHECK(baseline.ok()) << baseline.status().ToString();
   f.baseline = baseline.value();
 
@@ -55,7 +58,7 @@ Fixture MakeFixture(uint64_t seed) {
   f.adversarial = MakeModelWorkload(f.graph, traffic, 6000,
                                     MakeLadderProbe(f.baseline));
 
-  ReachIndexOptions battery_options;
+  ReachIndexOptions battery_options = baseline_options;
   battery_options.oreach = true;
   TrafficModelOptions train = traffic;
   train.seed = seed + 2;

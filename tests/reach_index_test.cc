@@ -52,6 +52,14 @@ std::vector<std::pair<NodeId, NodeId>> MakeQueries(const ArcList& arcs,
   return queries;
 }
 
+// Options that pin the label ladder, for the tests that count its stages
+// and searches (the default kAuto serves these graphs from chain labels).
+ReachServiceOptions LabelLadderOptions() {
+  ReachServiceOptions options;
+  options.index.backend = ReachBackend::kLabels;
+  return options;
+}
+
 // Oracle answer: reflexive reachability over the input digraph (cycles
 // included — ReferenceClosure's per-source BFS handles them).
 bool OracleReaches(const std::vector<std::vector<NodeId>>& closure, NodeId u,
@@ -74,7 +82,7 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
       const std::vector<std::vector<NodeId>> closure =
           ReferenceClosure(graph);
 
-      auto service = ReachService::Build(arcs, kNodes);
+      auto service = ReachService::Build(arcs, kNodes, LabelLadderOptions());
       ASSERT_TRUE(service.ok()) << service.status().ToString();
       const auto queries = MakeQueries(arcs, kNodes, 100 + seed);
       for (const auto& [u, v] : queries) {
@@ -110,7 +118,7 @@ TEST(ReachDifferentialTest, BatchMatchesOracleAndWarmCacheRepeats) {
     const Digraph graph(kNodes, arcs);
     const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-    auto service = ReachService::Build(arcs, kNodes);
+    auto service = ReachService::Build(arcs, kNodes, LabelLadderOptions());
     ASSERT_TRUE(service.ok());
     const auto queries = MakeQueries(arcs, kNodes, 9);
     auto batch = service.value()->QueryBatch(queries);
@@ -244,12 +252,12 @@ TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
 
   // No budgeted BFS, no supportive labels, no cache: the residue goes
   // straight to the unbounded pruned BFS.
-  ReachServiceOptions unbounded_only;
+  ReachServiceOptions unbounded_only = LabelLadderOptions();
   unbounded_only.bfs_budget = 0;
   unbounded_only.index.num_supportive = 0;
   unbounded_only.cache_capacity = 0;
 
-  ReachServiceOptions tiny_budget;
+  ReachServiceOptions tiny_budget = LabelLadderOptions();
   tiny_budget.bfs_budget = 4;  // force the budgeted pass to give up sometimes
   tiny_budget.index.num_supportive = 0;
 
@@ -288,7 +296,7 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
   const ArcList arcs = GenerateDag(params);
 
   // Caching disabled: nothing can be stored, so nothing may be counted.
-  ReachServiceOptions no_cache;
+  ReachServiceOptions no_cache = LabelLadderOptions();
   no_cache.cache_capacity = 0;
   auto disabled = ReachService::Build(arcs, params.num_nodes, no_cache);
   ASSERT_TRUE(disabled.ok());
@@ -302,7 +310,7 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
 
   // A duplicated fallback pair in one batch resolves as one group; the
   // second Insert refreshes the first and must not be counted.
-  ReachServiceOptions unbounded_only;
+  ReachServiceOptions unbounded_only = LabelLadderOptions();
   unbounded_only.bfs_budget = 0;
   unbounded_only.index.num_supportive = 0;
   auto probe = ReachService::Build(arcs, params.num_nodes, unbounded_only);
@@ -337,7 +345,7 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
 
-  ReachServiceOptions unbounded_only;
+  ReachServiceOptions unbounded_only = LabelLadderOptions();
   unbounded_only.bfs_budget = 0;
   unbounded_only.index.num_supportive = 0;
   unbounded_only.cache_capacity = 0;

@@ -51,6 +51,7 @@ TEST(ScaleBackendTest, ChainServiceMatchesLabelsAndReference) {
   ASSERT_TRUE(chain_service.ok()) << chain_service.status().ToString();
 
   ReachServiceOptions label_options;
+  label_options.index.backend = ReachBackend::kLabels;
   label_options.cache_capacity = 0;
   auto label_service = ReachService::Build(arcs, n, label_options);
   ASSERT_TRUE(label_service.ok()) << label_service.status().ToString();
@@ -101,6 +102,8 @@ TEST(ScaleBackendTest, ChainCoreSampledOnScaleFamilies) {
 
     ReachIndexOptions options;
     options.backend = ReachBackend::kChain;
+    // Wide-shallow and Kronecker need more than the default budget here.
+    options.chain.max_label_bytes = int64_t{1} << 30;
     auto core = ReachCore::Build(arcs, params.num_nodes, options);
     ASSERT_TRUE(core.ok()) << core.status().ToString();
     const ReachCore& c = *core.value();

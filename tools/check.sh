@@ -129,6 +129,28 @@ fi
     --locality 64 --degree 4 --cyclic 500 --queries 50000 --seed 1 \
     --check 4
 
+# --- Sanitized budget refusal: Kronecker at 10^5 nodes is far too wide
+# for the default chain frontier budget (1 KiB per node). The build must
+# stop early with ResourceExhausted — exit 1 and that message, not an
+# abort (it used to die with std::bad_alloc, exit 134) — and well within
+# a wall-time bound (the generator alone takes about a second here).
+kron_code=0
+SECONDS=0
+kron_err=$("$SAN_DIR"/tools/tcdb_cli scale-bench --family kronecker \
+    --n 100000 --seed 1 2>&1 >/dev/null) || kron_code=$?
+kron_seconds=${SECONDS}
+echo "kronecker n=10^5: exit ${kron_code} in ${kron_seconds}s: ${kron_err}"
+if [[ "${kron_code}" != 1 || "${kron_err}" != *ResourceExhausted* ]]; then
+  echo "error: kronecker scale-bench did not refuse cleanly" \
+       "(exit ${kron_code})"
+  exit 1
+fi
+if (( kron_seconds > 20 )); then
+  echo "error: kronecker scale-bench took ${kron_seconds}s to refuse" \
+       "(bound 20s)"
+  exit 1
+fi
+
 # --- Sanitized observation-battery differential: the battery's full
 # label bank (extra topological orders, levels, negative cuts,
 # traffic-trained pivots) verified sound against the BFS reference

@@ -110,6 +110,8 @@ reach subcommand (online point query via the src/reach/ index):
                            synthetic DAG
     --explain              print the deciding index stage and the
                            service's per-stage statistics table
+    prints the answer, the deciding stage, and the core's backend (chain
+    or labels) with its chain count and frontier bytes against the budget
 
 serve-bench subcommand (multi-threaded sharded serving throughput):
   tcdb_cli serve-bench <graph> [flags]
@@ -123,15 +125,18 @@ serve-bench subcommand (multi-threaded sharded serving throughput):
                            the legacy fixed mix: uniform|zipf|hot-pair|
                            adversarial|mixed (adversarial mines pairs the
                            base O(1) rules cannot decide)
-    --battery              enable the O'Reach observation battery, trained
-                           on a disjoint same-shape traffic sample
+    --battery              serve a label core with the O'Reach observation
+                           battery, trained on a disjoint same-shape
+                           traffic sample (otherwise the default backend
+                           choice serves)
     --trace FILE           replay the query mix from a trace file
                            (see workload-bench --dump-trace)
     prints queries/second, the cache hit rate, the merged per-stage and
-    per-rule decision tables, the serving-latency histogram, and the
-    per-shard query split
+    per-rule decision tables, the serving-latency histogram, the
+    per-shard query split, and the core's backend and budget check
 
-workload-bench subcommand (traffic-model mixes, battery off vs on):
+workload-bench subcommand (traffic-model mixes on label cores, battery off
+vs on):
   tcdb_cli workload-bench <graph> [flags]
     <graph>                arc-list file, or gen:N,F,L,SEED
     --workload W           uniform|zipf|hot-pair|adversarial|mixed
@@ -250,7 +255,9 @@ scale-bench subcommand (chain-decomposition index over a streamed family):
     acyclic path), builds the ChainIndex — condensing first when --cyclic
     makes the input cyclic — times a uniform point-query volley and emits
     one JSON line with n, arcs, num_chains, build_s, bytes_per_node and
-    query p50/p99
+    query p50/p99. The build runs under the default frontier budget (1 KiB
+    per node, at least 64 MiB); a family too wide for it exits 1 with a
+    ResourceExhausted message naming the rank where it stopped
     --family F             layered | deep-narrow | wide-shallow |
                            scale-free | kronecker (default layered)
     --n N                  nodes (default 100000)
@@ -370,19 +377,30 @@ int RunReach(int argc, char** argv) {
   std::printf("%d -> %d: %s (decided by %s)\n", src, dst,
               answer.value().reachable ? "reachable" : "unreachable",
               ReachStageName(answer.value().stage));
+  const ReachCore& core = service.value()->core();
   if (explain) {
-    std::cout << service.value()->stats().ToString();
+    std::cout << service.value()->stats().ToString(&core);
+  } else {
+    std::printf("core %s\n", core.BackendSummary().c_str());
   }
   return 0;
 }
 
-// Builds a battery-enabled core over `arcs`, training the pivots on a
-// traffic sample of the given shape mined against `baseline`'s ladder.
+// Options for the label ladder pinned (the battery is one of its rungs, so
+// the battery studies below pin it; the default kAuto may pick chains).
+ReachIndexOptions LabelLadderOptions() {
+  ReachIndexOptions options;
+  options.backend = ReachBackend::kLabels;
+  return options;
+}
+
+// Builds a battery-enabled label core over `arcs`, training the pivots on
+// a traffic sample of the given shape mined against `baseline`'s ladder.
 Result<std::shared_ptr<const ReachCore>> BuildBatteryCore(
     const ArcList& arcs, NodeId num_nodes, const Digraph& graph,
     std::shared_ptr<const ReachCore> baseline, WorkloadKind kind,
     uint64_t seed) {
-  ReachIndexOptions index_options;
+  ReachIndexOptions index_options = LabelLadderOptions();
   index_options.oreach = true;
   TrafficModelOptions train;
   train.kind = kind;
@@ -455,7 +473,10 @@ int RunServeBench(int argc, char** argv) {
   }
   const Digraph graph(num_nodes, arcs);
 
-  auto baseline = ReachCore::Build(arcs, num_nodes);
+  // With --battery the served core is a label core, so the mix is mined
+  // against the label ladder; otherwise the default backend serves.
+  auto baseline = ReachCore::Build(
+      arcs, num_nodes, battery ? LabelLadderOptions() : ReachIndexOptions{});
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
@@ -533,7 +554,7 @@ int RunServeBench(int argc, char** argv) {
                 static_cast<long long>(stats.per_shard[s].queries),
                 stats.per_shard_latency[s].Summary().c_str());
   }
-  std::cout << stats.merged.ToString();
+  std::cout << stats.merged.ToString(core.get());
   return 0;
 }
 
@@ -599,7 +620,7 @@ int RunWorkloadBench(int argc, char** argv) {
   }
   const Digraph graph(num_nodes, arcs);
 
-  auto baseline = ReachCore::Build(arcs, num_nodes);
+  auto baseline = ReachCore::Build(arcs, num_nodes, LabelLadderOptions());
   if (!baseline.ok()) {
     std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
     return 1;
