@@ -250,7 +250,7 @@ int RunBench(bool wal_mode, bool sync_each_append) {
 // One maintenance regime of the --incremental comparison.
 struct MaintenanceConfig {
   const char* label;
-  bool incremental;      // per-pivot tree repair on every mutation
+  bool trees;            // per-pivot tree repair on every mutation
   int32_t rebuild_batch; // > 0: synchronous full rebuild every B mutations
 };
 
@@ -303,7 +303,9 @@ int RunIncrementalBench() {
     }
     MutationLog* log = opened.value().get();
     DynamicReachOptions options;
-    options.incremental = config.incremental;
+    // The rebuild rows keep no pivot trees: past the snapshot epoch they
+    // serve with an unpruned live BFS.
+    if (!config.trees) options.incremental_options.num_pivots = 0;
     auto created = DynamicReachService::Create(log, options);
     if (!created.ok()) {
       std::cerr << created.status().ToString() << "\n";
@@ -390,7 +392,7 @@ int RunIncrementalBench() {
             ? static_cast<double>(mutations) / mutation_seconds
             : 0.0;
     if (config.rebuild_batch == 1) baseline_rate = mutation_rate;
-    if (config.incremental) incremental_rate = mutation_rate;
+    if (config.trees) incremental_rate = mutation_rate;
     const double query_seconds = serving->serving_stats().TotalSeconds();
     table.NewRow()
         .AddCell(config.label)

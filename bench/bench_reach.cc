@@ -141,8 +141,8 @@ int RunBench() {
       }
       const ReachStats& stats = service.value()->stats();
       const double q = static_cast<double>(stats.queries);
-      const int64_t bfs = stats.Decided(ReachStage::kPrunedBfs);
-      const int64_t cache = stats.Decided(ReachStage::kCache);
+      const int64_t bfs = stats.RuleDecided(ReachRule::kPrunedBfs);
+      const int64_t cache = stats.RuleDecided(ReachRule::kCacheHit);
       table.NewRow()
           .AddCell(family.name)
           .AddCell(family.avg_out_degree)

@@ -85,7 +85,7 @@ Result<ServeResult> ServeWorkload(
 double LabelDecidedRate(const ReachStats& stats) {
   if (stats.queries == 0) return 0;
   return static_cast<double>(stats.DecidedWithoutFallback() -
-                             stats.Decided(ReachStage::kCache)) /
+                             stats.RuleDecided(ReachRule::kCacheHit)) /
          static_cast<double>(stats.queries);
 }
 

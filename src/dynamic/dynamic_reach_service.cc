@@ -1,6 +1,5 @@
 #include "dynamic/dynamic_reach_service.h"
 
-#include <algorithm>
 #include <chrono>
 #include <limits>
 #include <string>
@@ -48,12 +47,10 @@ Result<std::unique_ptr<DynamicReachService>> DynamicReachService::Create(
   }
   service->stats_.snapshot_epoch = service->snapshot_epoch_;
   service->stats_.epoch = log->current_epoch();
-  if (options.incremental) {
-    // The trees track the LIVE graph, not the snapshot: they read the
-    // log's adjacency, which later WAL replay keeps advancing.
-    service->incremental_ =
-        IncrementalIndex::Build(log->adjacency(), options.incremental_options);
-  }
+  // The trees track the LIVE graph, not the snapshot: they read the
+  // log's adjacency, which later WAL replay keeps advancing.
+  service->incremental_ =
+      IncrementalIndex::Build(log->adjacency(), options.incremental_options);
   return service;
 }
 
@@ -70,10 +67,8 @@ Result<DynamicReachService::Epoch> DynamicReachService::InsertArc(
   ++stats_.arcs_inserted;
   stats_.epoch = epoch;
   cache_.BumpGeneration();
-  if (incremental_ != nullptr) {
-    incremental_->OnInsert(src, dst);
-    SyncIncrementalStats();
-  }
+  incremental_->OnInsert(src, dst);
+  SyncIncrementalStats();
   return epoch;
 }
 
@@ -83,10 +78,8 @@ Result<DynamicReachService::Epoch> DynamicReachService::DeleteArc(
   ++stats_.arcs_deleted;
   stats_.epoch = epoch;
   cache_.BumpGeneration();
-  if (incremental_ != nullptr) {
-    incremental_->OnDelete(src, dst);
-    SyncIncrementalStats();
-  }
+  incremental_->OnDelete(src, dst);
+  SyncIncrementalStats();
   return epoch;
 }
 
@@ -138,36 +131,30 @@ bool DynamicReachService::AdoptPublishedSnapshot() {
   // surface again.
   cache_.BumpGeneration();
   snapshot_scratch_ = ReachIndex::SearchScratch();
-  if (incremental_ != nullptr) {
-    // The rebuild the repair budget was saving toward just landed: reset
-    // the cost accumulator and the advise flag. The trees need no work —
-    // they track the live graph, not the snapshot.
-    incremental_->OnSnapshotAdopted();
-    SyncIncrementalStats();
-  }
+  // The rebuild the repair budget was saving toward just landed: reset
+  // the cost accumulator and the advise flag. The trees need no work —
+  // they track the live graph, not the snapshot.
+  incremental_->OnSnapshotAdopted();
+  SyncIncrementalStats();
   return true;
 }
 
 DynamicReachService::Answer DynamicReachService::SnapshotDecide(NodeId u,
                                                                 NodeId v) {
   const ReachCore& core = *snapshot_;
-  const NodeId cu = core.node_map[static_cast<size_t>(u)];
-  const NodeId cv = core.node_map[static_cast<size_t>(v)];
-  if (cu == cv) return {true, ReachStage::kTrivial};
-  ReachStage stage = ReachStage::kTrivial;
-  ReachIndex::Verdict verdict = core.DecideCondensed(cu, cv, &stage);
+  ReachRule rule = ReachRule::kSelf;
+  ReachIndex::Verdict verdict = core.Decide(u, v, &rule);
   if (verdict == ReachIndex::Verdict::kUnknown) {
-    const std::span<const NodeId> successors = core.dag.Successors(cu);
-    if (std::binary_search(successors.begin(), successors.end(), cv)) {
-      return {true, ReachStage::kAdjacency};
-    }
-    verdict = core.index.PrunedBfs(core.dag, cu, cv,
-                                   std::numeric_limits<int64_t>::max(),
-                                   &snapshot_scratch_);
+    int64_t expansions = 0;
+    verdict = core.index.PrunedBfs(
+        core.dag, core.node_map[static_cast<size_t>(u)],
+        core.node_map[static_cast<size_t>(v)],
+        std::numeric_limits<int64_t>::max(), &snapshot_scratch_, &expansions);
     TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
-    stage = ReachStage::kPrunedBfs;
+    serving_stats_.bfs_expansions += expansions;
+    rule = ReachRule::kPrunedBfs;
   }
-  return {verdict == ReachIndex::Verdict::kYes, stage};
+  return {verdict == ReachIndex::Verdict::kYes, rule};
 }
 
 bool DynamicReachService::LiveReaches(NodeId u, NodeId v) {
@@ -182,13 +169,11 @@ bool DynamicReachService::LiveReaches(NodeId u, NodeId v) {
       if (y == v) return true;
       if (live_visited_.Contains(static_cast<size_t>(y))) continue;
       live_visited_.Insert(static_cast<size_t>(y));
-      if (incremental_ != nullptr) {
-        // The trees are exact at the live epoch, so their verdict on
-        // (y, v) settles every path through y.
-        const ReachIndex::Verdict verdict = incremental_->Decide(y, v);
-        if (verdict == ReachIndex::Verdict::kYes) return true;
-        if (verdict == ReachIndex::Verdict::kNo) continue;
-      }
+      // The trees are exact at the live epoch, so their verdict on
+      // (y, v) settles every path through y.
+      const ReachIndex::Verdict verdict = incremental_->Decide(y, v);
+      if (verdict == ReachIndex::Verdict::kYes) return true;
+      if (verdict == ReachIndex::Verdict::kNo) continue;
       live_frontier_.push_back(y);
     }
   }
@@ -211,34 +196,35 @@ Result<DynamicReachService::Answer> DynamicReachService::Query(NodeId src,
   Answer answer;
   bool cached = false;
   if (cache_.Lookup(src, dst, &cached)) {
-    answer = {cached, ReachStage::kCache};
-    serving_stats_.Record(answer.stage, answer.reachable,
+    answer = {cached, ReachRule::kCacheHit};
+    serving_stats_.Record(answer.rule, answer.reachable,
                           MonotonicSeconds() - start);
     return answer;
   }
   if (src == dst) {
     // Reflexive regardless of snapshot or epoch.
-    answer = {true, ReachStage::kTrivial};
+    answer = {true, ReachRule::kSelf};
   } else if (stats_.epoch == snapshot_epoch_) {
     // No mutation since the snapshot was built: it IS the live graph.
     ++stats_.snapshot_served;
     answer = SnapshotDecide(src, dst);
   } else {
-    ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
-    if (incremental_ != nullptr) {
-      verdict = incremental_->Decide(src, dst);
-    }
+    const ReachIndex::Verdict verdict = incremental_->Decide(src, dst);
     if (verdict != ReachIndex::Verdict::kUnknown) {
       ++stats_.incremental_served;
       answer = {verdict == ReachIndex::Verdict::kYes,
-                ReachStage::kIncremental};
+                ReachRule::kIncremental};
     } else {
       ++stats_.escalations;
-      answer = {LiveReaches(src, dst), ReachStage::kLiveBfs};
+      answer = {LiveReaches(src, dst), ReachRule::kLiveBfs};
+      serving_stats_.bfs_expansions +=
+          static_cast<int64_t>(live_frontier_.size());
     }
   }
-  cache_.Insert(src, dst, answer.reachable);
-  serving_stats_.Record(answer.stage, answer.reachable,
+  if (cache_.Insert(src, dst, answer.reachable)) {
+    ++serving_stats_.cache_insertions;
+  }
+  serving_stats_.Record(answer.rule, answer.reachable,
                         MonotonicSeconds() - start);
   return answer;
 }

@@ -22,12 +22,12 @@ struct DynamicReachOptions {
   // LRU answer-cache entries; 0 disables. Entries are invalidated (via a
   // generation bump) by every mutation and every snapshot adoption.
   size_t cache_capacity = 4096;
-  // Maintain the incremental-decided tier: per-pivot forward/backward
+  // The incremental-decided tier: per-pivot forward/backward
   // reachability trees repaired on every mutation, consulted as an O(k)
   // exact decide between the frozen-snapshot ladder and the live BFS,
-  // and used to prune that BFS. Off serves every query past the snapshot
-  // epoch with an unpruned live BFS (same answers, different CPU).
-  bool incremental = true;
+  // and used to prune that BFS. num_pivots = 0 keeps no trees: every
+  // query past the snapshot epoch runs an unpruned live BFS (same
+  // answers, different CPU).
   IncrementalOptions incremental_options;
 };
 
@@ -37,17 +37,18 @@ struct DynamicReachOptions {
 //                -> incremental-decided -> live BFS
 //
 // While no mutation has landed since the serving snapshot was built
-// (log epoch == snapshot epoch) the snapshot IS the live graph, and its
-// O(1) labels answer, with an exact pruned BFS over the condensation for
-// the residue. Past that epoch the snapshot is stale, and the query goes
-// to the incremental tier: per-pivot forward/backward reachability trees
-// (IncrementalIndex) repaired inside every mutation answer an O(k)
-// battery of observations that is exact at the live epoch. What they
-// leave undecided is settled by a BFS over the log's in-memory
-// LiveAdjacency on original node ids (deletions may have split snapshot
-// SCCs, so the stale condensation is never consulted), pruned by the
-// same trees: a node y with Decide(y, v) == kNo is a dead end and is not
-// expanded, one with kYes ends the search with YES (DESIGN.md §11).
+// (log epoch == snapshot epoch) the snapshot IS the live graph, and
+// ReachCore::Decide answers, with an exact pruned BFS over the
+// condensation for the residue. Past that epoch the snapshot is stale,
+// and the query goes to the incremental tier: per-pivot forward/backward
+// reachability trees (IncrementalIndex) repaired inside every mutation
+// answer an O(k) battery of observations that is exact at the live
+// epoch. What they leave undecided is settled by a BFS over the log's
+// in-memory LiveAdjacency on original node ids (deletions may have split
+// snapshot SCCs, so the stale condensation is never consulted), pruned
+// by the same trees: a node y with Decide(y, v) == kNo is a dead end and
+// is not expanded, one with kYes ends the search with YES (DESIGN.md
+// §11). Every query is recorded under the one rule that decided it.
 //
 // Threading: mutations and queries belong to one owner thread (they
 // touch the log's adjacency, the trees, the cache and the stats).
@@ -101,16 +102,13 @@ class DynamicReachService {
   // True when the incremental tier's repair-cost estimate says a full
   // rebuild is now cheaper than continuing to repair — the
   // IndexRebuilder's advise hook (safe from any thread; always false
-  // with the tier disabled).
-  bool RebuildAdvised() const {
-    return incremental_ != nullptr && incremental_->rebuild_advised();
-  }
-  // The incremental tier, or null when disabled.
-  const IncrementalIndex* incremental() const { return incremental_.get(); }
+  // without pivots).
+  bool RebuildAdvised() const { return incremental_->rebuild_advised(); }
+  const IncrementalIndex& incremental() const { return *incremental_; }
 
   const DynamicStats& stats() const { return stats_; }
-  // Per-stage serving breakdown; the dynamic paths record under
-  // ReachStage::kIncremental / kLiveBfs.
+  // Per-rule serving breakdown of every query; the dynamic paths record
+  // under ReachRule::kIncremental / kLiveBfs.
   const ReachStats& serving_stats() const { return serving_stats_; }
   Epoch snapshot_epoch() const { return snapshot_epoch_; }
   const ReachCore& snapshot() const { return *snapshot_; }
@@ -126,12 +124,12 @@ class DynamicReachService {
   DynamicReachService() : cache_(0) {}
 
   // Exact reachability on the snapshot (valid at the snapshot epoch):
-  // labels, then adjacency, then unbounded pruned BFS over the
+  // ReachCore::Decide, then an unbounded pruned BFS over the
   // condensation.
   Answer SnapshotDecide(NodeId u, NodeId v);
 
   // BFS over the log's live adjacency, original node ids, pruned by the
-  // incremental trees when the tier is on.
+  // incremental trees. Leaves every node it queued in live_frontier_.
   bool LiveReaches(NodeId u, NodeId v);
 
   // Mirrors the incremental tier's maintenance counters into stats_.
@@ -143,8 +141,8 @@ class DynamicReachService {
   std::shared_ptr<const ReachCore> snapshot_;
   Epoch snapshot_epoch_ = 0;
 
-  // The incremental-decided tier (null when options_.incremental is
-  // off): exact on the live graph, repaired inside every mutation.
+  // The incremental-decided tier: exact on the live graph, repaired
+  // inside every mutation.
   std::unique_ptr<IncrementalIndex> incremental_;
 
   ReachAnswerCache cache_;

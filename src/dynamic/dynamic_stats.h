@@ -10,9 +10,9 @@ namespace tcdb {
 // accumulate, how often queries are served from the snapshot, the
 // incremental trees or the live graph, and what the rebuild/swap cadence
 // looks like. Complements ReachStats (which attributes each answer to its
-// serving-ladder rung — kIncremental and kLiveBfs are the dynamic
-// rungs); this struct carries the dynamic-only aggregates a stage
-// breakdown cannot express. Owner-thread mutable, like ReachStats.
+// rule — kIncremental and kLiveBfs are the dynamic rules); this struct
+// carries the dynamic-only aggregates a rule breakdown cannot express.
+// Owner-thread mutable, like ReachStats.
 struct DynamicStats {
   // Mutation traffic accepted by the log through this service.
   int64_t arcs_inserted = 0;
@@ -22,8 +22,8 @@ struct DynamicStats {
   // snapshot was built and the frozen-snapshot ladder answered.
   // incremental_served: the incrementally maintained reachability trees
   // decided (either polarity, exact at the live epoch). escalations: the
-  // trees left the query undecided (or the tier is off) and the live
-  // graph was searched.
+  // trees left the query undecided (always, with num_pivots = 0) and the
+  // live graph was searched.
   int64_t queries = 0;
   int64_t snapshot_served = 0;
   int64_t incremental_served = 0;

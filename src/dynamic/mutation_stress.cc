@@ -45,9 +45,6 @@ Status RunOneSeed(const MutationStressOptions& options, uint64_t seed,
   DynamicReachOptions service_options;
   rng.Uniform(64, 4096);  // discarded: keeps each seed's trace unchanged
   service_options.cache_capacity = static_cast<size_t>(rng.Uniform(0, 256));
-  // Read AFTER the shared draws above so toggling the tier replays the
-  // bit-identical trace (the answer-digest diff depends on it).
-  service_options.incremental = options.incremental;
   TCDB_ASSIGN_OR_RETURN(
       std::unique_ptr<DynamicReachService> service,
       DynamicReachService::Create(log.get(), service_options));
@@ -87,7 +84,7 @@ Status RunOneSeed(const MutationStressOptions& options, uint64_t seed,
             "epoch-boundary validation: reaches(" + std::to_string(u) +
             ", " + std::to_string(v) + ") = " +
             (answer.reachable ? "true" : "false") + " via " +
-            ReachStageName(answer.stage) + ", reference says " +
+            ReachRuleName(answer.rule) + ", reference says " +
             (expected ? "true" : "false") + " at epoch " +
             std::to_string(log->current_epoch()));
       }
@@ -160,7 +157,7 @@ Status RunOneSeed(const MutationStressOptions& options, uint64_t seed,
       return Status::Internal(
           "reaches(" + std::to_string(u) + ", " + std::to_string(v) +
           ") = " + (answer.reachable ? "true" : "false") + " via " +
-          ReachStageName(answer.stage) + ", reference says " +
+          ReachRuleName(answer.rule) + ", reference says " +
           (expected ? "true" : "false") + " at epoch " +
           std::to_string(log->current_epoch()));
     }

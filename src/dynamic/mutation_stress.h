@@ -42,11 +42,6 @@ struct MutationStressOptions {
   // so changing the cadence never changes the trace itself.
   int32_t validate_every = 1;
   int32_t validate_pairs = 8;
-  // Serve with the incremental-decided tier (per-pivot reachability
-  // trees). Forcing it off replays the identical trace through the
-  // snapshot + unpruned live-BFS ladder — check.sh diffs the two answer
-  // digests to prove the tier changes CPU, not answers.
-  bool incremental = true;
   // Progress sink, called once per seed; may be empty.
   std::function<void(const std::string&)> log;
 };
@@ -78,9 +73,8 @@ struct MutationStressReport {
   int64_t epoch_validations = 0;
   // FNV-1a digest over every trace-op query (u, v, answer) triple, in
   // trace order across all seeds. Identical traces must produce the
-  // identical digest regardless of serving configuration (incremental
-  // tier on/off, cache size) — only the stage mix and
-  // CPU may differ.
+  // identical digest regardless of serving configuration (pivot count,
+  // cache size) — only the rule mix and CPU may differ.
   uint64_t answer_digest = 0x811c9dc5;
 };
 

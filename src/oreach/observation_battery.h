@@ -45,7 +45,7 @@ using DecideProbe = std::function<bool(NodeId u, NodeId v)>;
 
 // O'Reach-style observation battery (Hanauer, Schulz & Szedlák): a second
 // bank of O(1) labels consulted after the base ReachIndex rules and before
-// the BFS/SRCH fallbacks (serving stage kObservation). Where the base
+// the pruned-BFS search (serving stage kObservation). Where the base
 // index optimizes for the average random pair, the battery is aimed at the
 // *residue* — the pairs the base labels leave undecided — and at the
 // actual query mix:

@@ -7,38 +7,6 @@
 
 namespace tcdb {
 
-const char* ReachStageName(ReachStage stage) {
-  switch (stage) {
-    case ReachStage::kCache:
-      return "cache";
-    case ReachStage::kTrivial:
-      return "trivial";
-    case ReachStage::kTopoNegative:
-      return "topo-negative";
-    case ReachStage::kDfsPositive:
-      return "dfs-interval";
-    case ReachStage::kChainPositive:
-      return "chain";
-    case ReachStage::kSupportivePositive:
-      return "supportive-yes";
-    case ReachStage::kSupportiveNegative:
-      return "supportive-no";
-    case ReachStage::kAdjacency:
-      return "adjacency";
-    case ReachStage::kObservation:
-      return "observation";
-    case ReachStage::kChainFrontier:
-      return "chain-frontier";
-    case ReachStage::kPrunedBfs:
-      return "pruned-bfs";
-    case ReachStage::kIncremental:
-      return "incremental";
-    case ReachStage::kLiveBfs:
-      return "live-bfs";
-  }
-  return "?";
-}
-
 namespace {
 
 // Forward BFS from `root`; sets the bit of every node reachable from it
@@ -223,33 +191,28 @@ void PrepareScratch(ReachIndex::SearchScratch* scratch, size_t n) {
 }  // namespace
 
 ReachIndex::Verdict ReachIndex::TryDecide(NodeId u, NodeId v,
-                                          ReachStage* stage,
                                           ReachRule* rule) const {
   TCDB_DCHECK(u >= 0 && u < num_nodes());
   TCDB_DCHECK(v >= 0 && v < num_nodes());
-  auto decide = [&](Verdict verdict, ReachStage s, ReachRule r) {
-    if (stage != nullptr) *stage = s;
+  auto decide = [&](Verdict verdict, ReachRule r) {
     if (rule != nullptr) *rule = r;
     return verdict;
   };
   if (u == v) {
-    return decide(Verdict::kYes, ReachStage::kTrivial, ReachRule::kSelf);
+    return decide(Verdict::kYes, ReachRule::kSelf);
   }
   const int32_t pu = topo_pos_[u];
   const int32_t pv = topo_pos_[v];
   if (pv < pu || pv > max_reach_pos_[u] || pu < min_origin_pos_[v]) {
-    return decide(Verdict::kNo, ReachStage::kTopoNegative,
-                  ReachRule::kTopoWindow);
+    return decide(Verdict::kNo, ReachRule::kTopoWindow);
   }
   if (pre_[u] <= pre_[v] && post_[v] <= post_[u]) {
-    return decide(Verdict::kYes, ReachStage::kDfsPositive,
-                  ReachRule::kDfsInterval);
+    return decide(Verdict::kYes, ReachRule::kDfsInterval);
   }
   if (chain_id_[u] == chain_id_[v]) {
     // pv > pu already, and chain positions are topologically increasing.
     TCDB_DCHECK(chain_pos_[u] < chain_pos_[v]);
-    return decide(Verdict::kYes, ReachStage::kChainPositive,
-                  ReachRule::kChainStep);
+    return decide(Verdict::kYes, ReachRule::kChainStep);
   }
   for (size_t i = 0; i < pivots_.size(); ++i) {
     const bool p_reaches_u = fwd_[i].Test(static_cast<size_t>(u));
@@ -258,19 +221,16 @@ ReachIndex::Verdict ReachIndex::TryDecide(NodeId u, NodeId v,
     const bool v_reaches_p = bwd_[i].Test(static_cast<size_t>(v));
     // u ~> pivot ~> v.
     if (u_reaches_p && p_reaches_v) {
-      return decide(Verdict::kYes, ReachStage::kSupportivePositive,
-                    ReachRule::kSupportiveThrough);
+      return decide(Verdict::kYes, ReachRule::kSupportiveThrough);
     }
     // pivot ~> u but not pivot ~> v: a u ~> v path would extend the
     // pivot's reach to v.
     if (p_reaches_u && !p_reaches_v) {
-      return decide(Verdict::kNo, ReachStage::kSupportiveNegative,
-                    ReachRule::kSupportiveFwdCut);
+      return decide(Verdict::kNo, ReachRule::kSupportiveFwdCut);
     }
     // v ~> pivot but not u ~> pivot: a u ~> v path would reach the pivot.
     if (v_reaches_p && !u_reaches_p) {
-      return decide(Verdict::kNo, ReachStage::kSupportiveNegative,
-                    ReachRule::kSupportiveBwdCut);
+      return decide(Verdict::kNo, ReachRule::kSupportiveBwdCut);
     }
   }
   return Verdict::kUnknown;

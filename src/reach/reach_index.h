@@ -18,38 +18,6 @@
 
 namespace tcdb {
 
-// The rung of the serving ladder that decided a reachability query. The
-// stages through kObservation are O(1) label lookups; pruned BFS is the
-// fallback for the residue the labels leave undecided.
-enum class ReachStage {
-  kCache = 0,           // LRU answer cache hit (ReachService only)
-  kTrivial,             // u == v, or u and v share a strongly connected
-                        // component of the (cyclic) input
-  kTopoNegative,        // topological-order / reach-bound intervals: "no"
-  kDfsPositive,         // DFS-forest interval containment: "yes"
-  kChainPositive,       // same chain, earlier position: "yes"
-  kSupportivePositive,  // u reaches a pivot that reaches v: "yes"
-  kSupportiveNegative,  // a pivot separates u from v: "no"
-  kAdjacency,           // (u, v) is an arc of the graph: "yes"
-                        // (O(log out-degree) via the sorted CSR row)
-  kObservation,         // O'Reach observation battery (src/oreach/):
-                        // extra orders, levels, cuts, traffic pivots
-  kChainFrontier,       // chain-decomposition frontier labels (the kChain
-                        // backend; exact, so always definitive)
-  kPrunedBfs,           // interval-pruned BFS fallback
-  kIncremental,         // dynamic: decided by the incrementally maintained
-                        // per-pivot reachability trees (exact on the live
-                        // graph at the current epoch)
-  kLiveBfs,             // dynamic: search on the live graph, pruned by
-                        // the incremental trees
-};
-inline constexpr int kNumReachStages =
-    static_cast<int>(ReachStage::kLiveBfs) + 1;
-
-// Short stable name, e.g. "topo-negative" (used by --explain and the stats
-// table).
-const char* ReachStageName(ReachStage stage);
-
 // Which label structure a ReachCore builds over the condensation.
 enum class ReachBackend : uint8_t {
   // The partial O(1) rules below plus the pruned-BFS fallback.
@@ -119,8 +87,8 @@ struct ReachIndexOptions {
 //   - `num_supportive` pivot bit-sets (definite "yes" through a pivot,
 //     definite "no" when a pivot separates the pair).
 // The labels decide the vast majority of random queries; the undecided
-// residue goes to PrunedBfs() and, beyond a budget, to the caller's
-// closure-based fallback (see ReachService).
+// residue goes to PrunedBfs(), first within a node budget and then
+// unbounded (see ReachService).
 //
 // Thread safety: a built index is immutable, so TryDecide and the label
 // accessors may run from any number of threads concurrently; the BFS
@@ -149,10 +117,8 @@ class ReachIndex {
   };
 
   // O(1): answers from the labels alone, or kUnknown for the residue.
-  // When decided, non-null `stage`/`rule` out-params name the deciding
-  // rule at stage granularity and at per-rule granularity respectively.
-  Verdict TryDecide(NodeId u, NodeId v, ReachStage* stage = nullptr,
-                    ReachRule* rule = nullptr) const;
+  // When decided, a non-null `rule` names the deciding rule.
+  Verdict TryDecide(NodeId u, NodeId v, ReachRule* rule = nullptr) const;
 
   // Fallback: BFS from `u` toward `v` over `dag` (which must be the graph
   // the index was built from), pruning every node whose labels prove it

@@ -3,13 +3,10 @@
 
 namespace tcdb {
 
-// The individual rule that decided a reachability query — one level finer
-// than ReachStage. A stage can bundle several rules (kTrivial is both
-// reflexivity and shared-SCC; the observation battery is a dozen distinct
-// observations), and "which rule carries the traffic" is exactly what
-// pivot selection and cache policy need to see. Header-only so both the
-// reach layer and the oreach battery (which the reach layer links) can
-// name rules without a dependency cycle.
+// The individual rule that decided a reachability query: the one
+// classification every decision path in the serving stack reports.
+// Header-only so both the reach layer and the oreach battery (which the
+// reach layer links) can name rules without a dependency cycle.
 enum class ReachRule {
   kCacheHit = 0,        // LRU answer cache
   kSelf,                // u == v (reflexivity)
@@ -32,11 +29,84 @@ enum class ReachRule {
   kObsPivotThrough,     // traffic pivot: u ~> p ~> v: "yes"
   kObsPivotFwdCut,      // traffic pivot: p ~> u but not p ~> v: "no"
   kObsPivotBwdCut,      // traffic pivot: v ~> p but not u ~> p: "no"
-  // --- anything that ran a search ---
-  kFallback,            // pruned BFS / dynamic search tiers
+  // --- past the O(1) labels ---
+  kPrunedBfs,           // interval-pruned BFS over the condensation
+  kIncremental,         // dynamic: the incrementally maintained per-pivot
+                        // reachability trees (exact at the live epoch)
+  kLiveBfs,             // dynamic: search on the live graph, pruned by
+                        // the incremental trees
 };
 inline constexpr int kNumReachRules =
-    static_cast<int>(ReachRule::kFallback) + 1;
+    static_cast<int>(ReachRule::kLiveBfs) + 1;
+
+// The rung of the serving ladder a rule belongs to: a coarser grouping of
+// ReachRule for per-rung tables (StageOf). The stages through
+// kChainFrontier are O(1) label lookups; the rest search or consult the
+// dynamic tier.
+enum class ReachStage {
+  kCache = 0,           // LRU answer cache hit
+  kTrivial,             // u == v, or u and v share a strongly connected
+                        // component of the (cyclic) input
+  kTopoNegative,        // topological-order / reach-bound intervals: "no"
+  kDfsPositive,         // DFS-forest interval containment: "yes"
+  kChainPositive,       // same chain, earlier position: "yes"
+  kSupportivePositive,  // u reaches a pivot that reaches v: "yes"
+  kSupportiveNegative,  // a pivot separates u from v: "no"
+  kAdjacency,           // (u, v) is an arc of the graph: "yes"
+                        // (O(log out-degree) via the sorted CSR row)
+  kObservation,         // O'Reach observation battery (src/oreach/):
+                        // extra orders, levels, cuts, traffic pivots
+  kChainFrontier,       // chain-decomposition frontier labels (the kChain
+                        // backend; exact, so always definitive)
+  kPrunedBfs,           // interval-pruned BFS
+  kIncremental,         // dynamic: the incremental per-pivot trees
+  kLiveBfs,             // dynamic: search on the live graph
+};
+inline constexpr int kNumReachStages =
+    static_cast<int>(ReachStage::kLiveBfs) + 1;
+
+// The stage a rule is reported under.
+constexpr ReachStage StageOf(ReachRule rule) {
+  switch (rule) {
+    case ReachRule::kCacheHit:
+      return ReachStage::kCache;
+    case ReachRule::kSelf:
+    case ReachRule::kSameScc:
+      return ReachStage::kTrivial;
+    case ReachRule::kTopoWindow:
+      return ReachStage::kTopoNegative;
+    case ReachRule::kDfsInterval:
+      return ReachStage::kDfsPositive;
+    case ReachRule::kChainStep:
+      return ReachStage::kChainPositive;
+    case ReachRule::kSupportiveThrough:
+      return ReachStage::kSupportivePositive;
+    case ReachRule::kSupportiveFwdCut:
+    case ReachRule::kSupportiveBwdCut:
+      return ReachStage::kSupportiveNegative;
+    case ReachRule::kAdjacency:
+      return ReachStage::kAdjacency;
+    case ReachRule::kChainFrontier:
+      return ReachStage::kChainFrontier;
+    case ReachRule::kObsTopoOrder:
+    case ReachRule::kObsSandwich:
+    case ReachRule::kObsLevel:
+    case ReachRule::kObsWeakComponent:
+    case ReachRule::kObsForwardCut:
+    case ReachRule::kObsBackwardCut:
+    case ReachRule::kObsPivotThrough:
+    case ReachRule::kObsPivotFwdCut:
+    case ReachRule::kObsPivotBwdCut:
+      return ReachStage::kObservation;
+    case ReachRule::kPrunedBfs:
+      return ReachStage::kPrunedBfs;
+    case ReachRule::kIncremental:
+      return ReachStage::kIncremental;
+    case ReachRule::kLiveBfs:
+      return ReachStage::kLiveBfs;
+  }
+  return ReachStage::kTrivial;
+}
 
 // Short stable name, e.g. "topo-window" (stats tables, bench JSON keys).
 inline const char* ReachRuleName(ReachRule rule) {
@@ -81,8 +151,46 @@ inline const char* ReachRuleName(ReachRule rule) {
       return "obs-pivot-fwd-cut";
     case ReachRule::kObsPivotBwdCut:
       return "obs-pivot-bwd-cut";
-    case ReachRule::kFallback:
-      return "fallback";
+    case ReachRule::kPrunedBfs:
+      return "pruned-bfs";
+    case ReachRule::kIncremental:
+      return "incremental";
+    case ReachRule::kLiveBfs:
+      return "live-bfs";
+  }
+  return "?";
+}
+
+// Short stable name, e.g. "topo-negative" (used by --explain and the stats
+// table).
+inline const char* ReachStageName(ReachStage stage) {
+  switch (stage) {
+    case ReachStage::kCache:
+      return "cache";
+    case ReachStage::kTrivial:
+      return "trivial";
+    case ReachStage::kTopoNegative:
+      return "topo-negative";
+    case ReachStage::kDfsPositive:
+      return "dfs-interval";
+    case ReachStage::kChainPositive:
+      return "chain";
+    case ReachStage::kSupportivePositive:
+      return "supportive-yes";
+    case ReachStage::kSupportiveNegative:
+      return "supportive-no";
+    case ReachStage::kAdjacency:
+      return "adjacency";
+    case ReachStage::kObservation:
+      return "observation";
+    case ReachStage::kChainFrontier:
+      return "chain-frontier";
+    case ReachStage::kPrunedBfs:
+      return "pruned-bfs";
+    case ReachStage::kIncremental:
+      return "incremental";
+    case ReachStage::kLiveBfs:
+      return "live-bfs";
   }
   return "?";
 }

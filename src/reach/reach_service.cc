@@ -130,40 +130,32 @@ std::string ReachCore::BackendSummary() const {
 }
 
 ReachIndex::Verdict ReachCore::DecideCondensed(NodeId csrc, NodeId cdst,
-                                               ReachStage* stage,
                                                ReachRule* rule) const {
   if (backend == ReachBackend::kChain) {
-    if (stage != nullptr) *stage = ReachStage::kChainFrontier;
     if (rule != nullptr) *rule = ReachRule::kChainFrontier;
     return chain.Reaches(csrc, cdst) ? ReachIndex::Verdict::kYes
                                      : ReachIndex::Verdict::kNo;
   }
-  return index.TryDecide(csrc, cdst, stage, rule);
+  return index.TryDecide(csrc, cdst, rule);
 }
 
 ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
-                                     ReachStage* stage,
                                      ReachRule* rule) const {
-  ReachStage unused_stage;
   ReachRule unused_rule;
-  if (stage == nullptr) stage = &unused_stage;
   if (rule == nullptr) rule = &unused_rule;
   const NodeId csrc = node_map[src];
   const NodeId cdst = node_map[dst];
   // src == dst (reflexivity) or one shared strongly connected component.
   if (csrc == cdst) {
-    *stage = ReachStage::kTrivial;
     *rule = src == dst ? ReachRule::kSelf : ReachRule::kSameScc;
     return ReachIndex::Verdict::kYes;
   }
-  const ReachIndex::Verdict verdict =
-      DecideCondensed(csrc, cdst, stage, rule);
+  const ReachIndex::Verdict verdict = DecideCondensed(csrc, cdst, rule);
   if (verdict != ReachIndex::Verdict::kUnknown) return verdict;
   // A direct arc covers the non-tree arcs the interval labels cannot
   // witness.
   const std::span<const NodeId> successors = dag.Successors(csrc);
   if (std::binary_search(successors.begin(), successors.end(), cdst)) {
-    *stage = ReachStage::kAdjacency;
     *rule = ReachRule::kAdjacency;
     return ReachIndex::Verdict::kYes;
   }
@@ -173,7 +165,6 @@ ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
   if (observed == ObservationBattery::Verdict::kUnknown) {
     return ReachIndex::Verdict::kUnknown;
   }
-  *stage = ReachStage::kObservation;
   return observed == ObservationBattery::Verdict::kYes
              ? ReachIndex::Verdict::kYes
              : ReachIndex::Verdict::kNo;
@@ -389,10 +380,9 @@ ReachService::BatchPass ReachService::LabelPass(
   const double start = NowSeconds();
   double mark = start;
   for (size_t i = 0; i < pairs.size(); ++i) {
-    ReachStage stage = ReachStage::kTrivial;
-    ReachRule rule = ReachRule::kFallback;
+    ReachRule rule = ReachRule::kSelf;
     const ReachIndex::Verdict verdict =
-        core.Decide(pairs[i].first, pairs[i].second, &stage, &rule);
+        core.Decide(pairs[i].first, pairs[i].second, &rule);
     const double now = NowSeconds();
     if (verdict == ReachIndex::Verdict::kUnknown) {
       pass.residue.push_back(i);
@@ -401,8 +391,8 @@ ReachService::BatchPass ReachService::LabelPass(
       // Deliberately never cached: an O(1)-decided answer re-derives in
       // nanoseconds, so caching it would only evict the fallback answers
       // whose recomputation costs something.
-      pass.answers[i] = {verdict == ReachIndex::Verdict::kYes, stage};
-      pass.stats.Record(stage, rule, pass.answers[i].reachable, now - mark);
+      pass.answers[i] = {verdict == ReachIndex::Verdict::kYes, rule};
+      pass.stats.Record(rule, pass.answers[i].reachable, now - mark);
     }
     mark = now;
   }
@@ -428,16 +418,14 @@ void ReachService::ServeResidue(
   const bool relabel = pass->core != core_.get();
   for (size_t k = 0; k < pass->residue.size(); ++k) {
     const size_t i = pass->residue[k];
-    ReachStage stage = ReachStage::kTrivial;
-    ReachRule rule = ReachRule::kFallback;
+    ReachRule rule = ReachRule::kSelf;
     ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
     if (relabel) {
-      verdict = core_->Decide(pairs[i].first, pairs[i].second, &stage, &rule);
+      verdict = core_->Decide(pairs[i].first, pairs[i].second, &rule);
     }
     bool cached = false;
     if (verdict == ReachIndex::Verdict::kUnknown &&
         cache_.Lookup(pairs[i].first, pairs[i].second, &cached)) {
-      stage = ReachStage::kCache;
       rule = ReachRule::kCacheHit;
       verdict = cached ? ReachIndex::Verdict::kYes : ReachIndex::Verdict::kNo;
     }
@@ -447,9 +435,9 @@ void ReachService::ServeResidue(
       residue_seconds[csrc] += pass->residue_seconds[k];
       continue;
     }
-    answers[i] = {verdict == ReachIndex::Verdict::kYes, stage};
+    answers[i] = {verdict == ReachIndex::Verdict::kYes, rule};
     const double now = NowSeconds();
-    stats_.Record(stage, rule, answers[i].reachable,
+    stats_.Record(rule, answers[i].reachable,
                   (now - mark) + pass->residue_seconds[k]);
     mark = now;
   }
@@ -483,12 +471,11 @@ void ReachService::ServeResidue(
         group_seconds / static_cast<double>(indices.size());
     for (size_t t = 0; t < targets.size(); ++t) {
       for (const size_t i : target_indices[t]) {
-        answers[i] = {reached[t], ReachStage::kPrunedBfs};
+        answers[i] = {reached[t], ReachRule::kPrunedBfs};
         if (cache_.Insert(pairs[i].first, pairs[i].second, reached[t])) {
           ++stats_.cache_insertions;
         }
-        stats_.Record(ReachStage::kPrunedBfs, ReachRule::kFallback,
-                      reached[t], per_query_seconds);
+        stats_.Record(ReachRule::kPrunedBfs, reached[t], per_query_seconds);
       }
     }
   }

@@ -75,20 +75,25 @@ struct ReachCore {
 
   // Exact reachability between condensation nodes, whatever the backend
   // answers it: reflexive, never unknown for kChain; kUnknown only for
-  // the kLabels residue (which the service ladder then searches). The
-  // out-params name the deciding stage and individual rule.
+  // the kLabels residue (which the service ladder then searches). When
+  // decided, a non-null `rule` names the deciding rule.
   ReachIndex::Verdict DecideCondensed(NodeId csrc, NodeId cdst,
-                                      ReachStage* stage,
                                       ReachRule* rule = nullptr) const;
+  // The same decision reported at stage granularity (StageOf its rule).
+  ReachIndex::Verdict DecideCondensed(NodeId csrc, NodeId cdst,
+                                      ReachStage* stage) const {
+    ReachRule rule = ReachRule::kSelf;
+    const ReachIndex::Verdict verdict = DecideCondensed(csrc, cdst, &rule);
+    if (verdict != ReachIndex::Verdict::kUnknown) *stage = StageOf(rule);
+    return verdict;
+  }
 
   // Every O(1) rung of the serving ladder on input ids, in order: self
   // and same-SCC, DecideCondensed, a direct arc (binary search over the
   // sorted CSR row), then the observation battery. kUnknown is exactly
-  // the residue the service must search; otherwise the out-params name
-  // the deciding stage and rule. Endpoints must lie in
-  // [0, num_input_nodes).
+  // the residue the service must search; otherwise a non-null `rule`
+  // names the deciding rule. Endpoints must lie in [0, num_input_nodes).
   ReachIndex::Verdict Decide(NodeId src, NodeId dst,
-                             ReachStage* stage = nullptr,
                              ReachRule* rule = nullptr) const;
 
   // `arcs` may be cyclic and unsorted; endpoints must lie in
@@ -120,7 +125,7 @@ struct ReachCore {
 //
 // The cache only ever holds fallback answers, which the labels of the
 // same core cannot decide, so consulting it after the labels changes no
-// answer and no stage; it only keeps the cache off the O(1) path.
+// answer and no rule; it only keeps the cache off the O(1) path.
 //
 // The paged closure machinery (TcSession, the buffer pool, the successor-
 // list store) is the paper's instrument and plays no part in serving.
@@ -144,8 +149,13 @@ struct ReachCore {
 class ReachService {
  public:
   struct Answer {
+    Answer() = default;
+    Answer(bool reachable, ReachRule rule)
+        : reachable(reachable), rule(rule), stage(StageOf(rule)) {}
+
     bool reachable = false;
-    ReachStage stage = ReachStage::kTrivial;  // the rung that decided it
+    ReachRule rule = ReachRule::kSelf;  // the rule that decided it
+    ReachStage stage = ReachStage::kTrivial;  // always StageOf(rule)
   };
 
   // Convenience: builds a private core, then the service. `arcs` may be

@@ -6,7 +6,22 @@
 
 namespace tcdb {
 
+int64_t ReachStats::Decided(ReachStage stage) const {
+  int64_t total = 0;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    if (StageOf(static_cast<ReachRule>(r)) == stage) total += rule_decided[r];
+  }
+  return total;
+}
+
 TablePrinter ReachStats::ToTable() const {
+  int64_t decided[kNumReachStages] = {};
+  double seconds[kNumReachStages] = {};
+  for (int r = 0; r < kNumReachRules; ++r) {
+    const int s = static_cast<int>(StageOf(static_cast<ReachRule>(r)));
+    decided[s] += rule_decided[r];
+    seconds[s] += rule_seconds[r];
+  }
   TablePrinter table({"stage", "decided", "share %", "total ms", "us/query"});
   for (int s = 0; s < kNumReachStages; ++s) {
     const int64_t count = decided[s];
@@ -23,24 +38,20 @@ TablePrinter ReachStats::ToTable() const {
 
 TablePrinter ReachStats::RuleTable() const {
   TablePrinter table({"rule", "decided", "share %"});
-  int64_t attributed = 0;
-  for (int r = 0; r < kNumReachRules; ++r) attributed += rule_decided[r];
   for (int r = 0; r < kNumReachRules; ++r) {
     const int64_t count = rule_decided[r];
     if (count == 0) continue;
     table.NewRow()
         .AddCell(std::string(ReachRuleName(static_cast<ReachRule>(r))))
         .AddCell(count)
-        .AddCell(attributed == 0 ? 0.0 : 100.0 * count / attributed, 1);
+        .AddCell(queries == 0 ? 0.0 : 100.0 * count / queries, 1);
   }
   return table;
 }
 
 void ReachStats::Print(std::ostream& out, const ReachCore* core) const {
   ToTable().Print(out);
-  int64_t attributed = 0;
-  for (int r = 0; r < kNumReachRules; ++r) attributed += rule_decided[r];
-  if (attributed > 0) RuleTable().Print(out);
+  if (queries > 0) RuleTable().Print(out);
   out << "queries " << queries << " (" << positive_answers
       << " reachable), batches " << batches << ", decided without fallback "
       << DecidedWithoutFallback();
@@ -62,12 +73,9 @@ void ReachStats::Merge(const ReachStats& other) {
   queries += other.queries;
   batches += other.batches;
   positive_answers += other.positive_answers;
-  for (int s = 0; s < kNumReachStages; ++s) {
-    decided[s] += other.decided[s];
-    seconds[s] += other.seconds[s];
-  }
   for (int r = 0; r < kNumReachRules; ++r) {
     rule_decided[r] += other.rule_decided[r];
+    rule_seconds[r] += other.rule_seconds[r];
   }
   cache_insertions += other.cache_insertions;
   bfs_expansions += other.bfs_expansions;

@@ -12,7 +12,7 @@ namespace tcdb {
 
 struct ReachCore;
 
-// Per-service observability counters: how many queries each rung of the
+// Per-service observability counters: how many queries each rule of the
 // serving ladder decided and how much wall time it consumed. The point is
 // not just "queries were fast" but *why* — benches and the CLI's --explain
 // print this block so regressions in index coverage show up as shifted
@@ -22,69 +22,56 @@ struct ReachStats {
   int64_t batches = 0;           // QueryBatch calls
   int64_t positive_answers = 0;  // queries answered "reachable"
 
-  // decided[s]: queries whose final answer came from stage s.
-  // seconds[s]: cumulative wall time of those queries (a fallback query
-  // charges its whole latency, labels included, to the fallback stage).
-  int64_t decided[kNumReachStages] = {};
-  double seconds[kNumReachStages] = {};
-
-  // rule_decided[r]: queries decided by the individual rule r — one level
-  // finer than the stage counters (kTrivial splits into self/same-scc,
-  // the observation battery into per-observation rules), so decided-rate
-  // reporting is attribution, not guesswork. Populated by the rule-aware
-  // Record overload; the legacy overload leaves it untouched, so
-  // sum(rule_decided) == queries only holds for owners (ReachService,
-  // ReachServer) that attribute every query.
+  // rule_decided[r]: queries whose final answer came from rule r.
+  // rule_seconds[r]: cumulative wall time of those queries (a searched
+  // query charges its whole latency, labels included, to its search
+  // rule). Every owner attributes every query, so sum(rule_decided) ==
+  // queries; per-stage figures are sums over rules (StageOf).
   int64_t rule_decided[kNumReachRules] = {};
+  double rule_seconds[kNumReachRules] = {};
 
   int64_t cache_insertions = 0;
-  int64_t bfs_expansions = 0;    // total pruned-BFS node expansions
+  int64_t bfs_expansions = 0;    // total search node expansions
 
-  void Record(ReachStage stage, bool reachable, double elapsed_seconds) {
+  void Record(ReachRule rule, bool reachable, double elapsed_seconds) {
     ++queries;
     if (reachable) ++positive_answers;
-    decided[static_cast<int>(stage)] += 1;
-    seconds[static_cast<int>(stage)] += elapsed_seconds;
-  }
-
-  void Record(ReachStage stage, ReachRule rule, bool reachable,
-              double elapsed_seconds) {
-    Record(stage, reachable, elapsed_seconds);
     rule_decided[static_cast<int>(rule)] += 1;
-  }
-
-  int64_t Decided(ReachStage stage) const {
-    return decided[static_cast<int>(stage)];
+    rule_seconds[static_cast<int>(rule)] += elapsed_seconds;
   }
 
   int64_t RuleDecided(ReachRule rule) const {
     return rule_decided[static_cast<int>(rule)];
   }
 
+  // Queries decided by the rules of `stage`.
+  int64_t Decided(ReachStage stage) const;
+
   // Share of all queries served straight from the answer cache.
   double CacheHitRate() const {
-    return queries == 0 ? 0.0
-                        : static_cast<double>(Decided(ReachStage::kCache)) /
-                              static_cast<double>(queries);
+    return queries == 0
+               ? 0.0
+               : static_cast<double>(RuleDecided(ReachRule::kCacheHit)) /
+                     static_cast<double>(queries);
   }
 
-  // Queries the O(1) labels (or the cache) answered — everything except
-  // the pruned-BFS rung.
+  // Queries answered without a search — everything except the pruned-BFS
+  // and live-BFS rules.
   int64_t DecidedWithoutFallback() const {
-    return queries - Decided(ReachStage::kPrunedBfs);
+    return queries - RuleDecided(ReachRule::kPrunedBfs) -
+           RuleDecided(ReachRule::kLiveBfs);
   }
 
   double TotalSeconds() const {
     double total = 0;
-    for (int s = 0; s < kNumReachStages; ++s) total += seconds[s];
+    for (int r = 0; r < kNumReachRules; ++r) total += rule_seconds[r];
     return total;
   }
 
   // One row per stage: decided count, share of all queries, cumulative and
   // mean latency.
   TablePrinter ToTable() const;
-  // One row per populated rule: decided count and share of attributed
-  // queries (empty when no rule-aware owner recorded anything).
+  // One row per populated rule: decided count and share of all queries.
   TablePrinter RuleTable() const;
   // The tables and totals; with a non-null `core`, closed by the line
   // naming its backend and why it was chosen (ReachCore::BackendSummary).

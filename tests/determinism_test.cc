@@ -60,8 +60,8 @@ TEST_P(DeterminismTest, RepeatedRunsAreBitIdentical) {
 }
 
 // A deterministic clock: each reading advances exactly one millisecond.
-// Injected into both serving stacks so latency attribution (the seconds[]
-// stats) is identical readings, not wall time.
+// Injected into both serving stacks so latency attribution (the
+// rule_seconds[] stats) is identical readings, not wall time.
 std::function<double()> MakeTickClock() {
   return [t = 0.0]() mutable {
     t += 0.001;
@@ -70,7 +70,7 @@ std::function<double()> MakeTickClock() {
 }
 
 // A single-shard ReachServer is the sequential ReachService behind a
-// queue: same batched calls in the same order, so answers, stage
+// queue: same batched calls in the same order, so answers, rule
 // attribution, and the full ReachStats block (tick-clock seconds
 // included) must be bit-identical to driving the service directly.
 TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
@@ -107,7 +107,7 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
     ASSERT_EQ(direct.value().size(), served.value().size());
     for (size_t i = 0; i < queries.size(); ++i) {
       EXPECT_EQ(direct.value()[i].reachable, served.value()[i].reachable);
-      EXPECT_EQ(direct.value()[i].stage, served.value()[i].stage);
+      EXPECT_EQ(direct.value()[i].rule, served.value()[i].rule);
     }
   }
 
@@ -119,11 +119,11 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
   EXPECT_EQ(direct_stats.positive_answers, served_stats.positive_answers);
   EXPECT_EQ(direct_stats.cache_insertions, served_stats.cache_insertions);
   EXPECT_EQ(direct_stats.bfs_expansions, served_stats.bfs_expansions);
-  for (int s = 0; s < kNumReachStages; ++s) {
-    EXPECT_EQ(direct_stats.decided[s], served_stats.decided[s]) << s;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    EXPECT_EQ(direct_stats.rule_decided[r], served_stats.rule_decided[r]) << r;
     // Bit-identical, not approximately equal: both sides read the same
     // injected tick sequence.
-    EXPECT_EQ(direct_stats.seconds[s], served_stats.seconds[s]) << s;
+    EXPECT_EQ(direct_stats.rule_seconds[r], served_stats.rule_seconds[r]) << r;
   }
   EXPECT_EQ(snapshot.latency.count(), served_stats.queries);
 }
@@ -131,7 +131,7 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
 // Single queries take the same two halves on both sides (label pass,
 // then the residue step with its one fallback routine), so a one-shard
 // server's Query replays ReachService::Query call by call and tick by
-// tick: the same answers, stages, search expansions and seconds, and
+// tick: the same answers, rules, search expansions and seconds, and
 // neither counts a batch.
 TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
   const GeneratorParams params{400, 5, 100, 93};
@@ -160,12 +160,12 @@ TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
     ASSERT_TRUE(direct.ok());
     ASSERT_TRUE(served.ok());
     EXPECT_EQ(direct.value().reachable, served.value().reachable);
-    EXPECT_EQ(direct.value().stage, served.value().stage);
+    EXPECT_EQ(direct.value().rule, served.value().rule);
   }
 
   const ReachStats& direct_stats = service.value()->stats();
   const ReachStats served_stats = server.value()->Snapshot().merged;
-  EXPECT_GT(direct_stats.Decided(ReachStage::kPrunedBfs), 0);
+  EXPECT_GT(direct_stats.RuleDecided(ReachRule::kPrunedBfs), 0);
   EXPECT_GT(direct_stats.bfs_expansions, 0);
   EXPECT_EQ(direct_stats.batches, 0);
   EXPECT_EQ(served_stats.batches, 0);
@@ -173,9 +173,9 @@ TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
   EXPECT_EQ(direct_stats.positive_answers, served_stats.positive_answers);
   EXPECT_EQ(direct_stats.cache_insertions, served_stats.cache_insertions);
   EXPECT_EQ(direct_stats.bfs_expansions, served_stats.bfs_expansions);
-  for (int s = 0; s < kNumReachStages; ++s) {
-    EXPECT_EQ(direct_stats.decided[s], served_stats.decided[s]) << s;
-    EXPECT_EQ(direct_stats.seconds[s], served_stats.seconds[s]) << s;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    EXPECT_EQ(direct_stats.rule_decided[r], served_stats.rule_decided[r]) << r;
+    EXPECT_EQ(direct_stats.rule_seconds[r], served_stats.rule_seconds[r]) << r;
   }
 }
 

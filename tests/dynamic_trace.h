@@ -158,7 +158,7 @@ class DynamicTraceHarness {
       return Status::Internal(
           "reaches(" + std::to_string(u) + ", " + std::to_string(v) +
           ") = " + (answer.reachable ? "true" : "false") + " via " +
-          ReachStageName(answer.stage) + ", reference says " +
+          ReachRuleName(answer.rule) + ", reference says " +
           (expected ? "true" : "false") + " at epoch " +
           std::to_string(log_->current_epoch()));
     }

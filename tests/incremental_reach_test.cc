@@ -35,8 +35,10 @@ struct Family {
   int32_t ops;
 };
 
+// num_pivots = 0 serves without pivot trees: every query past the
+// snapshot epoch runs an unpruned live BFS.
 void RunFamilyTrace(const Family& family, uint64_t seed,
-                    bool incremental = true) {
+                    int32_t num_pivots = IncrementalOptions{}.num_pivots) {
   GeneratorParams params;
   params.num_nodes = family.num_nodes;
   params.avg_out_degree = family.avg_out_degree;
@@ -48,7 +50,7 @@ void RunFamilyTrace(const Family& family, uint64_t seed,
           : GenerateDag(params);
 
   DynamicTraceOptions options;
-  options.service.incremental = incremental;
+  options.service.incremental_options.num_pivots = num_pivots;
   options.seed = seed ^ 0x7ace;
   DynamicTraceHarness harness(base, family.num_nodes, options);
 
@@ -67,8 +69,18 @@ void RunFamilyTrace(const Family& family, uint64_t seed,
   EXPECT_EQ(harness.log()->current_epoch(), harness.mutations());
   EXPECT_GE(harness.epochs_verified(), harness.mutations());
   EXPECT_GT(harness.mutations(), family.ops / 3);
-  if (incremental) {
-    const IncrementalStats& stats = harness.service()->incremental()->stats();
+  // Every served query is attributed to exactly one rule.
+  const ReachStats& serving = harness.service()->serving_stats();
+  int64_t attributed = 0;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    attributed += serving.rule_decided[r];
+  }
+  EXPECT_EQ(attributed, serving.queries);
+  EXPECT_EQ(serving.queries, harness.service()->stats().queries);
+  EXPECT_EQ(serving.RuleDecided(ReachRule::kLiveBfs),
+            harness.service()->stats().escalations);
+  const IncrementalStats& stats = harness.service()->incremental().stats();
+  if (num_pivots > 0) {
     EXPECT_EQ(stats.inserts_applied + stats.deletes_applied,
               harness.mutations());
     // The tier must have actually decided queries, not just idled while
@@ -76,8 +88,9 @@ void RunFamilyTrace(const Family& family, uint64_t seed,
     EXPECT_GT(harness.service()->stats().incremental_served, 0);
     EXPECT_GT(stats.repairs(), 0);
   } else {
-    EXPECT_EQ(harness.service()->incremental(), nullptr);
+    EXPECT_TRUE(harness.service()->incremental().pivots().empty());
     EXPECT_EQ(harness.service()->stats().incremental_served, 0);
+    EXPECT_EQ(stats.repairs(), 0);
   }
 }
 
@@ -104,13 +117,12 @@ TEST(IncrementalDifferentialTest, CyclicFamilyExtraSeeds) {
 }
 
 TEST(IncrementalParityTest, TierOnAndOffAgreeOnRandomTraces) {
-  // Satellite of the check.sh on/off proof at unit scale: identical
-  // traces replayed with the tier forced off must still match the
+  // Identical traces replayed without pivot trees must still match the
   // reference everywhere (RunFamilyTrace checks every answer), only the
-  // serving-stage mix may differ.
+  // serving-rule mix may differ.
   const Family family = {"cyclic-scc", 32, 3, 15, 8, 700};
-  RunFamilyTrace(family, /*seed=*/7, /*incremental=*/true);
-  RunFamilyTrace(family, /*seed=*/7, /*incremental=*/false);
+  RunFamilyTrace(family, /*seed=*/7);
+  RunFamilyTrace(family, /*seed=*/7, /*num_pivots=*/0);
 }
 
 // --- Named adversarial deletes ------------------------------------------
@@ -307,15 +319,15 @@ TEST(IncrementalLadderTest, DirtyOverlayQueriesServeFromIncrementalTier) {
   answer = service->Query(0, 2);
   ASSERT_TRUE(answer.ok());
   EXPECT_TRUE(answer.value().reachable);
-  EXPECT_EQ(answer.value().stage, ReachStage::kIncremental);
+  EXPECT_EQ(answer.value().rule, ReachRule::kIncremental);
   answer = service->Query(1, 3);
   ASSERT_TRUE(answer.ok());
   EXPECT_TRUE(answer.value().reachable);
-  EXPECT_EQ(answer.value().stage, ReachStage::kIncremental);
+  EXPECT_EQ(answer.value().rule, ReachRule::kIncremental);
   answer = service->Query(2, 0);
   ASSERT_TRUE(answer.ok());
   EXPECT_FALSE(answer.value().reachable);
-  EXPECT_EQ(answer.value().stage, ReachStage::kIncremental);
+  EXPECT_EQ(answer.value().rule, ReachRule::kIncremental);
   EXPECT_EQ(service->stats().incremental_served, 3);
   EXPECT_EQ(service->stats().escalations, 0);
 }

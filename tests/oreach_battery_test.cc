@@ -47,7 +47,7 @@ void ExpectSoundOnAllPairs(const Digraph& dag,
   int64_t decided = 0;
   for (NodeId u = 0; u < dag.NumNodes(); ++u) {
     for (NodeId v = 0; v < dag.NumNodes(); ++v) {
-      ReachRule rule = ReachRule::kFallback;
+      ReachRule rule = ReachRule::kSelf;
       const ObservationBattery::Verdict verdict =
           battery.TryDecide(u, v, &rule);
       if (verdict == ObservationBattery::Verdict::kUnknown) continue;
@@ -338,7 +338,7 @@ TEST(ObservationBatteryTest, ServiceLadderAttribution) {
 // ReachCore::Decide is the one O(1) decision: the adversarial miner's
 // probe is exactly "Decide is not unknown", and the service ladder
 // searches exactly the pairs Decide leaves unknown, answering the rest
-// with Decide's verdict and stage. Checked on every pair of a small
+// with Decide's verdict and rule. Checked on every pair of a small
 // cyclic graph with a battery.
 TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   GeneratorParams params;
@@ -371,8 +371,8 @@ TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   int64_t undecided = 0;
   for (NodeId u = 0; u < params.num_nodes; ++u) {
     for (NodeId v = 0; v < params.num_nodes; ++v) {
-      ReachStage stage = ReachStage::kTrivial;
-      const ReachIndex::Verdict verdict = core.Decide(u, v, &stage);
+      ReachRule rule = ReachRule::kSelf;
+      const ReachIndex::Verdict verdict = core.Decide(u, v, &rule);
       const bool decided = verdict != ReachIndex::Verdict::kUnknown;
       ASSERT_EQ(probe(u, v), decided) << "u=" << u << " v=" << v;
       auto answer = service->Query(u, v);
@@ -380,15 +380,15 @@ TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
       if (decided) {
         EXPECT_EQ(answer.value().reachable,
                   verdict == ReachIndex::Verdict::kYes);
-        EXPECT_EQ(answer.value().stage, stage);
+        EXPECT_EQ(answer.value().rule, rule);
       } else {
         ++undecided;
-        EXPECT_EQ(answer.value().stage, ReachStage::kPrunedBfs);
+        EXPECT_EQ(answer.value().rule, ReachRule::kPrunedBfs);
       }
     }
   }
   EXPECT_GT(undecided, 0);
-  EXPECT_EQ(undecided, service->stats().Decided(ReachStage::kPrunedBfs));
+  EXPECT_EQ(undecided, service->stats().RuleDecided(ReachRule::kPrunedBfs));
 }
 
 }  // namespace

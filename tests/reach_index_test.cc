@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -91,13 +93,9 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
         EXPECT_EQ(answer.value().reachable, OracleReaches(closure, u, v))
             << "F=" << family.avg_out_degree << " l=" << family.locality
             << " seed=" << seed << " (" << u << ", " << v << ") via "
-            << ReachStageName(answer.value().stage);
+            << ReachRuleName(answer.value().rule);
       }
-      const ReachStats& stats = service.value()->stats();
-      for (int s = 0; s < kNumReachStages; ++s) {
-        aggregate.decided[s] += stats.decided[s];
-      }
-      aggregate.queries += stats.queries;
+      aggregate.Merge(service.value()->stats());
     }
     // Acceptance: the O(1) labels decide > 80% of queries per family
     // (the fallback is the pruned BFS).
@@ -396,12 +394,12 @@ TEST(ReachIndexTest, LabelInvariantsOnASmallDag) {
   const ReachIndex& idx = index.value();
   EXPECT_EQ(idx.num_nodes(), 5);
 
-  ReachStage stage;
-  EXPECT_EQ(idx.TryDecide(3, 0, &stage), ReachIndex::Verdict::kNo);
-  EXPECT_EQ(stage, ReachStage::kTopoNegative);
-  EXPECT_EQ(idx.TryDecide(0, 3, &stage), ReachIndex::Verdict::kYes);
-  EXPECT_EQ(idx.TryDecide(0, 0, &stage), ReachIndex::Verdict::kYes);
-  EXPECT_EQ(stage, ReachStage::kTrivial);
+  ReachRule rule;
+  EXPECT_EQ(idx.TryDecide(3, 0, &rule), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(rule, ReachRule::kTopoWindow);
+  EXPECT_EQ(idx.TryDecide(0, 3, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(idx.TryDecide(0, 0, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(rule, ReachRule::kSelf);
   // The isolated node reaches nothing and is reached by nothing.
   EXPECT_EQ(idx.TryDecide(4, 3, nullptr), ReachIndex::Verdict::kNo);
   EXPECT_EQ(idx.TryDecide(0, 4, nullptr), ReachIndex::Verdict::kNo);
@@ -422,6 +420,33 @@ TEST(ReachIndexTest, LabelInvariantsOnASmallDag) {
     EXPECT_LT(idx.chain_id(v), idx.num_chains());
   }
   EXPECT_FALSE(ReachIndex::Build(Digraph(2, {{0, 1}, {1, 0}})).ok());
+}
+
+// The rule is the one classification: every rule has its own stable name,
+// and the stage grouping derived from it is total and reaches every stage.
+TEST(ReachRuleTest, EveryRuleHasAUniqueName) {
+  std::set<std::string> names;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    const std::string name = ReachRuleName(static_cast<ReachRule>(r));
+    EXPECT_NE(name, "?") << r;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate rule name " << name;
+  }
+}
+
+TEST(ReachRuleTest, StageOfIsTotalAndReachesEveryStage) {
+  std::set<int> stages;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    const int stage = static_cast<int>(StageOf(static_cast<ReachRule>(r)));
+    ASSERT_GE(stage, 0) << r;
+    ASSERT_LT(stage, kNumReachStages) << r;
+    stages.insert(stage);
+  }
+  EXPECT_EQ(static_cast<int>(stages.size()), kNumReachStages);
+  for (int s = 0; s < kNumReachStages; ++s) {
+    EXPECT_STRNE(ReachStageName(static_cast<ReachStage>(s)), "?") << s;
+  }
+  static_assert(StageOf(ReachRule::kSameScc) == ReachStage::kTrivial);
+  static_assert(StageOf(ReachRule::kObsLevel) == ReachStage::kObservation);
 }
 
 }  // namespace

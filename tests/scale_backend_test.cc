@@ -137,12 +137,11 @@ TEST(ScaleBackendTest, ChainCoreImageRoundTrip) {
   // Query-identical across the round trip, bit-identical when re-imaged.
   for (NodeId u = 0; u < n; u += 3) {
     for (NodeId v = 0; v < n; v += 5) {
-      ASSERT_EQ(restored.value()->DecideCondensed(restored.value()->node_map[u],
-                                                  restored.value()->node_map[v],
-                                                  nullptr),
+      const ReachCore& image_core = *restored.value();
+      ASSERT_EQ(image_core.DecideCondensed(image_core.node_map[u],
+                                           image_core.node_map[v]),
                 core.value()->DecideCondensed(core.value()->node_map[u],
-                                              core.value()->node_map[v],
-                                              nullptr))
+                                              core.value()->node_map[v]))
           << "u=" << u << " v=" << v;
     }
   }

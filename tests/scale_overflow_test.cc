@@ -49,9 +49,9 @@ static_assert(std::is_same_v<decltype(CountScaleArcs(ScaleGraphParams{})),
 static_assert(std::is_same_v<decltype(ReachStats{}.queries), int64_t>,
               "serving counters are 64-bit");
 static_assert(
-    std::is_same_v<std::remove_cvref_t<decltype(ReachStats{}.decided[0])>,
+    std::is_same_v<std::remove_cvref_t<decltype(ReachStats{}.rule_decided[0])>,
                    int64_t>,
-    "per-stage counters are 64-bit");
+    "per-rule counters are 64-bit");
 
 // The pivot scorers (reach_index.cc, dynamic/incremental.cc) rank nodes
 // by forward-cone x backward-cone — the canonical n x n intermediate. On
@@ -130,14 +130,14 @@ TEST(ScaleOverflowTest, StatsCountersMergeBeyondInt32) {
   ReachStats b;
   a.queries = 1500000000;
   a.positive_answers = 1500000000;
-  a.decided[0] = 1500000000;
+  a.rule_decided[0] = 1500000000;
   b.queries = 1500000000;
   b.positive_answers = 700000000;
-  b.decided[0] = 1500000000;
+  b.rule_decided[0] = 1500000000;
   a.Merge(b);
   EXPECT_EQ(a.queries, int64_t{3000000000});
   EXPECT_EQ(a.positive_answers, int64_t{2200000000});
-  EXPECT_EQ(a.decided[0], int64_t{3000000000});
+  EXPECT_EQ(a.rule_decided[0], int64_t{3000000000});
 }
 
 }  // namespace

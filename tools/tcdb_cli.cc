@@ -63,9 +63,8 @@ void Usage() {
        tcdb_cli stress [--seeds N] [--base-seed S] [--verbose]
        tcdb_cli mutate-bench <graph> [--ops N] [--update-ratio R]
                 [--delete-share D] [--rebuild-every K] [--seed S]
-                [--no-incremental]
        tcdb_cli mutate-stress [--seeds N] [--base-seed S] [--ops N]
-                [--validate-every K] [--no-incremental] [--verbose]
+                [--validate-every K] [--verbose]
        tcdb_cli checkpoint <dir> [--graph <graph>] [--mutate N,SEED]
        tcdb_cli recover <dir> [--mutate N,SEED] [--query S,D] [--checkpoint]
        tcdb_cli crash-stress [--seeds N] [--base-seed S] [--ops N]
@@ -108,9 +107,9 @@ reach subcommand (online point query via the src/reach/ index):
   tcdb_cli reach <graph> <src> <dst> [--explain]
     <graph>                arc-list file, or gen:N,F,L,SEED for a
                            synthetic DAG
-    --explain              print the deciding index stage and the
-                           service's per-stage statistics table
-    prints the answer, the deciding stage, and the core's backend (chain
+    --explain              print the service's per-stage and per-rule
+                           statistics tables
+    prints the answer, the deciding rule, and the core's backend (chain
     or labels) with its chain count and frontier bytes against the budget
 
 serve-bench subcommand (multi-threaded sharded serving throughput):
@@ -173,15 +172,13 @@ mutate-bench subcommand (dynamic serving under a mixed update workload):
                            and rebuild the index every K mutations
                            (default 256)
     --seed S               workload seed (default 42)
-    --no-incremental       disable the incremental-decided tier (every
-                           query past the snapshot epoch runs an unpruned
-                           live BFS; same answers, more CPU)
     prints ops/second, the dynamic counters (escalation rate, snapshots
-    adopted, incremental repairs) and the per-stage decision table
+    adopted, incremental repairs) and the per-stage and per-rule
+    decision tables
 
 mutate-stress subcommand (randomized differential mutation stress):
   tcdb_cli mutate-stress [--seeds N] [--base-seed S] [--ops N]
-           [--validate-every K] [--no-incremental] [--verbose]
+           [--validate-every K] [--verbose]
     replays N randomized mixed insert/delete/query traces across the
     generator's graph families, checking every answer bit-for-bit
     against a reference closure at that epoch, with background rebuilds
@@ -189,9 +186,6 @@ mutate-stress subcommand (randomized differential mutation stress):
     --validate-every K     also validate sampled pairs at every K-th
                            epoch boundary (default 1 = every mutation;
                            0 = only at trace query ops and trace end)
-    --no-incremental       replay the identical traces with the
-                           incremental tier off; the printed answer
-                           digest must match the default run's
 
 checkpoint subcommand (initialize a durable database on disk):
   tcdb_cli checkpoint <dir> [--graph <graph>] [--mutate N,SEED]
@@ -376,7 +370,7 @@ int RunReach(int argc, char** argv) {
   }
   std::printf("%d -> %d: %s (decided by %s)\n", src, dst,
               answer.value().reachable ? "reachable" : "unreachable",
-              ReachStageName(answer.value().stage));
+              ReachRuleName(answer.value().rule));
   const ReachCore& core = service.value()->core();
   if (explain) {
     std::cout << service.value()->stats().ToString(&core);
@@ -705,7 +699,7 @@ int RunWorkloadBench(int argc, char** argv) {
         static_cast<long long>(s.queries),
         static_cast<double>(s.DecidedWithoutFallback()) / total,
         static_cast<double>(s.DecidedWithoutFallback() -
-                            s.Decided(ReachStage::kCache)) /
+                            s.RuleDecided(ReachRule::kCacheHit)) /
             total,
         s.CacheHitRate());
     bool first = true;
@@ -852,7 +846,6 @@ int RunMutateBench(int argc, char** argv) {
   double delete_share = 0.3;
   int64_t rebuild_every = 256;
   uint64_t seed = 42;
-  bool incremental = true;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
@@ -872,8 +865,6 @@ int RunMutateBench(int argc, char** argv) {
       ParseArgOrExit(flag, next(), &rebuild_every);
     } else if (flag == "--seed") {
       ParseArgOrExit(flag, next(), &seed);
-    } else if (flag == "--no-incremental") {
-      incremental = false;
     } else {
       std::fprintf(stderr, "unknown mutate-bench flag '%s'\n", flag.c_str());
       return 2;
@@ -901,9 +892,7 @@ int RunMutateBench(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", log.status().ToString().c_str());
     return 1;
   }
-  DynamicReachOptions options;
-  options.incremental = incremental;
-  auto service = DynamicReachService::Create(log.value().get(), options);
+  auto service = DynamicReachService::Create(log.value().get());
   if (!service.ok()) {
     std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
     return 1;
@@ -1020,8 +1009,6 @@ int RunMutateStress(int argc, char** argv) {
       ParseArgOrExit(flag, next(), &options.ops_per_seed);
     } else if (flag == "--validate-every") {
       ParseArgOrExit(flag, next(), &options.validate_every);
-    } else if (flag == "--no-incremental") {
-      options.incremental = false;
     } else if (flag == "--verbose") {
       verbose = true;
     } else {
@@ -1060,7 +1047,7 @@ int RunMutateStress(int argc, char** argv) {
       static_cast<long long>(report.snapshots_adopted),
       static_cast<long long>(report.epoch_validations));
   // Configuration-independent fingerprint of the answer stream: check.sh
-  // diffs this line between the incremental-on and forced-off sweeps.
+  // compares this line against the committed digest of the 50-seed sweep.
   std::printf("answer digest %016llx\n",
               static_cast<unsigned long long>(report.answer_digest));
   return 0;
