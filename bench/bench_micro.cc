@@ -1,5 +1,6 @@
 // Microbenchmarks of the substrates (google-benchmark): buffer pool,
-// B+-tree, successor-list store, bit sets, tree codec, graph toolkit.
+// B+-tree, successor-list store, bit sets, tree codec, graph toolkit, and
+// the label path of the serving stack on chain cores.
 // These quantify the constants behind the simulator's CPU cost (the
 // paper's Table 3 shows CPU is dominated by successor-list operations).
 
@@ -7,6 +8,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "bench_support/catalog.h"
 #include "core/bit_matrix.h"
@@ -14,12 +18,15 @@
 #include "graph/algorithms.h"
 #include "graph/analyzer.h"
 #include "graph/generator.h"
+#include "graph/scale_generator.h"
 #include "index/bplus_tree.h"
+#include "reach/reach_service.h"
 #include "relation/relation_file.h"
 #include "storage/page_guard.h"
 #include "succ/successor_list_store.h"
 #include "succ/tree_codec.h"
 #include "util/bit_vector.h"
+#include "util/random.h"
 
 namespace tcdb {
 namespace {
@@ -404,6 +411,89 @@ void BM_ExecuteAggregateMinLength(benchmark::State& state) {
       setup_s, benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_ExecuteAggregateMinLength)->UseManualTime();
+
+// The label path on chain cores: ReachService::QueryBatch (batches of 256)
+// against a raw loop of ReachCore::Decide over the same pairs. The
+// target is a batch within 2x of the raw loop. Pairs are uniform over the
+// input ids and walked in order through a pool of 2^20, so on the
+// 10^6-node core (~360 MB of labels) nearly every query misses the
+// last-level cache, as in perfbench's chain_1m.
+struct ChainServing {
+  std::shared_ptr<const ReachCore> core;
+  std::vector<std::pair<NodeId, NodeId>> pool;
+};
+
+constexpr size_t kServingBatch = 256;
+
+ChainServing MakeChainServing(const ArcList& arcs, NodeId num_nodes) {
+  ReachIndexOptions options;
+  options.backend = ReachBackend::kChain;
+  ChainServing serving;
+  serving.core = ReachCore::Build(arcs, num_nodes, options).value();
+  Rng rng(7);
+  serving.pool.resize(size_t{1} << 20);
+  for (auto& [src, dst] : serving.pool) {
+    src = static_cast<NodeId>(rng.Uniform(0, num_nodes - 1));
+    dst = static_cast<NodeId>(rng.Uniform(0, num_nodes - 1));
+  }
+  return serving;
+}
+
+// Built on first use, so a run filtered to other benchmarks pays nothing.
+const ChainServing& G12Chain() {
+  static const ChainServing serving = [] {
+    const GeneratorParams params = CatalogParams(FamilyByName("G12"), 0);
+    return MakeChainServing(GenerateDag(params), params.num_nodes);
+  }();
+  return serving;
+}
+
+const ChainServing& Layered1MChain() {
+  static const ChainServing serving = [] {
+    ScaleGraphParams params;  // layered, width 64, in-degree 4
+    params.num_nodes = 1000000;
+    return MakeChainServing(ScaleArcList(params), params.num_nodes);
+  }();
+  return serving;
+}
+
+void SetPerQueryCounter(benchmark::State& state) {
+  state.counters["per_query"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kServingBatch),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+
+void BM_ChainQueryBatch(benchmark::State& state,
+                        const ChainServing& (*fixture)()) {
+  const ChainServing& serving = fixture();
+  std::unique_ptr<ReachService> service = ReachService::Create(serving.core);
+  const std::span<const std::pair<NodeId, NodeId>> pool(serving.pool);
+  size_t offset = 0;
+  for (auto _ : state) {
+    auto answers = service->QueryBatch(pool.subspan(offset, kServingBatch));
+    benchmark::DoNotOptimize(answers);
+    offset = (offset + kServingBatch) % pool.size();
+  }
+  SetPerQueryCounter(state);
+}
+BENCHMARK_CAPTURE(BM_ChainQueryBatch, g12, G12Chain);
+BENCHMARK_CAPTURE(BM_ChainQueryBatch, layered_1m, Layered1MChain);
+
+void BM_ChainDecide(benchmark::State& state,
+                    const ChainServing& (*fixture)()) {
+  const ChainServing& serving = fixture();
+  size_t offset = 0;
+  for (auto _ : state) {
+    for (size_t i = offset; i < offset + kServingBatch; ++i) {
+      benchmark::DoNotOptimize(serving.core->Decide(serving.pool[i].first,
+                                                    serving.pool[i].second));
+    }
+    offset = (offset + kServingBatch) % serving.pool.size();
+  }
+  SetPerQueryCounter(state);
+}
+BENCHMARK_CAPTURE(BM_ChainDecide, g12, G12Chain);
+BENCHMARK_CAPTURE(BM_ChainDecide, layered_1m, Layered1MChain);
 
 }  // namespace
 }  // namespace tcdb

@@ -100,8 +100,8 @@ std::vector<ReachServer::Answer> ReachServer::ServeResidue(
   shard->service->ServeResidue(pairs, &pass);
   // Service time, label pass plus residue step; waiting for the mutex is
   // not counted.
-  const double per_query = pass.seconds / static_cast<double>(pairs.size());
-  for (size_t i = 0; i < pairs.size(); ++i) shard->latency.Record(per_query);
+  shard->latency.Record(pass.seconds / static_cast<double>(pairs.size()),
+                        static_cast<int64_t>(pairs.size()));
   return std::move(pass.answers);
 }
 

@@ -170,6 +170,45 @@ ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
              : ReachIndex::Verdict::kNo;
 }
 
+void ReachCore::DecideBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
+                            std::span<ReachIndex::Verdict> verdicts,
+                            std::span<ReachRule> rules) const {
+  TCDB_CHECK(verdicts.size() == pairs.size() && rules.size() == pairs.size());
+  const int64_t n = static_cast<int64_t>(pairs.size());
+  if (backend != ReachBackend::kChain) {
+    for (int64_t i = 0; i < n; ++i) {
+      verdicts[i] = Decide(pairs[i].first, pairs[i].second, &rules[i]);
+    }
+    return;
+  }
+  // A chain query is three rounds of dependent loads: node_map, then the
+  // chain labels, then the frontier slot. Step i starts each round for a
+  // later query, so by the time query i is decided its loads have been in
+  // flight for several queries' time. The first steps (i < 0) only fill
+  // the pipeline.
+  const auto ahead = [n](int64_t i, size_t distance) {
+    const int64_t j = i + static_cast<int64_t>(distance);
+    return j >= 0 && j < n ? j : -1;
+  };
+  for (int64_t i = -static_cast<int64_t>(kNodeMapLookahead); i < n; ++i) {
+    if (const int64_t j = ahead(i, kNodeMapLookahead); j >= 0) {
+      __builtin_prefetch(&node_map[pairs[j].first]);
+      __builtin_prefetch(&node_map[pairs[j].second]);
+    }
+    if (const int64_t j = ahead(i, kLabelLookahead); j >= 0) {
+      chain.PrefetchLabels(node_map[pairs[j].first],
+                           node_map[pairs[j].second]);
+    }
+    if (const int64_t j = ahead(i, kFrontierLookahead); j >= 0) {
+      chain.PrefetchFrontier(node_map[pairs[j].first],
+                             node_map[pairs[j].second]);
+    }
+    if (i >= 0) {
+      verdicts[i] = Decide(pairs[i].first, pairs[i].second, &rules[i]);
+    }
+  }
+}
+
 void ReachCore::SerializeAppend(std::string* out) const {
   codec::PutI32(out, num_input_nodes);
   codec::PutU8(out, static_cast<uint8_t>(backend));
@@ -375,28 +414,37 @@ ReachService::BatchPass ReachService::LabelPass(
   pass.answers.resize(pairs.size());
   pass.stats.batches = 1;
   pass.core = &core;
-  // Time is chained: each query is charged the span since the previous
-  // one ended, one clock reading per query.
+  std::vector<ReachIndex::Verdict> verdicts(pairs.size());
+  std::vector<ReachRule> rules(pairs.size());
+  // Two clock readings per pass, and every query is charged the mean. A
+  // reading is an ordered instruction (rdtsc behind a fence on x86), so
+  // one per query would make each query's cache misses finish before the
+  // next query's could start.
   const double start = NowSeconds();
-  double mark = start;
+  core.DecideBatch(pairs, verdicts, rules);
+  pass.seconds = NowSeconds() - start;
+  if (pairs.empty()) return pass;
+  pass.label_seconds_per_query =
+      pass.seconds / static_cast<double>(pairs.size());
   for (size_t i = 0; i < pairs.size(); ++i) {
-    ReachRule rule = ReachRule::kSelf;
-    const ReachIndex::Verdict verdict =
-        core.Decide(pairs[i].first, pairs[i].second, &rule);
-    const double now = NowSeconds();
-    if (verdict == ReachIndex::Verdict::kUnknown) {
+    if (verdicts[i] == ReachIndex::Verdict::kUnknown) {
       pass.residue.push_back(i);
-      pass.residue_seconds.push_back(now - mark);
-    } else {
-      // Deliberately never cached: an O(1)-decided answer re-derives in
-      // nanoseconds, so caching it would only evict the fallback answers
-      // whose recomputation costs something.
-      pass.answers[i] = {verdict == ReachIndex::Verdict::kYes, rule};
-      pass.stats.Record(rule, pass.answers[i].reachable, now - mark);
+      continue;
     }
-    mark = now;
+    // Deliberately never cached: an O(1)-decided answer re-derives in
+    // nanoseconds, so caching it would only evict the fallback answers
+    // whose recomputation costs something.
+    pass.answers[i] = {verdicts[i] == ReachIndex::Verdict::kYes, rules[i]};
+    pass.stats.Count(rules[i], pass.answers[i].reachable);
   }
-  pass.seconds = mark - start;
+  // Each label-decided query is charged the mean, so a rule's time is its
+  // count times the mean (one multiply per rule, where a Record per query
+  // would chain a floating-point add through memory).
+  for (int r = 0; r < kNumReachRules; ++r) {
+    pass.stats.rule_seconds[r] =
+        static_cast<double>(pass.stats.rule_decided[r]) *
+        pass.label_seconds_per_query;
+  }
   return pass;
 }
 
@@ -414,10 +462,8 @@ void ReachService::ServeResidue(
   // Cache hits end here, in input order; the rest is grouped by condensed
   // source so each fallback search serves all of that source's targets.
   std::unordered_map<NodeId, std::vector<size_t>> residue;
-  std::unordered_map<NodeId, double> residue_seconds;
   const bool relabel = pass->core != core_.get();
-  for (size_t k = 0; k < pass->residue.size(); ++k) {
-    const size_t i = pass->residue[k];
+  for (const size_t i : pass->residue) {
     ReachRule rule = ReachRule::kSelf;
     ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
     if (relabel) {
@@ -432,13 +478,12 @@ void ReachService::ServeResidue(
     if (verdict == ReachIndex::Verdict::kUnknown) {
       const NodeId csrc = core_->node_map[pairs[i].first];
       residue[csrc].push_back(i);
-      residue_seconds[csrc] += pass->residue_seconds[k];
       continue;
     }
     answers[i] = {verdict == ReachIndex::Verdict::kYes, rule};
     const double now = NowSeconds();
     stats_.Record(rule, answers[i].reachable,
-                  (now - mark) + pass->residue_seconds[k]);
+                  (now - mark) + pass->label_seconds_per_query);
     mark = now;
   }
 
@@ -462,13 +507,13 @@ void ReachService::ServeResidue(
     std::vector<bool> reached;
     SearchGroup(csrc, targets, &reached);
 
-    // The group's latency — fallback work plus the time its
-    // queries already spent — is shared evenly across its queries.
+    // The group's fallback work is shared evenly across its queries, on
+    // top of the label-pass share each of them already spent.
     const double end = NowSeconds();
-    const double group_seconds = (end - mark) + residue_seconds[csrc];
-    mark = end;
     const double per_query_seconds =
-        group_seconds / static_cast<double>(indices.size());
+        (end - mark) / static_cast<double>(indices.size()) +
+        pass->label_seconds_per_query;
+    mark = end;
     for (size_t t = 0; t < targets.size(); ++t) {
       for (const size_t i : target_indices[t]) {
         answers[i] = {reached[t], ReachRule::kPrunedBfs};

@@ -96,6 +96,24 @@ struct ReachCore {
   ReachIndex::Verdict Decide(NodeId src, NodeId dst,
                              ReachRule* rule = nullptr) const;
 
+  // Decide over a batch: verdicts[i] is Decide(pairs[i].first,
+  // pairs[i].second, &rules[i]), and rules[i] names the deciding rule
+  // whenever verdicts[i] is not kUnknown. Both spans must be
+  // pairs.size() long; endpoints as for Decide. A kLabels core loops over
+  // Decide. A kChain core runs a software pipeline: while it decides
+  // query i it prefetches the node-map entries of query
+  // i + kNodeMapLookahead, the chain labels of query i + kLabelLookahead
+  // (ChainIndex::PrefetchLabels) and the frontier slot of query
+  // i + kFrontierLookahead (ChainIndex::PrefetchFrontier), so the dependent
+  // cache misses of different queries overlap instead of running one
+  // query after another.
+  void DecideBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
+                   std::span<ReachIndex::Verdict> verdicts,
+                   std::span<ReachRule> rules) const;
+  static constexpr size_t kNodeMapLookahead = 16;
+  static constexpr size_t kLabelLookahead = 8;
+  static constexpr size_t kFrontierLookahead = 4;
+
   // `arcs` may be cyclic and unsorted; endpoints must lie in
   // [0, num_nodes). options.backend picks the structure; kAuto (the
   // default) tries the chain labels under a budget of
@@ -197,10 +215,11 @@ class ReachService {
     std::vector<Answer> answers;
     // The label-decided queries, and one batch.
     ReachStats stats;
-    // Positions the labels left undecided, in input order, with the
-    // label-pass time each of them already spent.
+    // Positions the labels left undecided, in input order.
     std::vector<size_t> residue;
-    std::vector<double> residue_seconds;
+    // The label pass's time divided evenly over the batch: what every
+    // query, decided or not, already spent there.
+    double label_seconds_per_query = 0;
     // The core the labels were read from.
     const ReachCore* core = nullptr;
     // Time spent in LabelPass, then also in ServeResidue (by this
@@ -208,10 +227,11 @@ class ReachService {
     double seconds = 0;
   };
 
-  // First half of QueryBatch: core.Decide over `pairs`, whose endpoints
-  // the caller has validated. Reads only `core` and the clock and writes
-  // only the returned pass, so it is safe on any thread, concurrently
-  // with anything else this service does.
+  // First half of QueryBatch: core.DecideBatch over `pairs`, whose
+  // endpoints the caller has validated, timed by two clock readings, with
+  // each label-decided query charged the pass's mean. Reads only `core`
+  // and the clock and writes only the returned pass, so it is safe on any
+  // thread, concurrently with anything else this service does.
   BatchPass LabelPass(const ReachCore& core,
                       std::span<const std::pair<NodeId, NodeId>> pairs) const;
 

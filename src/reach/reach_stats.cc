@@ -81,7 +81,7 @@ void ReachStats::Merge(const ReachStats& other) {
   bfs_expansions += other.bfs_expansions;
 }
 
-void LatencyHistogram::Record(double seconds) {
+void LatencyHistogram::Record(double seconds, int64_t count) {
   if (seconds < 0) seconds = 0;
   const double us = seconds * 1e6;
   int bucket = 0;
@@ -90,9 +90,9 @@ void LatencyHistogram::Record(double seconds) {
          us >= static_cast<double>(int64_t{1} << bucket)) {
     ++bucket;
   }
-  ++buckets_[bucket];
-  ++count_;
-  total_seconds_ += seconds;
+  buckets_[bucket] += count;
+  count_ += count;
+  total_seconds_ += seconds * static_cast<double>(count);
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {

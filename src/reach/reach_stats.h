@@ -25,8 +25,10 @@ struct ReachStats {
   // rule_decided[r]: queries whose final answer came from rule r.
   // rule_seconds[r]: cumulative wall time of those queries (a searched
   // query charges its whole latency, labels included, to its search
-  // rule). Every owner attributes every query, so sum(rule_decided) ==
-  // queries; per-stage figures are sums over rules (StageOf).
+  // rule; the label pass is timed per batch, and each of its queries is
+  // charged the batch mean). Every owner attributes every query, so
+  // sum(rule_decided) == queries; per-stage figures are sums over rules
+  // (StageOf).
   int64_t rule_decided[kNumReachRules] = {};
   double rule_seconds[kNumReachRules] = {};
 
@@ -34,10 +36,15 @@ struct ReachStats {
   int64_t bfs_expansions = 0;    // total search node expansions
 
   void Record(ReachRule rule, bool reachable, double elapsed_seconds) {
-    ++queries;
-    if (reachable) ++positive_answers;
-    rule_decided[static_cast<int>(rule)] += 1;
+    Count(rule, reachable);
     rule_seconds[static_cast<int>(rule)] += elapsed_seconds;
+  }
+  // Record without the time, for an owner that charges it per rule once
+  // the batch is timed (ReachService::LabelPass).
+  void Count(ReachRule rule, bool reachable) {
+    ++queries;
+    positive_answers += reachable ? 1 : 0;
+    rule_decided[static_cast<int>(rule)] += 1;
   }
 
   int64_t RuleDecided(ReachRule rule) const {
@@ -96,7 +103,10 @@ class LatencyHistogram {
   // Covers up to ~2^26 us ≈ 67 s; slower samples clamp to the last bucket.
   static constexpr int kNumBuckets = 28;
 
-  void Record(double seconds);
+  void Record(double seconds) { Record(seconds, 1); }
+  // `count` samples of `seconds` each, as `count` single calls would
+  // record them (a batch charged its mean per query costs one call).
+  void Record(double seconds, int64_t count);
   void Merge(const LatencyHistogram& other);
 
   int64_t count() const { return count_; }

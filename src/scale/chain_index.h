@@ -113,6 +113,25 @@ class ChainIndex {
            chain_pos_[static_cast<size_t>(u)];
   }
 
+  // Cache prefetches for a pipelined batch of Reaches(u, v) calls
+  // (ReachCore::DecideBatch). A query reads four per-node labels (u's
+  // chain and position, v's row start and length), then one frontier slot
+  // whose address depends on them. PrefetchLabels requests the four;
+  // PrefetchFrontier, issued once they have arrived, reads them and
+  // requests the slot. Neither changes any answer.
+  void PrefetchLabels(NodeId u, NodeId v) const {
+    __builtin_prefetch(&chain_id_[static_cast<size_t>(u)]);
+    __builtin_prefetch(&chain_pos_[static_cast<size_t>(u)]);
+    __builtin_prefetch(&row_begin_[static_cast<size_t>(v)]);
+    __builtin_prefetch(&row_len_[static_cast<size_t>(v)]);
+  }
+  void PrefetchFrontier(NodeId u, NodeId v) const {
+    const int32_t c = chain_id_[static_cast<size_t>(u)];
+    if (c >= row_len_[static_cast<size_t>(v)]) return;
+    __builtin_prefetch(&frontier_[static_cast<size_t>(
+        row_begin_[static_cast<size_t>(v)] + c)]);
+  }
+
   NodeId num_nodes() const { return n_; }
   int32_t num_chains() const { return num_chains_; }
   int32_t chain_id(NodeId v) const {

@@ -373,6 +373,67 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   EXPECT_DOUBLE_EQ(service.value()->stats().TotalSeconds(), 2.0);
 }
 
+// The label pass reads the clock twice per batch, whatever its size: a
+// reading per query would fence each query's cache misses off from the
+// next one's (ReachService::LabelPass). A chain core leaves no residue,
+// so the counting clock sees the label pass alone.
+TEST(ReachServiceTest, LabelPassReadsTheClockTwicePerBatch) {
+  const GeneratorParams params{300, 5, 30, 3};
+  ReachServiceOptions options;
+  options.index.backend = ReachBackend::kChain;
+  auto service =
+      ReachService::Build(GenerateDag(params), params.num_nodes, options);
+  ASSERT_TRUE(service.ok());
+  int64_t readings = 0;
+  service.value()->SetClockForTesting(
+      [&readings] { return static_cast<double>(++readings); });
+
+  Rng rng(5);
+  int64_t queries = 0;
+  for (const size_t size : {size_t{1}, size_t{7}, size_t{256}}) {
+    std::vector<std::pair<NodeId, NodeId>> batch(size);
+    for (auto& [src, dst] : batch) {
+      src = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+      dst = static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1));
+    }
+    readings = 0;
+    ASSERT_TRUE(service.value()->QueryBatch(batch).ok());
+    EXPECT_EQ(readings, 2) << "batch of " << size;
+    queries += static_cast<int64_t>(size);
+  }
+  const ReachStats& stats = service.value()->stats();
+  int64_t decided = 0;
+  for (int r = 0; r < kNumReachRules; ++r) decided += stats.rule_decided[r];
+  EXPECT_EQ(decided, queries);
+  EXPECT_EQ(stats.queries, queries);
+  EXPECT_EQ(stats.RuleDecided(ReachRule::kPrunedBfs), 0);
+  // Each pass spans one tick, and its queries are charged all of it.
+  EXPECT_NEAR(stats.TotalSeconds(), 3.0, 1e-12);
+}
+
+// One Record(seconds, count) call leaves the histogram as `count` single
+// calls would: the same count, total and quantiles.
+TEST(LatencyHistogramTest, BatchedRecordMatchesSingleCalls) {
+  for (const double seconds : {0.0, 3e-7, 1.5e-6, 4e-3, 100.0}) {
+    for (const int64_t count : {1, 7, 256}) {
+      SCOPED_TRACE(std::to_string(seconds) + " s x " + std::to_string(count));
+      LatencyHistogram batched;
+      LatencyHistogram single;
+      batched.Record(2e-6, 3);
+      for (int i = 0; i < 3; ++i) single.Record(2e-6);
+      batched.Record(seconds, count);
+      for (int64_t i = 0; i < count; ++i) single.Record(seconds);
+      EXPECT_EQ(batched.count(), single.count());
+      EXPECT_NEAR(batched.total_seconds(), single.total_seconds(),
+                  1e-12 * single.total_seconds());
+      for (const double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
+        EXPECT_EQ(batched.QuantileSeconds(q), single.QuantileSeconds(q))
+            << "q=" << q;
+      }
+    }
+  }
+}
+
 TEST(ReachServiceTest, ValidatesInputs) {
   const ArcList arcs = {{0, 1}, {1, 2}};
   auto service = ReachService::Build(arcs, 3);

@@ -106,16 +106,20 @@ fi
 # --- Sanitized serving ladder: the label ladder and its rule attribution
 # (reach_index_test), the dynamic service's snapshot / incremental /
 # live-BFS rungs and their stats (dynamic_reach_test,
-# incremental_reach_test), and the tick-exact per-rule stats of a
-# one-shard server against a direct service (determinism_test), under
-# ASan+UBSan so a stale scratch slot or an out-of-range rule index is a
+# incremental_reach_test), the tick-exact per-rule stats of a
+# one-shard server against a direct service (determinism_test), and the
+# chain core's prefetch pipeline against one Decide per pair
+# (decide_batch_test), under ASan+UBSan so a stale scratch slot, an
+# out-of-range rule index or a lookahead index past the batch is a
 # report, not a miscount.
 cmake --build "$SAN_DIR" -j "$(nproc)" --target reach_index_test \
-    dynamic_reach_test incremental_reach_test determinism_test
+    dynamic_reach_test incremental_reach_test determinism_test \
+    decide_batch_test
 "$SAN_DIR"/tests/reach_index_test
 "$SAN_DIR"/tests/dynamic_reach_test
 "$SAN_DIR"/tests/incremental_reach_test
 "$SAN_DIR"/tests/determinism_test
+"$SAN_DIR"/tests/decide_batch_test
 
 # --- Sanitized crash differential: 50 randomized kill-and-recover runs
 # through the durable stack (WAL + checkpoints on a fault-injecting
