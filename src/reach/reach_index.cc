@@ -3,183 +3,18 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/algorithms.h"
-
 namespace tcdb {
 
 namespace {
 
-// Forward BFS from `root`; sets the bit of every node reachable from it
-// (root included) and returns the reachable count.
-int64_t FillReachableSet(const Digraph& graph, NodeId root, BitVector* out,
-                         std::vector<NodeId>* scratch) {
-  scratch->clear();
-  scratch->push_back(root);
-  out->Set(static_cast<size_t>(root));
-  int64_t count = 1;
-  while (!scratch->empty()) {
-    const NodeId v = scratch->back();
-    scratch->pop_back();
-    for (const NodeId s : graph.Successors(v)) {
-      if (out->TestAndSet(static_cast<size_t>(s))) {
-        ++count;
-        scratch->push_back(s);
-      }
-    }
-  }
-  return count;
-}
-
-}  // namespace
-
-Result<ReachIndex> ReachIndex::Build(const Digraph& dag,
-                                     const ReachIndexOptions& options) {
-  TCDB_ASSIGN_OR_RETURN(const std::vector<NodeId> order,
-                        TopologicalSort(dag));
-  const NodeId n = dag.NumNodes();
-  ReachIndex index;
-  index.topo_pos_ = OrderPositions(order);
-
-  // Reach bounds. Reverse topological pass for the forward bound (the
-  // largest position u can reach), forward pass for the backward bound
-  // (the smallest position that can reach v).
-  index.max_reach_pos_.resize(n);
-  index.min_origin_pos_.resize(n);
-  for (NodeId v = 0; v < n; ++v) {
-    index.max_reach_pos_[v] = index.topo_pos_[v];
-    index.min_origin_pos_[v] = index.topo_pos_[v];
-  }
-  for (NodeId i = n - 1; i >= 0; --i) {
-    const NodeId v = order[i];
-    for (const NodeId s : dag.Successors(v)) {
-      index.max_reach_pos_[v] =
-          std::max(index.max_reach_pos_[v], index.max_reach_pos_[s]);
-    }
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    const NodeId v = order[i];
-    for (const NodeId s : dag.Successors(v)) {
-      index.min_origin_pos_[s] =
-          std::min(index.min_origin_pos_[s], index.min_origin_pos_[v]);
-    }
-  }
-
-  // DFS-forest intervals. Roots are taken in topological order, so early
-  // nodes own large subtrees; only tree arcs recurse, making ancestry a
-  // sound (if incomplete) positive witness.
-  index.pre_.assign(n, -1);
-  index.post_.assign(n, -1);
-  {
-    int32_t clock = 0;
-    std::vector<std::pair<NodeId, int32_t>> stack;  // (node, next child)
-    for (const NodeId root : order) {
-      if (index.pre_[root] >= 0) continue;
-      stack.emplace_back(root, 0);
-      index.pre_[root] = clock++;
-      while (!stack.empty()) {
-        auto& [v, child] = stack.back();
-        const std::span<const NodeId> succ = dag.Successors(v);
-        bool descended = false;
-        while (child < static_cast<int32_t>(succ.size())) {
-          const NodeId s = succ[child++];
-          if (index.pre_[s] >= 0) continue;
-          index.pre_[s] = clock++;
-          stack.emplace_back(s, 0);
-          descended = true;
-          break;
-        }
-        if (!descended) {
-          index.post_[v] = clock++;
-          stack.pop_back();
-        }
-      }
-    }
-  }
-
-  // Greedy chain decomposition: walk forward from each yet-unassigned node
-  // (in topological order) along arcs to unassigned successors. Adjacent
-  // chain positions are real arcs, so "same chain, earlier position" is a
-  // positive witness.
-  index.chain_id_.assign(n, -1);
-  index.chain_pos_.assign(n, 0);
-  for (const NodeId start : order) {
-    if (index.chain_id_[start] >= 0) continue;
-    const int32_t chain = index.num_chains_++;
-    NodeId cur = start;
-    int32_t pos = 0;
-    while (true) {
-      index.chain_id_[cur] = chain;
-      index.chain_pos_[cur] = pos++;
-      NodeId next = -1;
-      for (const NodeId s : dag.Successors(cur)) {
-        if (index.chain_id_[s] >= 0) continue;
-        if (next < 0 || index.topo_pos_[s] < index.topo_pos_[next]) next = s;
-      }
-      if (next < 0) break;
-      cur = next;
-    }
-  }
-
-  // Supportive pivots: evaluate a degree-ranked candidate pool and keep
-  // the pivots whose forward x backward coverage decides the most pairs.
-  const int32_t k =
-      std::min<int32_t>(std::max<int32_t>(options.num_supportive, 0), n);
-  if (k > 0) {
-    const Digraph reversed = dag.Reversed();
-    std::vector<NodeId> candidates(n);
-    for (NodeId v = 0; v < n; ++v) candidates[v] = v;
-    const int64_t pool = std::min<int64_t>(
-        n, static_cast<int64_t>(k) *
-               std::max<int32_t>(options.pivot_candidates_per_slot, 1));
-    std::partial_sort(
-        candidates.begin(), candidates.begin() + pool, candidates.end(),
-        [&](NodeId a, NodeId b) {
-          const int64_t score_a =
-              static_cast<int64_t>(dag.OutDegree(a) + 1) *
-              (reversed.OutDegree(a) + 1);
-          const int64_t score_b =
-              static_cast<int64_t>(dag.OutDegree(b) + 1) *
-              (reversed.OutDegree(b) + 1);
-          return score_a != score_b ? score_a > score_b : a < b;
-        });
-    candidates.resize(pool);
-
-    struct Candidate {
-      NodeId node;
-      BitVector fwd;
-      BitVector bwd;
-      int64_t coverage;
-    };
-    std::vector<Candidate> evaluated;
-    evaluated.reserve(candidates.size());
-    std::vector<NodeId> scratch;
-    for (const NodeId v : candidates) {
-      Candidate c;
-      c.node = v;
-      c.fwd.Resize(static_cast<size_t>(n));
-      c.bwd.Resize(static_cast<size_t>(n));
-      const int64_t fwd_count = FillReachableSet(dag, v, &c.fwd, &scratch);
-      const int64_t bwd_count =
-          FillReachableSet(reversed, v, &c.bwd, &scratch);
-      c.coverage = fwd_count * bwd_count;
-      evaluated.push_back(std::move(c));
-    }
-    std::stable_sort(evaluated.begin(), evaluated.end(),
-                     [](const Candidate& a, const Candidate& b) {
-                       return a.coverage > b.coverage;
-                     });
-    for (int32_t i = 0; i < k && i < static_cast<int32_t>(evaluated.size());
-         ++i) {
-      index.pivots_.push_back(evaluated[i].node);
-      index.fwd_.push_back(std::move(evaluated[i].fwd));
-      index.bwd_.push_back(std::move(evaluated[i].bwd));
-    }
-  }
-
-  return index;
-}
-
-namespace {
+// The rules PivotRuleFor's 0, 1 and 2 report, for structural and for
+// trained pivots.
+constexpr ReachRule kStructuralPivotRules[3] = {
+    ReachRule::kSupportiveThrough, ReachRule::kSupportiveFwdCut,
+    ReachRule::kSupportiveBwdCut};
+constexpr ReachRule kTrainedPivotRules[3] = {ReachRule::kObsPivotThrough,
+                                             ReachRule::kObsPivotFwdCut,
+                                             ReachRule::kObsPivotBwdCut};
 
 // Sizes the scratch buffers for a graph of `n` nodes (no-op when already
 // sized, so the buffers amortize across a shard's queries).
@@ -189,6 +24,19 @@ void PrepareScratch(ReachIndex::SearchScratch* scratch, size_t n) {
 }
 
 }  // namespace
+
+// Inline: on the PrunedBfs path it runs once per visited node.
+inline ReachIndex::Verdict ReachIndex::DecideByPivots(
+    size_t begin, size_t end, const ReachRule* rules, NodeId u, NodeId v,
+    ReachRule* rule) const {
+  for (size_t i = begin; i < end; ++i) {
+    const int r = PivotRuleFor(pivot_fwd_[i], pivot_bwd_[i], u, v);
+    if (r < 0) continue;
+    if (rule != nullptr) *rule = rules[r];
+    return r == 0 ? Verdict::kYes : Verdict::kNo;
+  }
+  return Verdict::kUnknown;
+}
 
 ReachIndex::Verdict ReachIndex::TryDecide(NodeId u, NodeId v,
                                           ReachRule* rule) const {
@@ -201,9 +49,10 @@ ReachIndex::Verdict ReachIndex::TryDecide(NodeId u, NodeId v,
   if (u == v) {
     return decide(Verdict::kYes, ReachRule::kSelf);
   }
-  const int32_t pu = topo_pos_[u];
-  const int32_t pv = topo_pos_[v];
-  if (pv < pu || pv > max_reach_pos_[u] || pu < min_origin_pos_[v]) {
+  const int32_t pu = base_order_.pos[u];
+  const int32_t pv = base_order_.pos[v];
+  if (pv < pu || pv > base_order_.max_reach[u] ||
+      pu < base_order_.min_origin[v]) {
     return decide(Verdict::kNo, ReachRule::kTopoWindow);
   }
   if (pre_[u] <= pre_[v] && post_[v] <= post_[u]) {
@@ -214,26 +63,46 @@ ReachIndex::Verdict ReachIndex::TryDecide(NodeId u, NodeId v,
     TCDB_DCHECK(chain_pos_[u] < chain_pos_[v]);
     return decide(Verdict::kYes, ReachRule::kChainStep);
   }
-  for (size_t i = 0; i < pivots_.size(); ++i) {
-    const bool p_reaches_u = fwd_[i].Test(static_cast<size_t>(u));
-    const bool p_reaches_v = fwd_[i].Test(static_cast<size_t>(v));
-    const bool u_reaches_p = bwd_[i].Test(static_cast<size_t>(u));
-    const bool v_reaches_p = bwd_[i].Test(static_cast<size_t>(v));
-    // u ~> pivot ~> v.
-    if (u_reaches_p && p_reaches_v) {
-      return decide(Verdict::kYes, ReachRule::kSupportiveThrough);
-    }
-    // pivot ~> u but not pivot ~> v: a u ~> v path would extend the
-    // pivot's reach to v.
-    if (p_reaches_u && !p_reaches_v) {
-      return decide(Verdict::kNo, ReachRule::kSupportiveFwdCut);
-    }
-    // v ~> pivot but not u ~> pivot: a u ~> v path would reach the pivot.
-    if (v_reaches_p && !u_reaches_p) {
-      return decide(Verdict::kNo, ReachRule::kSupportiveBwdCut);
+  const Verdict structural =
+      DecideByPivots(0, static_cast<size_t>(num_structural_),
+                     kStructuralPivotRules, u, v, rule);
+  if (structural != Verdict::kUnknown || !has_observations()) {
+    return structural;
+  }
+  return DecideByObservations(u, v, rule);
+}
+
+ReachIndex::Verdict ReachIndex::DecideByObservations(NodeId u, NodeId v,
+                                                     ReachRule* rule) const {
+  auto decide = [&](Verdict verdict, ReachRule r) {
+    if (rule != nullptr) *rule = r;
+    return verdict;
+  };
+  if (fwd_level_[u] >= fwd_level_[v] || bwd_level_[u] <= bwd_level_[v]) {
+    return decide(Verdict::kNo, ReachRule::kObsLevel);
+  }
+  for (const TopoLabels& order : extra_orders_) {
+    const int32_t tu = order.pos[u];
+    const int32_t tv = order.pos[v];
+    if (tv < tu) return decide(Verdict::kNo, ReachRule::kObsTopoOrder);
+    if (tv > order.max_reach[u] || tu < order.min_origin[v]) {
+      return decide(Verdict::kNo, ReachRule::kObsSandwich);
     }
   }
-  return Verdict::kUnknown;
+  for (const BitVector& cut : fwd_cuts_) {
+    if (cut.Test(static_cast<size_t>(u)) &&
+        !cut.Test(static_cast<size_t>(v))) {
+      return decide(Verdict::kNo, ReachRule::kObsForwardCut);
+    }
+  }
+  for (const BitVector& cut : bwd_cuts_) {
+    if (cut.Test(static_cast<size_t>(v)) &&
+        !cut.Test(static_cast<size_t>(u))) {
+      return decide(Verdict::kNo, ReachRule::kObsBackwardCut);
+    }
+  }
+  return DecideByPivots(static_cast<size_t>(num_structural_), pivots_.size(),
+                        kTrainedPivotRules, u, v, rule);
 }
 
 ReachIndex::Verdict ReachIndex::PrunedBfs(const Digraph& dag, NodeId u,
@@ -246,7 +115,7 @@ ReachIndex::Verdict ReachIndex::PrunedBfs(const Digraph& dag, NodeId u,
   PrepareScratch(scratch, static_cast<size_t>(num_nodes()));
   EpochSet& visited = scratch->visited;
   std::vector<NodeId>& frontier = scratch->frontier;
-  const int32_t pv = topo_pos_[v];
+  const int32_t pv = base_order_.pos[v];
   visited.ClearAll();
   frontier.clear();
   frontier.push_back(u);
@@ -276,7 +145,7 @@ ReachIndex::Verdict ReachIndex::PrunedBfs(const Digraph& dag, NodeId u,
         return Verdict::kYes;
       }
       if (via_s == Verdict::kNo) continue;
-      TCDB_DCHECK(topo_pos_[s] < pv);
+      TCDB_DCHECK(base_order_.pos[s] < pv);
       frontier.push_back(s);
     }
   }
@@ -297,15 +166,16 @@ bool ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
   EpochSet& visited = scratch->visited;
   std::vector<NodeId>& frontier = scratch->frontier;
   std::vector<int32_t>& target_slot = scratch->target_slot;
-  int32_t min_pv = topo_pos_[targets.front()];
+  const TopoLabels& base = base_order_;
+  int32_t min_pv = base.pos[targets.front()];
   int32_t max_pv = min_pv;
   for (size_t i = 0; i < targets.size(); ++i) {
     const NodeId t = targets[i];
     TCDB_DCHECK(t != u);
     TCDB_DCHECK(target_slot[t] < 0);
     target_slot[t] = static_cast<int32_t>(i);
-    min_pv = std::min(min_pv, topo_pos_[t]);
-    max_pv = std::max(max_pv, topo_pos_[t]);
+    min_pv = std::min(min_pv, base.pos[t]);
+    max_pv = std::max(max_pv, base.pos[t]);
   }
   size_t remaining = targets.size();
 
@@ -333,7 +203,7 @@ bool ReachIndex::PrunedMultiBfs(const Digraph& dag, NodeId u,
       visited.Insert(static_cast<size_t>(s));
       // A node positioned after every target, or whose forward reach ends
       // before the first one, cannot lead to any remaining target.
-      if (topo_pos_[s] > max_pv || max_reach_pos_[s] < min_pv) continue;
+      if (base.pos[s] > max_pv || base.max_reach[s] < min_pv) continue;
       frontier.push_back(s);
     }
   }
@@ -371,48 +241,117 @@ bool ReadBitVector(codec::Reader* reader, size_t size, BitVector* bits) {
 
 }  // namespace
 
+// Image layout: u32 n | u8 observations | u32 orders | per order: pos,
+// max_reach, min_origin | pre | post | chain_id | chain_pos | i32 chains |
+// observations only: fwd_level, bwd_level | u32 cuts | fwd cuts | bwd
+// cuts | u32 pivots | u32 structural pivots | pivot ids | per pivot: fwd,
+// bwd. Label arrays are n i32s, bit-sets ceil(n / 64) u64 words.
 void ReachIndex::SerializeAppend(std::string* out) const {
-  const uint32_t n = static_cast<uint32_t>(topo_pos_.size());
-  codec::PutU32(out, n);
-  AppendI32Vector(topo_pos_, out);
-  AppendI32Vector(max_reach_pos_, out);
-  AppendI32Vector(min_origin_pos_, out);
+  codec::PutU32(out, static_cast<uint32_t>(n_));
+  codec::PutU8(out, has_observations() ? 1 : 0);
+  auto append_order = [out](const TopoLabels& order) {
+    AppendI32Vector(order.pos, out);
+    AppendI32Vector(order.max_reach, out);
+    AppendI32Vector(order.min_origin, out);
+  };
+  codec::PutU32(out, static_cast<uint32_t>(num_orders()));
+  append_order(base_order_);
+  for (const TopoLabels& order : extra_orders_) append_order(order);
   AppendI32Vector(pre_, out);
   AppendI32Vector(post_, out);
   AppendI32Vector(chain_id_, out);
   AppendI32Vector(chain_pos_, out);
   codec::PutI32(out, num_chains_);
+  AppendI32Vector(fwd_level_, out);
+  AppendI32Vector(bwd_level_, out);
+  codec::PutU32(out, static_cast<uint32_t>(fwd_cuts_.size()));
+  for (const BitVector& cut : fwd_cuts_) AppendBitVector(cut, out);
+  for (const BitVector& cut : bwd_cuts_) AppendBitVector(cut, out);
   codec::PutU32(out, static_cast<uint32_t>(pivots_.size()));
+  codec::PutU32(out, static_cast<uint32_t>(num_structural_));
   AppendI32Vector(pivots_, out);
   for (size_t i = 0; i < pivots_.size(); ++i) {
-    AppendBitVector(fwd_[i], out);
-    AppendBitVector(bwd_[i], out);
+    AppendBitVector(pivot_fwd_[i], out);
+    AppendBitVector(pivot_bwd_[i], out);
   }
 }
 
 Result<ReachIndex> ReachIndex::Deserialize(codec::Reader* reader) {
   ReachIndex index;
   uint32_t n = 0;
-  if (!reader->ReadU32(&n)) {
+  uint8_t observations = 0;
+  uint32_t num_orders = 0;
+  if (!reader->ReadU32(&n) || !reader->ReadU8(&observations) ||
+      !reader->ReadU32(&num_orders)) {
     return Status::Corruption("reach index image truncated");
   }
-  bool ok = ReadI32Vector(reader, n, &index.topo_pos_) &&
-            ReadI32Vector(reader, n, &index.max_reach_pos_) &&
-            ReadI32Vector(reader, n, &index.min_origin_pos_) &&
-            ReadI32Vector(reader, n, &index.pre_) &&
-            ReadI32Vector(reader, n, &index.post_) &&
-            ReadI32Vector(reader, n, &index.chain_id_) &&
-            ReadI32Vector(reader, n, &index.chain_pos_) &&
-            reader->ReadI32(&index.num_chains_);
-  uint32_t num_pivots = 0;
-  ok = ok && reader->ReadU32(&num_pivots);
+  if (n > static_cast<uint32_t>(INT32_MAX) || observations > 1 ||
+      (observations == 1 && n == 0) || num_orders == 0) {
+    return Status::Corruption("reach index header invalid");
+  }
+  index.n_ = static_cast<NodeId>(n);
+  // Every count is checked against the bytes left before anything is
+  // sized from it: each node carries seven i32 labels (nine with the
+  // observations), each order three.
+  const uint64_t label_bytes = 4 * uint64_t{n};
+  const uint64_t bitset_bytes = 8 * ((uint64_t{n} + 63) / 64);
+  if (!reader->Holds(n, 4 * (7 + 2 * uint64_t{observations}))) {
+    return Status::Corruption("reach index node count exceeds image");
+  }
+  if (!reader->Holds(num_orders, 3 * label_bytes)) {
+    return Status::Corruption("reach index order count exceeds image");
+  }
+  auto read_order = [reader, n](TopoLabels* order) {
+    return ReadI32Vector(reader, n, &order->pos) &&
+           ReadI32Vector(reader, n, &order->max_reach) &&
+           ReadI32Vector(reader, n, &order->min_origin);
+  };
+  bool ok = read_order(&index.base_order_);
+  index.extra_orders_.resize(num_orders - 1);
+  for (TopoLabels& order : index.extra_orders_) {
+    ok = ok && read_order(&order);
+  }
+  ok = ok && ReadI32Vector(reader, n, &index.pre_) &&
+       ReadI32Vector(reader, n, &index.post_) &&
+       ReadI32Vector(reader, n, &index.chain_id_) &&
+       ReadI32Vector(reader, n, &index.chain_pos_) &&
+       reader->ReadI32(&index.num_chains_);
+  if (ok && observations == 1) {
+    ok = ReadI32Vector(reader, n, &index.fwd_level_) &&
+         ReadI32Vector(reader, n, &index.bwd_level_);
+  }
+  uint32_t num_cuts = 0;
+  ok = ok && reader->ReadU32(&num_cuts);
+  if (ok && !reader->Holds(num_cuts, 2 * bitset_bytes)) {
+    return Status::Corruption("reach index cut count exceeds image");
+  }
   if (ok) {
+    index.fwd_cuts_.resize(num_cuts);
+    index.bwd_cuts_.resize(num_cuts);
+    for (BitVector& cut : index.fwd_cuts_) {
+      ok = ok && ReadBitVector(reader, n, &cut);
+    }
+    for (BitVector& cut : index.bwd_cuts_) {
+      ok = ok && ReadBitVector(reader, n, &cut);
+    }
+  }
+  uint32_t num_pivots = 0;
+  uint32_t num_structural = 0;
+  ok = ok && reader->ReadU32(&num_pivots) && reader->ReadU32(&num_structural);
+  if (ok && !reader->Holds(num_pivots, 4 + 2 * bitset_bytes)) {
+    return Status::Corruption("reach index pivot count exceeds image");
+  }
+  if (ok && num_structural > num_pivots) {
+    return Status::Corruption("reach index structural pivot count invalid");
+  }
+  if (ok) {
+    index.num_structural_ = static_cast<int32_t>(num_structural);
     ok = ReadI32Vector(reader, num_pivots, &index.pivots_);
-    index.fwd_.resize(num_pivots);
-    index.bwd_.resize(num_pivots);
+    index.pivot_fwd_.resize(num_pivots);
+    index.pivot_bwd_.resize(num_pivots);
     for (uint32_t i = 0; ok && i < num_pivots; ++i) {
-      ok = ReadBitVector(reader, n, &index.fwd_[i]) &&
-           ReadBitVector(reader, n, &index.bwd_[i]);
+      ok = ReadBitVector(reader, n, &index.pivot_fwd_[i]) &&
+           ReadBitVector(reader, n, &index.pivot_bwd_[i]);
     }
   }
   if (!ok) return Status::Corruption("reach index image truncated");

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/digraph.h"
-#include "oreach/observation_battery.h"
 #include "reach/reach_rule.h"
 #include "scale/chain_index.h"
 #include "util/bit_vector.h"
@@ -32,10 +31,11 @@ enum class ReachBackend : uint8_t {
   kAuto = 2,
 };
 
-// The image bytes of a kLabels core without battery over a condensation
-// of n nodes and m arcs, less its fixed-size header: 8 per arc, 36 per
-// node (node map, SCC size and the seven int32 label arrays of
-// ReachIndex) and two n-bit sets per supportive pivot. p is the pivot
+// The image bytes of a kLabels core without the oreach observations over
+// a condensation of n nodes and m arcs, less its fixed-size header: 8 per
+// arc, 36 per node (node map, SCC size and the seven int32 label arrays of
+// ReachIndex: the base order's three, the DFS intervals' two and the
+// chains' two) and two n-bit sets per supportive pivot. p is the pivot
 // count asked for (ReachIndexOptions::num_supportive), clamped to
 // [0, n] as the build does.
 inline int64_t LabelCoreBytes(int64_t n, int64_t m, int64_t p) {
@@ -61,17 +61,16 @@ struct ReachIndexOptions {
   // forward x backward coverage wins). Higher = better pivots, slower
   // build.
   int32_t pivot_candidates_per_slot = 4;
-  // O'Reach observation battery (src/oreach/): a second bank of O(1)
-  // labels consulted between the rules above and the search fallbacks
-  // (serving stage kObservation). Built only with a kLabels core (pinned,
-  // or chosen by kAuto); off by default —
-  // it earns its memory on skewed/adversarial mixes, which the benches
-  // opt into explicitly.
+  // O'Reach observations (serving stage kObservation): extra topological
+  // orders, longest-path levels, negative cuts and traffic-trained pivots,
+  // consulted after the rules above. Built only into a kLabels core
+  // (pinned, or chosen by kAuto); off by default — they earn their memory
+  // on skewed/adversarial mixes, which the benches opt into explicitly.
   bool oreach = false;
-  ObservationBatteryOptions oreach_options;
-  // Sampled query traffic (input-node ids) for the battery's
-  // coverage-greedy pivot selection. Empty: the battery trains on a
-  // synthetic uniform sample instead.
+  // Sampled query traffic, in input-node ids, that trains the oreach pivots
+  // on what the other rules leave undecided. Read by ReachCore::Build,
+  // which maps it onto the condensation and hands it to ReachIndex::Build
+  // as `traffic`. Empty: the pivots train on a synthetic uniform sample.
   std::vector<std::pair<NodeId, NodeId>> oreach_traffic;
 };
 
@@ -84,8 +83,20 @@ struct ReachIndexOptions {
 //     (definite "no" when v lies outside u's reachable position window),
 //   - DFS-forest interval labels (definite "yes" on forest ancestry),
 //   - a greedy chain decomposition (definite "yes" along a chain),
-//   - `num_supportive` pivot bit-sets (definite "yes" through a pivot,
-//     definite "no" when a pivot separates the pair).
+//   - `num_supportive` structural pivot bit-sets (definite "yes" through a
+//     pivot, definite "no" when a pivot separates the pair).
+// With options.oreach it also carries the O'Reach observations, aimed at
+// the pairs the rules above leave undecided (the counts are named
+// constants in reach_index_build.cc):
+//   - kExtraOrders more topological orders (rank-driven Kahn over
+//     pseudo-random ranks, scale/topo_order.h), each with its own reach
+//     bounds: every order is an independent "no" witness,
+//   - forward/backward longest-path levels (u ~> v forces
+//     fwd_level[u] < fwd_level[v] and bwd_level[u] > bwd_level[v]),
+//   - kCutsPerDirection successor-closed and as many predecessor-closed
+//     negative cuts, grown from random cones toward half the graph,
+//   - kTrainedPivots pivots chosen coverage-greedily against the residue
+//     of the sampled traffic (Build's `traffic` argument).
 // The labels decide the vast majority of random queries; the undecided
 // residue goes to PrunedBfs(), first within a node budget and then
 // unbounded (see ReachService).
@@ -98,9 +109,12 @@ class ReachIndex {
  public:
   // Builds the labels. `dag` must be acyclic (condense cyclic inputs
   // first); fails with InvalidArgument otherwise. O(n + m) plus
-  // O(k * (n + m)) for k supportive pivots.
-  static Result<ReachIndex> Build(const Digraph& dag,
-                                  const ReachIndexOptions& options = {});
+  // O(k * (n + m)) for k pivots, and O((n + m) log n) per extra order.
+  // With options.oreach, `traffic` (pairs of `dag`'s node ids) trains the
+  // trained pivots; options.oreach_traffic is not read here.
+  static Result<ReachIndex> Build(
+      const Digraph& dag, const ReachIndexOptions& options = {},
+      std::span<const std::pair<NodeId, NodeId>> traffic = {});
 
   enum class Verdict : uint8_t { kNo = 0, kYes = 1, kUnknown = 2 };
 
@@ -116,15 +130,17 @@ class ReachIndex {
     std::vector<int32_t> target_slot;
   };
 
-  // O(1): answers from the labels alone, or kUnknown for the residue.
-  // When decided, a non-null `rule` names the deciding rule.
+  // O(1) per label: answers from the labels alone, or kUnknown for the
+  // residue. The rules run cheapest first — base order, DFS interval,
+  // chain, structural pivots, then the oreach levels, extra orders, cuts
+  // and trained pivots. When decided, a non-null `rule` names the rule.
   Verdict TryDecide(NodeId u, NodeId v, ReachRule* rule = nullptr) const;
 
   // Fallback: BFS from `u` toward `v` over `dag` (which must be the graph
   // the index was built from), pruning every node whose labels prove it
-  // cannot lie on a u ~> v path and short-circuiting through the O(1)
-  // rules. Returns a definite verdict if the search finishes within
-  // `budget` node expansions, kUnknown otherwise. Thread-safe as long as
+  // cannot lie on a u ~> v path and short-circuiting through TryDecide.
+  // Returns a definite verdict if the search finishes within `budget`
+  // node expansions, kUnknown otherwise. Thread-safe as long as
   // concurrent callers pass distinct `scratch` instances.
   Verdict PrunedBfs(const Digraph& dag, NodeId u, NodeId v, int64_t budget,
                     SearchScratch* scratch,
@@ -142,18 +158,39 @@ class ReachIndex {
                       SearchScratch* scratch,
                       int64_t* expansions = nullptr) const;
 
-  NodeId num_nodes() const {
-    return static_cast<NodeId>(topo_pos_.size());
+  // Which of a pivot's rules decides (u, v), given the pivot's cones (fwd:
+  // the nodes it reaches, bwd: the nodes reaching it): 0 for u ~> p ~> v
+  // ("yes"); 1 for p ~> u but not p ~> v, since a u ~> v path would extend
+  // the pivot's reach to v ("no"); 2 for v ~> p but not u ~> p, since a
+  // u ~> v path would reach the pivot ("no"); -1 for none. TryDecide's
+  // pivot rules and the oreach pivot trainer share it.
+  static int PivotRuleFor(const BitVector& fwd, const BitVector& bwd,
+                          NodeId u, NodeId v) {
+    const bool p_reaches_u = fwd.Test(static_cast<size_t>(u));
+    const bool p_reaches_v = fwd.Test(static_cast<size_t>(v));
+    const bool u_reaches_p = bwd.Test(static_cast<size_t>(u));
+    const bool v_reaches_p = bwd.Test(static_cast<size_t>(v));
+    if (u_reaches_p && p_reaches_v) return 0;
+    if (p_reaches_u && !p_reaches_v) return 1;
+    if (v_reaches_p && !u_reaches_p) return 2;
+    return -1;
   }
-  int32_t num_supportive() const {
-    return static_cast<int32_t>(pivots_.size());
+
+  NodeId num_nodes() const { return n_; }
+  // True when the index carries the oreach observations.
+  bool has_observations() const { return !fwd_level_.empty(); }
+  // Topological orders, the base one included; cuts per direction.
+  int32_t num_orders() const {
+    return 1 + static_cast<int32_t>(extra_orders_.size());
   }
+  int32_t num_cuts() const { return static_cast<int32_t>(fwd_cuts_.size()); }
+  int32_t num_supportive() const { return num_structural_; }
+  int32_t num_trained_pivots() const {
+    return static_cast<int32_t>(pivots_.size()) - num_structural_;
+  }
+  // The structural pivots, then the trained ones.
   const std::vector<NodeId>& pivot_nodes() const { return pivots_; }
-  int32_t topo_position(NodeId v) const { return topo_pos_[v]; }
-  int32_t max_reach_position(NodeId v) const { return max_reach_pos_[v]; }
-  int32_t min_origin_position(NodeId v) const { return min_origin_pos_[v]; }
   int32_t chain_id(NodeId v) const { return chain_id_[v]; }
-  int32_t chain_position(NodeId v) const { return chain_pos_[v]; }
   int32_t num_chains() const { return num_chains_; }
 
   // An empty index (zero nodes). Usable instances come from Build().
@@ -163,18 +200,39 @@ class ReachIndex {
   // `out` (checkpoint body material — the caller frames it with a CRC).
   // Deserialize() restores a bit-identical index, so recovery skips the
   // label build entirely. Returns Corruption on a truncated or
-  // inconsistent image.
+  // inconsistent image, and checks every count against the bytes left
+  // before it sizes anything from it.
   void SerializeAppend(std::string* out) const;
   static Result<ReachIndex> Deserialize(codec::Reader* reader);
 
  private:
-  // Topological permutation and reach bounds. A node u can only reach
-  // nodes with topological positions in [topo_pos_[u], max_reach_pos_[u]];
-  // dually, only nodes positioned in [min_origin_pos_[v], topo_pos_[v]]
-  // can reach v.
-  std::vector<int32_t> topo_pos_;
-  std::vector<int32_t> max_reach_pos_;
-  std::vector<int32_t> min_origin_pos_;
+  // One topological order and its reach bounds. A node u can only reach
+  // nodes positioned in [pos[u], max_reach[u]]; dually, only nodes
+  // positioned in [min_origin[v], pos[v]] can reach v.
+  struct TopoLabels {
+    std::vector<int32_t> pos;
+    std::vector<int32_t> max_reach;
+    std::vector<int32_t> min_origin;
+  };
+
+  // Labels `order`, a topological order of `dag`.
+  static TopoLabels LabelOrder(const Digraph& dag,
+                               std::span<const NodeId> order);
+
+  // TryDecide's pivot rules over pivots [begin, end), reported as
+  // rules[0] ("yes"), rules[1] or rules[2] ("no").
+  Verdict DecideByPivots(size_t begin, size_t end, const ReachRule* rules,
+                         NodeId u, NodeId v, ReachRule* rule) const;
+  // TryDecide's oreach observations, consulted after every base rule. Kept
+  // out of TryDecide so that the base rules stay small enough to inline
+  // into the pruned searches.
+  Verdict DecideByObservations(NodeId u, NodeId v, ReachRule* rule) const;
+
+  NodeId n_ = 0;
+
+  // The base order, and the oreach extra orders.
+  TopoLabels base_order_;
+  std::vector<TopoLabels> extra_orders_;
 
   // DFS-forest entry/exit stamps: pre_[u] <= pre_[v] && post_[v] <=
   // post_[u] proves a forest path u ~> v.
@@ -188,11 +246,21 @@ class ReachIndex {
   std::vector<int32_t> chain_pos_;
   int32_t num_chains_ = 0;
 
-  // Supportive pivots: fwd_[i] = nodes reachable from pivots_[i] (itself
-  // included), bwd_[i] = nodes that reach pivots_[i].
+  // oreach only: longest path from any source / to any sink, and the
+  // successor-closed (fwd) and predecessor-closed (bwd) cuts.
+  std::vector<int32_t> fwd_level_;
+  std::vector<int32_t> bwd_level_;
+  std::vector<BitVector> fwd_cuts_;
+  std::vector<BitVector> bwd_cuts_;
+
+  // Pivots: the first num_structural_ are the degree-ranked supportive
+  // pivots, the rest the oreach trained ones. pivot_fwd_[i] = nodes
+  // reachable from pivots_[i] (itself included), pivot_bwd_[i] = nodes
+  // that reach pivots_[i].
   std::vector<NodeId> pivots_;
-  std::vector<BitVector> fwd_;
-  std::vector<BitVector> bwd_;
+  int32_t num_structural_ = 0;
+  std::vector<BitVector> pivot_fwd_;
+  std::vector<BitVector> pivot_bwd_;
 };
 
 }  // namespace tcdb

@@ -5,8 +5,6 @@ namespace tcdb {
 
 // The individual rule that decided a reachability query: the one
 // classification every decision path in the serving stack reports.
-// Header-only so both the reach layer and the oreach battery (which the
-// reach layer links) can name rules without a dependency cycle.
 enum class ReachRule {
   kCacheHit = 0,        // LRU answer cache
   kSelf,                // u == v (reflexivity)
@@ -19,11 +17,10 @@ enum class ReachRule {
   kSupportiveBwdCut,    // base pivot: v ~> p but not u ~> p: "no"
   kAdjacency,           // (u, v) is an arc: "yes"
   kChainFrontier,       // kChain backend frontier labels (always definitive)
-  // --- observation battery (src/oreach/), stage kObservation ---
+  // --- ReachIndex oreach observations, stage kObservation ---
   kObsTopoOrder,        // an extra topological order has pos[v] < pos[u]
   kObsSandwich,         // an extra order's reach-bound window excludes v
   kObsLevel,            // forward/backward longest-path levels contradict
-  kObsWeakComponent,    // different weakly connected components
   kObsForwardCut,       // u inside a successor-closed cut, v outside: "no"
   kObsBackwardCut,      // v inside a predecessor-closed cut, u outside: "no"
   kObsPivotThrough,     // traffic pivot: u ~> p ~> v: "yes"
@@ -54,8 +51,8 @@ enum class ReachStage {
   kSupportiveNegative,  // a pivot separates u from v: "no"
   kAdjacency,           // (u, v) is an arc of the graph: "yes"
                         // (O(log out-degree) via the sorted CSR row)
-  kObservation,         // O'Reach observation battery (src/oreach/):
-                        // extra orders, levels, cuts, traffic pivots
+  kObservation,         // ReachIndex's oreach observations: levels,
+                        // extra orders, cuts, trained pivots
   kChainFrontier,       // chain-decomposition frontier labels (the kChain
                         // backend; exact, so always definitive)
   kPrunedBfs,           // interval-pruned BFS
@@ -91,7 +88,6 @@ constexpr ReachStage StageOf(ReachRule rule) {
     case ReachRule::kObsTopoOrder:
     case ReachRule::kObsSandwich:
     case ReachRule::kObsLevel:
-    case ReachRule::kObsWeakComponent:
     case ReachRule::kObsForwardCut:
     case ReachRule::kObsBackwardCut:
     case ReachRule::kObsPivotThrough:
@@ -139,8 +135,6 @@ inline const char* ReachRuleName(ReachRule rule) {
       return "obs-sandwich";
     case ReachRule::kObsLevel:
       return "obs-level";
-    case ReachRule::kObsWeakComponent:
-      return "obs-weak-component";
     case ReachRule::kObsForwardCut:
       return "obs-forward-cut";
     case ReachRule::kObsBackwardCut:

@@ -12,18 +12,17 @@ namespace tcdb {
 
 namespace {
 
-// Fills core->index over core->dag, plus the observation battery when
-// options.oreach is set.
+// The first word of a core image. Images of the previous layout, which
+// followed the label index with a battery flag byte, began with
+// num_input_nodes, a non-negative i32, so a tag with bit 31 set can never
+// be mistaken for one of them; the low bits number the layout.
+constexpr uint32_t kCoreImageTag = 0x80000000u | 2;
+
+// Fills core->index over core->dag, with options.oreach_traffic mapped
+// onto the condensation for the oreach pivot trainer.
 Status BuildLabelCore(const ReachIndexOptions& options, ReachCore* core) {
   core->backend = ReachBackend::kLabels;
-  TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Build(core->dag, options));
-  if (!options.oreach) return Status::Ok();
-  // Battery pivot training sees the traffic in condensation ids and
-  // treats everything the base ladder (rules + adjacency) already
-  // decides as covered, so the greedy selection spends its pivots on the
-  // true fallback residue.
   std::vector<std::pair<NodeId, NodeId>> traffic;
-  traffic.reserve(options.oreach_traffic.size());
   for (const auto& [src, dst] : options.oreach_traffic) {
     if (src < 0 || src >= core->num_input_nodes || dst < 0 ||
         dst >= core->num_input_nodes) {
@@ -33,19 +32,8 @@ Status BuildLabelCore(const ReachIndexOptions& options, ReachCore* core) {
     const NodeId cdst = core->node_map[dst];
     if (csrc != cdst) traffic.emplace_back(csrc, cdst);
   }
-  const ReachIndex& index = core->index;
-  const Digraph& dag = core->dag;
-  auto base_decides = [&index, &dag](NodeId u, NodeId v) {
-    if (index.TryDecide(u, v) != ReachIndex::Verdict::kUnknown) {
-      return true;
-    }
-    const std::span<const NodeId> successors = dag.Successors(u);
-    return std::binary_search(successors.begin(), successors.end(), v);
-  };
-  TCDB_ASSIGN_OR_RETURN(
-      core->battery, ObservationBattery::Build(core->dag, options.oreach_options,
-                                               traffic, base_decides));
-  core->has_battery = true;
+  TCDB_ASSIGN_OR_RETURN(core->index,
+                        ReachIndex::Build(core->dag, options, traffic));
   return Status::Ok();
 }
 
@@ -159,15 +147,7 @@ ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
     *rule = ReachRule::kAdjacency;
     return ReachIndex::Verdict::kYes;
   }
-  if (!has_battery) return ReachIndex::Verdict::kUnknown;
-  const ObservationBattery::Verdict observed =
-      battery.TryDecide(csrc, cdst, rule);
-  if (observed == ObservationBattery::Verdict::kUnknown) {
-    return ReachIndex::Verdict::kUnknown;
-  }
-  return observed == ObservationBattery::Verdict::kYes
-             ? ReachIndex::Verdict::kYes
-             : ReachIndex::Verdict::kNo;
+  return ReachIndex::Verdict::kUnknown;
 }
 
 void ReachCore::DecideBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
@@ -210,6 +190,7 @@ void ReachCore::DecideBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
 }
 
 void ReachCore::SerializeAppend(std::string* out) const {
+  codec::PutU32(out, kCoreImageTag);
   codec::PutI32(out, num_input_nodes);
   codec::PutU8(out, static_cast<uint8_t>(backend));
   const NodeId dag_nodes = dag.NumNodes();
@@ -226,21 +207,25 @@ void ReachCore::SerializeAppend(std::string* out) const {
     chain.SerializeAppend(out);
   } else {
     index.SerializeAppend(out);
-    codec::PutU8(out, has_battery ? 1 : 0);
-    if (has_battery) battery.SerializeAppend(out);
   }
 }
 
 Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
     codec::Reader* reader) {
   auto core = std::make_shared<ReachCore>();
+  uint32_t tag = 0;
   NodeId dag_nodes = 0;
   uint64_t num_arcs = 0;
   uint8_t backend_byte = 0;
+  if (!reader->ReadU32(&tag)) {
+    return Status::Corruption("reach core image truncated");
+  }
+  if (tag != kCoreImageTag) {
+    return Status::Corruption("reach core image version unsupported");
+  }
   if (!reader->ReadI32(&core->num_input_nodes) ||
       !reader->ReadU8(&backend_byte) || !reader->ReadI32(&dag_nodes) ||
-      !reader->ReadU64(&num_arcs) || core->num_input_nodes < 0 ||
-      dag_nodes < 0 || dag_nodes > core->num_input_nodes) {
+      !reader->ReadU64(&num_arcs)) {
     return Status::Corruption("reach core image truncated");
   }
   // A built core is kLabels or kChain; kAuto is an option, never a tag.
@@ -248,9 +233,21 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
     return Status::Corruption("reach core backend tag invalid");
   }
   core->backend = static_cast<ReachBackend>(backend_byte);
-  // 8 bytes per arc: reject oversized counts before allocating.
-  if (num_arcs * 8 > reader->remaining()) {
+  if (core->num_input_nodes < 0 || dag_nodes < 0) {
+    return Status::Corruption("reach core node count invalid");
+  }
+  // Reject oversized counts before allocating: 8 bytes per arc, then 4
+  // per node-map entry and per SCC size.
+  if (!reader->Holds(num_arcs, 8)) {
     return Status::Corruption("reach core arc count exceeds image");
+  }
+  const uint64_t node_entries = static_cast<uint64_t>(core->num_input_nodes) +
+                                static_cast<uint64_t>(dag_nodes);
+  if (node_entries * 4 > reader->remaining() - num_arcs * 8) {
+    return Status::Corruption("reach core node count exceeds image");
+  }
+  if (dag_nodes > core->num_input_nodes) {
+    return Status::Corruption("reach core node count invalid");
   }
   ArcList arcs(num_arcs);
   for (Arc& arc : arcs) {
@@ -287,18 +284,6 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
     TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Deserialize(reader));
     if (core->index.num_nodes() != dag_nodes) {
       return Status::Corruption("reach core index size mismatch");
-    }
-    uint8_t battery_byte = 0;
-    if (!reader->ReadU8(&battery_byte) || battery_byte > 1) {
-      return Status::Corruption("reach core battery flag invalid");
-    }
-    if (battery_byte != 0) {
-      TCDB_ASSIGN_OR_RETURN(core->battery,
-                            ObservationBattery::Deserialize(reader));
-      if (core->battery.num_nodes() != dag_nodes) {
-        return Status::Corruption("reach core battery size mismatch");
-      }
-      core->has_battery = true;
     }
   }
   return std::shared_ptr<const ReachCore>(std::move(core));

@@ -58,12 +58,6 @@ struct ReachCore {
   int64_t chain_stop_rank = -1;
   int64_t chain_bytes = 0;
   int64_t chain_budget_bytes = 0;
-  // O'Reach observation battery (options.oreach): a second bank of O(1)
-  // labels consulted when the kLabels rules come up unknown, before the
-  // service ladder falls back to searching. Never populated for kChain
-  // (frontier labels are already total).
-  bool has_battery = false;
-  ObservationBattery battery;
 
   // True when the input contained a cycle (queries run on the
   // condensation).
@@ -73,10 +67,10 @@ struct ReachCore {
   // "backend chain: k=108, frontier 784056 B of 1616480 B budget".
   std::string BackendSummary() const;
 
-  // Exact reachability between condensation nodes, whatever the backend
-  // answers it: reflexive, never unknown for kChain; kUnknown only for
-  // the kLabels residue (which the service ladder then searches). When
-  // decided, a non-null `rule` names the deciding rule.
+  // Reachability between condensation nodes from the labels alone:
+  // reflexive, never unknown for kChain; for kLabels, index.TryDecide,
+  // oreach observations included. When decided, a non-null `rule` names
+  // the deciding rule.
   ReachIndex::Verdict DecideCondensed(NodeId csrc, NodeId cdst,
                                       ReachRule* rule = nullptr) const;
   // The same decision reported at stage granularity (StageOf its rule).
@@ -89,10 +83,10 @@ struct ReachCore {
   }
 
   // Every O(1) rung of the serving ladder on input ids, in order: self
-  // and same-SCC, DecideCondensed, a direct arc (binary search over the
-  // sorted CSR row), then the observation battery. kUnknown is exactly
-  // the residue the service must search; otherwise a non-null `rule`
-  // names the deciding rule. Endpoints must lie in [0, num_input_nodes).
+  // and same-SCC, DecideCondensed, then a direct arc (binary search over
+  // the sorted CSR row). kUnknown is exactly the residue the service must
+  // search; otherwise a non-null `rule` names the deciding rule.
+  // Endpoints must lie in [0, num_input_nodes).
   ReachIndex::Verdict Decide(NodeId src, NodeId dst,
                              ReachRule* rule = nullptr) const;
 
@@ -125,11 +119,14 @@ struct ReachCore {
       const ReachIndexOptions& options = {});
 
   // Checkpoint image: appends a fixed-width little-endian encoding of the
-  // whole core (condensation arcs, node map, SCC sizes, label index) to
-  // `out`. Deserialize() restores a core whose query behavior is
-  // bit-identical to the serialized one — the CSR is rebuilt from the
-  // sorted arc list, which the Digraph constructor normalizes the same
-  // way every time. Corruption on a truncated or inconsistent image.
+  // whole core (a layout tag, condensation arcs, node map, SCC sizes, then
+  // the label index or the chain index) to `out`. Deserialize() restores
+  // a core whose query behavior is bit-identical to the serialized one —
+  // the CSR is rebuilt from the sorted arc list, which the Digraph
+  // constructor normalizes the same way every time. Corruption on a
+  // truncated or inconsistent image, or one of another layout; every
+  // count is checked against the bytes left before anything is sized
+  // from it.
   void SerializeAppend(std::string* out) const;
   static Result<std::shared_ptr<const ReachCore>> Deserialize(
       codec::Reader* reader);

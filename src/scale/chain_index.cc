@@ -184,7 +184,8 @@ Result<ChainIndex> ChainIndex::Deserialize(codec::Reader* reader) {
   const uint64_t n = static_cast<uint64_t>(index.n_);
   // Reject oversized counts before allocating: the image holds 20 bytes
   // of per-node labels plus 4 per frontier slot.
-  if (n * 20 + frontier_size * 4 > reader->remaining()) {
+  if (!reader->Holds(frontier_size, 4) ||
+      n * 20 > reader->remaining() - frontier_size * 4) {
     return Status::Corruption("chain index counts exceed image");
   }
   index.chain_id_.resize(n);

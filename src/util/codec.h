@@ -103,6 +103,13 @@ class Reader {
 
   size_t position() const { return pos_; }
   size_t remaining() const { return size_ - pos_; }
+  // True when `count` items of `item_bytes` each fit in the bytes left,
+  // without overflow. An item of zero bytes (a label array over zero
+  // nodes) counts as one, so a decoder that checks a count here before
+  // sizing a container from it never allocates beyond its image.
+  bool Holds(uint64_t count, uint64_t item_bytes) const {
+    return count <= remaining() / (item_bytes == 0 ? 1 : item_bytes);
+  }
   // True once any read has run past the end of the buffer.
   bool failed() const { return failed_; }
 

@@ -97,8 +97,8 @@ INSTANTIATE_TEST_SUITE_P(Catalog, CatalogChoiceTest,
 
 // Cyclic inputs go through the condensation first; the rule is applied to
 // the condensation's n and m. One narrow graph (chain) and one sparse one
-// (labels), with the battery asked for on both: only the label core
-// builds it.
+// (labels), with oreach asked for on both: only the label core carries
+// the observations.
 TEST(BackendChoiceTest, CyclicInputsAllPairs) {
   struct Case {
     GeneratorParams params;
@@ -117,13 +117,15 @@ TEST(BackendChoiceTest, CyclicInputsAllPairs) {
         BuildOrDie(arcs, c.params.num_nodes, options);
     ASSERT_TRUE(core->condensed());
     EXPECT_EQ(core->backend, c.want) << core->BackendSummary();
-    EXPECT_EQ(core->has_battery, c.want == ReachBackend::kLabels);
+    EXPECT_EQ(core->index.has_observations(),
+              c.want == ReachBackend::kLabels);
     ExpectAllPairsMatchReference(arcs, c.params.num_nodes, core);
   }
 }
 
-// LabelCoreBytes is the image of a kLabels core without battery less its
-// fixed header (30 bytes) and pivot ids (4 per pivot), on an acyclic input.
+// LabelCoreBytes is the image of a kLabels core without the oreach
+// observations less its fixed header (46 bytes: the core's 21, the index's
+// 25) and pivot ids (4 per pivot), on an acyclic input.
 TEST(BackendChoiceTest, LabelCoreBytesMatchesTheImage) {
   for (const int32_t pivots : {0, 3, 8}) {
     const GeneratorParams params{700, 5, 100, 4};
@@ -138,7 +140,7 @@ TEST(BackendChoiceTest, LabelCoreBytesMatchesTheImage) {
     EXPECT_EQ(static_cast<int64_t>(image.size()),
               LabelCoreBytes(core->dag.NumNodes(), core->dag.NumArcs(),
                              pivots) +
-                  30 + 4 * pivots)
+                  46 + 4 * pivots)
         << pivots << " pivots";
   }
 }
@@ -188,7 +190,7 @@ TEST(BackendChoiceTest, CoreRecordsTheChoice) {
                 LabelCoreBytes(chain->dag.NumNodes(), chain->dag.NumArcs(),
                                ReachIndexOptions().num_supportive));
   EXPECT_LE(chain->chain_bytes, chain->chain_budget_bytes);
-  EXPECT_FALSE(chain->has_battery);
+  EXPECT_FALSE(chain->index.has_observations());
 
   const GeneratorParams sparse = CatalogParams(FamilyByName("G5"), 0);
   const ArcList sparse_arcs = GenerateDag(sparse);
@@ -233,9 +235,10 @@ TEST(BackendChoiceTest, ImageNeverCarriesAuto) {
       BuildOrDie(arcs, params.num_nodes);
   std::string image;
   core->SerializeAppend(&image);
-  // Layout: num_input_nodes (i32), then the backend byte.
-  ASSERT_GT(image.size(), 5u);
-  EXPECT_EQ(static_cast<uint8_t>(image[4]),
+  // Layout: the layout tag (u32), num_input_nodes (i32), then the
+  // backend byte.
+  ASSERT_GT(image.size(), 9u);
+  EXPECT_EQ(static_cast<uint8_t>(image[8]),
             static_cast<uint8_t>(ReachBackend::kChain));
 
   codec::Reader reader(image.data(), image.size());
@@ -246,7 +249,7 @@ TEST(BackendChoiceTest, ImageNeverCarriesAuto) {
   EXPECT_EQ(restored.value()->chain_bytes, core->chain_bytes);
 
   std::string tampered = image;
-  tampered[4] = static_cast<char>(ReachBackend::kAuto);
+  tampered[8] = static_cast<char>(ReachBackend::kAuto);
   codec::Reader tampered_reader(tampered.data(), tampered.size());
   EXPECT_EQ(ReachCore::Deserialize(&tampered_reader).status().code(),
             StatusCode::kCorruption);

@@ -371,7 +371,8 @@ TEST(DynamicReachServiceTest, ServingStatsAttributeEscalatedSearches) {
 }
 
 // At the snapshot epoch the dynamic service runs the same O(1) ladder as
-// ReachCore::Decide, battery included, and searches only its residue.
+// ReachCore::Decide, oreach observations included, and searches only its
+// residue.
 TEST(DynamicReachServiceTest, SnapshotLadderConsultsTheBattery) {
   const GeneratorParams params{300, 5, 100, 8};
   auto log = MustOpen(GenerateDag(params), params.num_nodes);
@@ -381,7 +382,7 @@ TEST(DynamicReachServiceTest, SnapshotLadderConsultsTheBattery) {
   options.cache_capacity = 0;
   auto service = MustCreate(log.get(), options);
   const ReachCore& core = service->snapshot();
-  ASSERT_TRUE(core.has_battery);
+  ASSERT_TRUE(core.index.has_observations());
 
   std::pair<NodeId, NodeId> observed{-1, -1};
   std::pair<NodeId, NodeId> residue{-1, -1};
@@ -400,7 +401,7 @@ TEST(DynamicReachServiceTest, SnapshotLadderConsultsTheBattery) {
       }
     }
   }
-  ASSERT_GE(observed.first, 0) << "the battery decided no pair";
+  ASSERT_GE(observed.first, 0) << "the observations decided no pair";
   ASSERT_GE(residue.first, 0) << "the labels left no residue";
 
   auto answer = service->Query(observed.first, observed.second);

@@ -66,7 +66,7 @@ Fixture MakeFixture(uint64_t seed) {
       MakeModelWorkload(f.graph, train, 2048, MakeLadderProbe(f.baseline));
   auto battery = ReachCore::Build(f.arcs, f.num_nodes, battery_options);
   TCDB_CHECK(battery.ok()) << battery.status().ToString();
-  TCDB_CHECK(battery.value()->has_battery);
+  TCDB_CHECK(battery.value()->index.has_observations());
   f.battery = battery.value();
   return f;
 }

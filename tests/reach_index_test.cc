@@ -2,20 +2,26 @@
 // answers are cross-checked against ground truth from the in-memory oracle
 // closure, a TcSession SRCH run, and ComputeReduction closure sizes, over
 // the paper's F x l generator grid — including the batched and warm-cache
-// serving paths and every rung of the fallback ladder.
+// serving paths and every rung of the fallback ladder — plus the label
+// index's oreach observations and the core image's decoder.
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_support/catalog.h"
 #include "core/session.h"
 #include "graph/algorithms.h"
 #include "graph/analyzer.h"
 #include "graph/generator.h"
+#include "graph/scale_generator.h"
+#include "reach/load_driver.h"
 #include "reach/reach_service.h"
+#include "util/codec.h"
 #include "util/random.h"
 
 namespace tcdb {
@@ -508,6 +514,588 @@ TEST(ReachRuleTest, StageOfIsTotalAndReachesEveryStage) {
   }
   static_assert(StageOf(ReachRule::kSameScc) == ReachStage::kTrivial);
   static_assert(StageOf(ReachRule::kObsLevel) == ReachStage::kObservation);
+}
+
+
+// --- The oreach observations ------------------------------------------
+//
+// Every observation verdict differentially pinned against the BFS
+// reference closure across the paper generator and all five scale
+// families, cyclic inputs through the condensation front, a 50-seed
+// oreach-on vs oreach-off bit-identical sweep over full ReachService
+// answers, trained-pivot determinism, image round trips with truncation
+// errors, and ReachCore::Decide as the one O(1) decision behind both the
+// service ladder and the adversarial miner's probe.
+
+ReachIndex BuildWithObservations(
+    const Digraph& dag,
+    const std::vector<std::pair<NodeId, NodeId>>& traffic = {}) {
+  ReachIndexOptions options;
+  options.oreach = true;
+  auto built = ReachIndex::Build(dag, options, traffic);
+  TCDB_CHECK(built.ok()) << built.status().ToString();
+  return std::move(built).value();
+}
+
+// Every non-unknown verdict on every pair must agree with the reference
+// closure — the labels are only allowed to be incomplete, never wrong —
+// and the observations must decide some of the pairs the base rules
+// leave over.
+void ExpectSoundOnAllPairs(const Digraph& dag, const ReachIndex& index,
+                           const std::string& context) {
+  const std::vector<std::vector<NodeId>> closure = ReferenceClosure(dag);
+  int64_t observed = 0;
+  for (NodeId u = 0; u < dag.NumNodes(); ++u) {
+    for (NodeId v = 0; v < dag.NumNodes(); ++v) {
+      ReachRule rule = ReachRule::kSelf;
+      const ReachIndex::Verdict verdict = index.TryDecide(u, v, &rule);
+      if (verdict == ReachIndex::Verdict::kUnknown) continue;
+      ASSERT_EQ(verdict == ReachIndex::Verdict::kYes,
+                OracleReaches(closure, u, v))
+          << context << ": u=" << u << " v=" << v
+          << " rule=" << ReachRuleName(rule);
+      if (StageOf(rule) == ReachStage::kObservation) ++observed;
+    }
+  }
+  EXPECT_GT(observed, 0) << context << ": the observations decided nothing";
+}
+
+TEST(ObservationBatteryTest, EmptyAndDegenerate) {
+  const ReachIndex empty;
+  EXPECT_EQ(empty.num_nodes(), 0);
+  EXPECT_FALSE(empty.has_observations());
+
+  const ReachIndex one = BuildWithObservations(Digraph(1, {}));
+  EXPECT_TRUE(one.has_observations());
+  ReachRule rule = ReachRule::kCacheHit;
+  EXPECT_EQ(one.TryDecide(0, 0, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(rule, ReachRule::kSelf);
+
+  ReachIndexOptions options;
+  options.oreach = true;
+  auto none = ReachIndex::Build(Digraph(0, {}), options);
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none.value().num_nodes(), 0);
+  EXPECT_FALSE(none.value().has_observations());
+}
+
+TEST(ObservationBatteryTest, RejectsCyclicInput) {
+  ReachIndexOptions options;
+  options.oreach = true;
+  EXPECT_FALSE(
+      ReachIndex::Build(Digraph(3, {{0, 1}, {1, 2}, {2, 0}}), options).ok());
+}
+
+TEST(ObservationBatteryTest, HandDagObservations) {
+  // Two parallel diamonds plus an isolated node: 0->1->3, 0->2->3, 4.
+  const Digraph dag(5, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
+  // With the default 8 structural pivots every one of the 5 nodes would be
+  // a pivot and the base rules would decide every pair; without them the
+  // levels, orders, cuts and trained pivots get pairs to decide.
+  ReachIndexOptions options;
+  options.oreach = true;
+  options.num_supportive = 0;
+  auto built = ReachIndex::Build(dag, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ReachIndex& index = built.value();
+  EXPECT_TRUE(index.has_observations());
+  EXPECT_EQ(index.num_orders(), 4);  // the base order and three more
+  EXPECT_EQ(index.num_cuts(), 3);
+  EXPECT_EQ(index.num_supportive(), 0);
+  EXPECT_EQ(index.num_trained_pivots(), 5);  // min(12, n)
+  EXPECT_EQ(static_cast<int32_t>(index.pivot_nodes().size()), 5);
+  // The isolated node reaches nothing and is reached by nothing; the
+  // backward pair is refuted; reflexive pairs are the kSelf rule's.
+  EXPECT_EQ(index.TryDecide(0, 4), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(index.TryDecide(4, 3), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(index.TryDecide(3, 0), ReachIndex::Verdict::kNo);
+  ReachRule rule = ReachRule::kCacheHit;
+  EXPECT_EQ(index.TryDecide(2, 2, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(rule, ReachRule::kSelf);
+  ExpectSoundOnAllPairs(dag, index, "hand dag");
+}
+
+// The observations run after every base rule, so they only decide pairs
+// the base rules leave undecided: with oreach on, every pair the
+// oreach-off index decides gets the same verdict and the same rule, and
+// the oreach-off index carries no observation at all.
+TEST(ObservationBatteryTest, ObservationsOnlyDecideTheBaseResidue) {
+  const GeneratorParams params{300, 4, 60, 5};
+  const Digraph dag(params.num_nodes, GenerateDag(params));
+  auto plain = ReachIndex::Build(dag);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_FALSE(plain.value().has_observations());
+  EXPECT_EQ(plain.value().num_orders(), 1);
+  EXPECT_EQ(plain.value().num_cuts(), 0);
+  EXPECT_EQ(plain.value().num_trained_pivots(), 0);
+  const ReachIndex observed = BuildWithObservations(dag);
+  EXPECT_EQ(observed.num_supportive(), plain.value().num_supportive());
+
+  int64_t residue_decided = 0;
+  for (NodeId u = 0; u < params.num_nodes; ++u) {
+    for (NodeId v = 0; v < params.num_nodes; ++v) {
+      ReachRule base_rule = ReachRule::kCacheHit;
+      ReachRule rule = ReachRule::kCacheHit;
+      const ReachIndex::Verdict base =
+          plain.value().TryDecide(u, v, &base_rule);
+      const ReachIndex::Verdict verdict = observed.TryDecide(u, v, &rule);
+      if (base == ReachIndex::Verdict::kUnknown) {
+        if (verdict != ReachIndex::Verdict::kUnknown) {
+          ASSERT_EQ(StageOf(rule), ReachStage::kObservation)
+              << "u=" << u << " v=" << v;
+          ++residue_decided;
+        }
+        continue;
+      }
+      ASSERT_EQ(verdict, base) << "u=" << u << " v=" << v;
+      ASSERT_EQ(rule, base_rule) << "u=" << u << " v=" << v;
+    }
+  }
+  EXPECT_GT(residue_decided, 0);
+}
+
+// The acceptance differential: every verdict sound on the paper
+// generator and on all five scale families.
+TEST(ObservationBatteryTest, DifferentialPaperGenerator) {
+  for (const uint64_t seed : {1u, 2u, 3u}) {
+    GeneratorParams params;
+    params.num_nodes = 300;
+    params.avg_out_degree = 5;
+    params.locality = 60;
+    params.seed = seed;
+    const Digraph dag(params.num_nodes, GenerateDag(params));
+    ExpectSoundOnAllPairs(dag, BuildWithObservations(dag),
+                          "generator seed " + std::to_string(seed));
+  }
+}
+
+TEST(ObservationBatteryTest, DifferentialAllScaleFamilies) {
+  for (const ScaleFamily family : kAllScaleFamilies) {
+    ScaleGraphParams params;
+    params.family = family;
+    params.num_nodes = 400;
+    params.width = 16;
+    params.degree = 3;
+    params.locality = 32;
+    params.seed = 12;
+    const Digraph dag(params.num_nodes, ScaleArcList(params));
+    ExpectSoundOnAllPairs(dag, BuildWithObservations(dag),
+                          ScaleFamilyName(family));
+  }
+}
+
+// Cyclic input through the serving stack: the oreach core is built on the
+// condensation; all answers must still match the reference closure of the
+// original graph.
+TEST(ObservationBatteryTest, CyclicCondensedDifferential) {
+  GeneratorParams params;
+  params.num_nodes = 200;
+  params.avg_out_degree = 4;
+  params.locality = 50;
+  params.seed = 4;
+  ArcList arcs = GenerateDag(params);
+  // Back arcs close cycles; the service condenses first.
+  arcs.push_back({150, 20});
+  arcs.push_back({199, 0});
+  arcs.push_back({90, 41});
+  const Digraph graph(params.num_nodes, arcs);
+  const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
+
+  ReachServiceOptions options = LabelLadderOptions();
+  options.index.oreach = true;
+  auto service = ReachService::Build(arcs, params.num_nodes, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE(service.value()->condensed());
+  ASSERT_TRUE(service.value()->index().has_observations());
+  for (NodeId u = 0; u < params.num_nodes; ++u) {
+    for (NodeId v = 0; v < params.num_nodes; ++v) {
+      auto answer = service.value()->Query(u, v);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      ASSERT_EQ(answer.value().reachable, OracleReaches(closure, u, v))
+          << "u=" << u << " v=" << v;
+    }
+  }
+}
+
+// The acceptance sweep: across 50 seeds, an oreach service must give
+// bit-identical answers to an oreach-off service on the same traffic.
+// (The observations may only move *which rung* answers, never the answer.)
+TEST(ObservationBatteryTest, BatteryOnOffBitIdenticalAcross50Seeds) {
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    GeneratorParams params;
+    params.num_nodes = 150 + static_cast<NodeId>(seed % 7) * 20;
+    params.avg_out_degree = 3 + static_cast<int32_t>(seed % 4);
+    params.locality = 40;
+    params.seed = seed;
+    const ArcList arcs = GenerateDag(params);
+
+    auto off = ReachService::Build(arcs, params.num_nodes,
+                                   LabelLadderOptions());
+    ASSERT_TRUE(off.ok()) << off.status().ToString();
+
+    ReachServiceOptions on_options = LabelLadderOptions();
+    on_options.index.oreach = true;
+    auto on = ReachService::Build(arcs, params.num_nodes, on_options);
+    ASSERT_TRUE(on.ok()) << on.status().ToString();
+    ASSERT_TRUE(on.value()->index().has_observations());
+
+    Rng rng(seed * 1315423911ull + 1);
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    for (int i = 0; i < 300; ++i) {
+      pairs.emplace_back(
+          static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)),
+          static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)));
+    }
+    auto off_answers = off.value()->QueryBatch(pairs);
+    auto on_answers = on.value()->QueryBatch(pairs);
+    ASSERT_TRUE(off_answers.ok()) << off_answers.status().ToString();
+    ASSERT_TRUE(on_answers.ok()) << on_answers.status().ToString();
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      ASSERT_EQ(off_answers.value()[i].reachable,
+                on_answers.value()[i].reachable)
+          << "seed=" << seed << " pair " << pairs[i].first << "->"
+          << pairs[i].second;
+    }
+  }
+}
+
+// Pivot training is a pure function of (dag, options, traffic): two
+// builds must pick the same pivots and serialize byte-identically.
+TEST(ObservationBatteryTest, PivotSelectionIsDeterministic) {
+  GeneratorParams params;
+  params.num_nodes = 400;
+  params.avg_out_degree = 5;
+  params.locality = 80;
+  params.seed = 6;
+  const Digraph dag(params.num_nodes, GenerateDag(params));
+
+  // A fixed traffic sample (what a bench would feed from the model).
+  Rng rng(99);
+  std::vector<std::pair<NodeId, NodeId>> traffic;
+  for (int i = 0; i < 2000; ++i) {
+    traffic.emplace_back(
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)),
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)));
+  }
+
+  const ReachIndex a = BuildWithObservations(dag, traffic);
+  const ReachIndex b = BuildWithObservations(dag, traffic);
+  EXPECT_GT(a.num_trained_pivots(), 0);
+  EXPECT_EQ(a.pivot_nodes(), b.pivot_nodes());
+  std::string image_a;
+  std::string image_b;
+  a.SerializeAppend(&image_a);
+  b.SerializeAppend(&image_b);
+  EXPECT_EQ(image_a, image_b);
+
+  // A different traffic shape is allowed to (and here does) move the
+  // trained pivots — the training signal is real, not decorative.
+  std::vector<std::pair<NodeId, NodeId>> skewed;
+  for (int i = 0; i < 2000; ++i) {
+    skewed.emplace_back(static_cast<NodeId>(rng.Uniform(0, 10)),
+                        static_cast<NodeId>(rng.Uniform(0, 10)));
+  }
+  const ReachIndex c = BuildWithObservations(dag, skewed);
+  EXPECT_NE(a.pivot_nodes(), c.pivot_nodes());
+}
+
+// Round trips with the observations and without: the restored index
+// decides every pair with the same verdict and rule, and re-serializes
+// to the same bytes.
+TEST(ObservationBatteryTest, SerializationRoundTrip) {
+  GeneratorParams params;
+  params.num_nodes = 250;
+  params.avg_out_degree = 4;
+  params.locality = 50;
+  params.seed = 8;
+  const Digraph dag(params.num_nodes, GenerateDag(params));
+  for (const bool oreach : {false, true}) {
+    SCOPED_TRACE(oreach);
+    ReachIndexOptions options;
+    options.oreach = oreach;
+    auto built = ReachIndex::Build(dag, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const ReachIndex& index = built.value();
+
+    std::string image;
+    index.SerializeAppend(&image);
+    codec::Reader reader(image.data(), image.size());
+    auto restored = ReachIndex::Deserialize(&reader);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(reader.remaining(), 0u);
+
+    EXPECT_EQ(restored.value().num_nodes(), index.num_nodes());
+    EXPECT_EQ(restored.value().has_observations(), oreach);
+    EXPECT_EQ(restored.value().num_orders(), index.num_orders());
+    EXPECT_EQ(restored.value().num_cuts(), index.num_cuts());
+    EXPECT_EQ(restored.value().num_supportive(), index.num_supportive());
+    EXPECT_EQ(restored.value().pivot_nodes(), index.pivot_nodes());
+    for (NodeId u = 0; u < params.num_nodes; ++u) {
+      for (NodeId v = 0; v < params.num_nodes; ++v) {
+        ReachRule want = ReachRule::kCacheHit;
+        ReachRule got = ReachRule::kCacheHit;
+        ASSERT_EQ(restored.value().TryDecide(u, v, &got),
+                  index.TryDecide(u, v, &want))
+            << "u=" << u << " v=" << v;
+        ASSERT_EQ(got, want) << "u=" << u << " v=" << v;
+      }
+    }
+    std::string image2;
+    restored.value().SerializeAppend(&image2);
+    EXPECT_EQ(image, image2);
+  }
+}
+
+TEST(ObservationBatteryTest, TruncatedImagesError) {
+  const Digraph dag(40, {{0, 1}, {1, 2}, {3, 4}, {2, 5}, {4, 5}});
+  const ReachIndex index = BuildWithObservations(dag);
+  std::string image;
+  index.SerializeAppend(&image);
+  for (const size_t keep :
+       {size_t{0}, size_t{1}, size_t{3}, image.size() / 4, image.size() / 2,
+        image.size() - 1}) {
+    const std::string truncated = image.substr(0, keep);
+    codec::Reader reader(truncated.data(), truncated.size());
+    auto restored = ReachIndex::Deserialize(&reader);
+    EXPECT_FALSE(restored.ok()) << "accepted a " << keep << "-byte prefix";
+  }
+}
+
+// The observation rung shows up in the service ladder: on traffic the
+// base rules cannot decide, kObservation answers a nonzero share,
+// attributed to individual observation rules, and the rule counters sum
+// to queries.
+TEST(ObservationBatteryTest, ServiceLadderAttribution) {
+  GeneratorParams params;
+  params.num_nodes = 500;
+  params.avg_out_degree = 5;
+  params.locality = 100;
+  params.seed = 13;
+  const ArcList arcs = GenerateDag(params);
+
+  ReachServiceOptions options = LabelLadderOptions();
+  options.index.oreach = true;
+  auto service = ReachService::Build(arcs, params.num_nodes, options);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  Rng rng(31);
+  std::vector<std::pair<NodeId, NodeId>> pairs;
+  for (int i = 0; i < 4000; ++i) {
+    pairs.emplace_back(
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)),
+        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)));
+  }
+  auto answers = service.value()->QueryBatch(pairs);
+  ASSERT_TRUE(answers.ok()) << answers.status().ToString();
+
+  const ReachStats& stats = service.value()->stats();
+  EXPECT_GT(stats.Decided(ReachStage::kObservation), 0);
+  int64_t rule_total = 0;
+  int64_t observation_rules = 0;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    rule_total += stats.rule_decided[r];
+    const ReachRule rule = static_cast<ReachRule>(r);
+    if (rule >= ReachRule::kObsTopoOrder &&
+        rule <= ReachRule::kObsPivotBwdCut) {
+      observation_rules += stats.rule_decided[r];
+    }
+  }
+  EXPECT_EQ(rule_total, stats.queries);
+  EXPECT_EQ(observation_rules, stats.Decided(ReachStage::kObservation));
+}
+
+// ReachCore::Decide is the one O(1) decision: the adversarial miner's
+// probe is exactly "Decide is not unknown", and the service ladder
+// searches exactly the pairs Decide leaves unknown, answering the rest
+// with Decide's verdict and rule. Checked on every pair of a small
+// cyclic graph with the observations.
+TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
+  GeneratorParams params;
+  params.num_nodes = 300;
+  params.avg_out_degree = 5;
+  params.locality = 100;
+  params.seed = 8;
+  ArcList arcs = GenerateDag(params);
+  arcs.push_back({250, 40});
+  arcs.push_back({299, 120});
+  const Digraph graph(params.num_nodes, arcs);
+
+  TrafficModelOptions traffic;
+  traffic.kind = WorkloadKind::kUniform;
+  traffic.seed = 5;
+  ReachServiceOptions options = LabelLadderOptions();
+  options.index.oreach = true;
+  options.index.oreach_traffic = MakeModelWorkload(graph, traffic, 512);
+  options.cache_capacity = 0;
+  auto built = ReachCore::Build(arcs, params.num_nodes, options.index);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const ReachCore& core = *built.value();
+  ASSERT_TRUE(core.condensed());
+  ASSERT_TRUE(core.index.has_observations());
+  const WorkloadDecideProbe probe = MakeLadderProbe(built.value());
+  const std::unique_ptr<ReachService> service =
+      ReachService::Create(built.value(), options);
+
+  int64_t undecided = 0;
+  for (NodeId u = 0; u < params.num_nodes; ++u) {
+    for (NodeId v = 0; v < params.num_nodes; ++v) {
+      ReachRule rule = ReachRule::kSelf;
+      const ReachIndex::Verdict verdict = core.Decide(u, v, &rule);
+      const bool decided = verdict != ReachIndex::Verdict::kUnknown;
+      ASSERT_EQ(probe(u, v), decided) << "u=" << u << " v=" << v;
+      auto answer = service->Query(u, v);
+      ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+      if (decided) {
+        EXPECT_EQ(answer.value().reachable,
+                  verdict == ReachIndex::Verdict::kYes);
+        EXPECT_EQ(answer.value().rule, rule);
+      } else {
+        ++undecided;
+        EXPECT_EQ(answer.value().rule, ReachRule::kPrunedBfs);
+      }
+    }
+  }
+  EXPECT_GT(undecided, 0);
+  EXPECT_EQ(undecided, service->stats().RuleDecided(ReachRule::kPrunedBfs));
+}
+
+// --- The core image ---------------------------------------------------
+
+// Overwrites the little-endian count of `width` bytes at `offset`.
+void PutCount(std::string* image, size_t offset, int width, uint64_t value) {
+  for (int b = 0; b < width; ++b) {
+    (*image)[offset + b] = static_cast<char>((value >> (8 * b)) & 0xff);
+  }
+}
+
+uint64_t GetCount(const std::string& image, size_t offset, int width) {
+  uint64_t value = 0;
+  for (int b = 0; b < width; ++b) {
+    value |= uint64_t{static_cast<uint8_t>(image[offset + b])} << (8 * b);
+  }
+  return value;
+}
+
+Status DecodeCore(const std::string& image) {
+  codec::Reader reader(image.data(), image.size());
+  return ReachCore::Deserialize(&reader).status();
+}
+
+// A kLabels core with every count field of its image in use: a cyclic
+// input, so the node map outgrows the condensation, with the observations.
+std::shared_ptr<const ReachCore> ObservedLabelCore() {
+  const GeneratorParams params{60, 3, 20, 2};
+  ArcList arcs = GenerateDag(params);
+  arcs.push_back({50, 10});
+  ReachIndexOptions options;
+  options.backend = ReachBackend::kLabels;
+  options.oreach = true;
+  auto core = ReachCore::Build(arcs, params.num_nodes, options);
+  TCDB_CHECK(core.ok()) << core.status().ToString();
+  TCDB_CHECK(core.value()->condensed());
+  return core.value();
+}
+
+// Every count field of a small valid image, inflated past the bytes the
+// image has left, is refused before anything is sized from it.
+TEST(ReachCoreImageTest, InflatedCountsExceedImage) {
+  const std::shared_ptr<const ReachCore> core = ObservedLabelCore();
+  const ReachIndex& index = core->index;
+  std::string image;
+  core->SerializeAppend(&image);
+  ASSERT_TRUE(DecodeCore(image).ok());
+
+  // Offsets from the layouts of ReachCore::SerializeAppend and
+  // ReachIndex::SerializeAppend.
+  const uint64_t n = static_cast<uint64_t>(core->dag.NumNodes());
+  const uint64_t m = static_cast<uint64_t>(core->dag.NumArcs());
+  const uint64_t words = (n + 63) / 64;
+  const size_t index_at = 21 + 8 * m + 4 * core->num_input_nodes + 4 * n;
+  const size_t cuts_at =
+      index_at + 9 + 12 * n * index.num_orders() + 16 * n + 4 + 8 * n;
+  const size_t pivots_at = cuts_at + 4 + 2 * index.num_cuts() * words * 8;
+  ASSERT_EQ(GetCount(image, index_at, 4), n);
+  ASSERT_EQ(GetCount(image, index_at + 5, 4), 4u);
+  ASSERT_EQ(GetCount(image, cuts_at, 4), 3u);
+  ASSERT_EQ(GetCount(image, pivots_at, 4), index.pivot_nodes().size());
+
+  struct Field {
+    const char* name;
+    size_t offset;
+    int width;
+  };
+  const Field fields[] = {
+      {"input node count", 4, 4},    {"condensed node count", 9, 4},
+      {"arc count", 13, 8},          {"index node count", index_at, 4},
+      {"order count", index_at + 5, 4}, {"cut count", cuts_at, 4},
+      {"pivot count", pivots_at, 4},
+  };
+  for (const Field& field : fields) {
+    SCOPED_TRACE(field.name);
+    std::string inflated = image;
+    PutCount(&inflated, field.offset, field.width,
+             GetCount(image, field.offset, field.width) + image.size());
+    const Status status = DecodeCore(inflated);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.message().find("exceeds image"), std::string::npos)
+        << status.ToString();
+  }
+}
+
+// Counts whose byte size overflows 64 bits are refused too, where a
+// check of count * width against the bytes left would wrap and pass.
+TEST(ReachCoreImageTest, OverflowingCountsAreRejected) {
+  std::string labels;
+  ObservedLabelCore()->SerializeAppend(&labels);
+  PutCount(&labels, 13, 8, (uint64_t{1} << 61) + 1);  // the arc count
+  EXPECT_EQ(DecodeCore(labels).code(), StatusCode::kCorruption);
+
+  const GeneratorParams params = CatalogParams(FamilyByName("G12"), 0);
+  auto chain = ReachCore::Build(GenerateDag(params), params.num_nodes);
+  ASSERT_TRUE(chain.ok()) << chain.status().ToString();
+  ASSERT_EQ(chain.value()->backend, ReachBackend::kChain);
+  std::string image;
+  chain.value()->SerializeAppend(&image);
+  const uint64_t n = static_cast<uint64_t>(chain.value()->dag.NumNodes());
+  const size_t chain_at = 21 + 8 * chain.value()->dag.NumArcs() + 8 * n;
+  ASSERT_EQ(GetCount(image, chain_at, 4), n);
+  PutCount(&image, chain_at + 8, 8, (uint64_t{1} << 62) + 1);  // frontier
+  EXPECT_EQ(DecodeCore(image).code(), StatusCode::kCorruption);
+}
+
+// An image of the previous kLabels layout — no layout tag, and the label
+// index followed by the battery flag byte — is refused, never misread.
+TEST(ReachCoreImageTest, PreviousLayoutIsRejected) {
+  for (const uint8_t battery : {0, 1}) {
+    SCOPED_TRACE(static_cast<int>(battery));
+    // The path 0 -> 1 -> 2, field by field as that encoder wrote it.
+    std::string image;
+    codec::PutI32(&image, 3);  // input nodes
+    codec::PutU8(&image, static_cast<uint8_t>(ReachBackend::kLabels));
+    codec::PutI32(&image, 3);  // condensed nodes
+    codec::PutU64(&image, 2);  // arcs
+    for (const int32_t endpoint : {0, 1, 1, 2}) {
+      codec::PutI32(&image, endpoint);
+    }
+    for (const int32_t component : {0, 1, 2}) {
+      codec::PutI32(&image, component);  // node map
+    }
+    for (int i = 0; i < 3; ++i) codec::PutI32(&image, 1);  // SCC sizes
+    codec::PutU32(&image, 3);  // index nodes
+    // topo pos, max reach, min origin, pre, post, chain id, chain pos.
+    const int32_t labels[7][3] = {{0, 1, 2}, {2, 2, 2}, {0, 0, 0}, {0, 1, 2},
+                                  {5, 4, 3}, {0, 0, 0}, {0, 1, 2}};
+    for (const auto& array : labels) {
+      for (const int32_t label : array) codec::PutI32(&image, label);
+    }
+    codec::PutI32(&image, 1);  // chains
+    codec::PutU32(&image, 0);  // pivots
+    codec::PutU8(&image, battery);
+    const Status status = DecodeCore(image);
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.message().find("version"), std::string::npos)
+        << status.ToString();
+  }
 }
 
 }  // namespace

@@ -25,8 +25,8 @@ fi
 # store) is the paper's instrument, not a query engine, so no serving-stack
 # source may include it.
 paged_includes=$(grep -rnE '#include "(core/session\.h|storage/|succ/)' \
-    src/reach src/dynamic src/persist src/replica src/oreach src/scale \
-    src/workload || true)
+    src/reach src/dynamic src/persist src/replica src/scale src/workload \
+    || true)
 if [[ -n "${paged_includes}" ]]; then
   echo "error: serving-stack sources include the paged machinery:"
   echo "${paged_includes}"
@@ -103,8 +103,10 @@ if [[ "${mutate_digest}" != "${expected_digest}" ]]; then
   exit 1
 fi
 
-# --- Sanitized serving ladder: the label ladder and its rule attribution
-# (reach_index_test), the dynamic service's snapshot / incremental /
+# --- Sanitized serving ladder: the label ladder, its rule attribution and
+# the core-image decoder fed inflated, overflowing and previous-layout
+# images (reach_index_test, less the oreach observation tests, which the
+# battery step below runs), the dynamic service's snapshot / incremental /
 # live-BFS rungs and their stats (dynamic_reach_test,
 # incremental_reach_test), the tick-exact per-rule stats of a
 # one-shard server against a direct service (determinism_test), and the
@@ -115,7 +117,7 @@ fi
 cmake --build "$SAN_DIR" -j "$(nproc)" --target reach_index_test \
     dynamic_reach_test incremental_reach_test determinism_test \
     decide_batch_test
-"$SAN_DIR"/tests/reach_index_test
+"$SAN_DIR"/tests/reach_index_test --gtest_filter='-ObservationBatteryTest.*'
 "$SAN_DIR"/tests/dynamic_reach_test
 "$SAN_DIR"/tests/incremental_reach_test
 "$SAN_DIR"/tests/determinism_test
@@ -168,16 +170,16 @@ if (( kron_seconds > 20 )); then
   exit 1
 fi
 
-# --- Sanitized observation-battery differential: the battery's full
-# label bank (extra topological orders, levels, negative cuts,
+# --- Sanitized observation-battery differential: the label index's oreach
+# observations (extra topological orders, levels, negative cuts,
 # traffic-trained pivots) verified sound against the BFS reference
-# closure across the generator and scale families, plus the CLI's
-# workload-bench --check smoke, which serves an adversarial mined mix on
-# battery-off and battery-on cores and requires bit-identical answers
-# that match a DFS reference — all under ASan+UBSan so an off-by-one in
-# a cut bit-set or pivot cone is a crash, not a wrong "no".
-cmake --build "$SAN_DIR" -j "$(nproc)" --target oreach_battery_test
-"$SAN_DIR"/tests/oreach_battery_test
+# closure across the generator and scale families (the
+# ObservationBatteryTest suite of reach_index_test, built above), plus
+# the CLI's workload-bench --check smoke, which serves an adversarial
+# mined mix on oreach-off and oreach-on cores and requires bit-identical
+# answers that match a DFS reference — all under ASan+UBSan so an
+# off-by-one in a cut bit-set or pivot cone is a crash, not a wrong "no".
+"$SAN_DIR"/tests/reach_index_test --gtest_filter='ObservationBatteryTest.*'
 "$SAN_DIR"/tools/tcdb_cli workload-bench gen:800,5,160,3 \
     --workload adversarial --queries 5000 --seed 1 --check 800
 "$SAN_DIR"/tools/tcdb_cli workload-bench gen:600,4,120,9 \
@@ -188,9 +190,9 @@ cmake --build "$SAN_DIR" -j "$(nproc)" --target oreach_battery_test
 # checkpoint-under-rebuild persistence test, the follower-catchup
 # replication tests, the chain-backend ReachServer differential
 # (concurrent clients over a kChain core, scale_backend_test), the
-# battery-core sharded-serving tests (oreach_server_test — the battery is
-# shared read-only by every shard, so a missing happens-before is a TSan
-# report here), and the CLI smokes that drive client/rebuilder/apply
+# oreach-core sharded-serving tests (oreach_server_test — the core and
+# its observations are shared read-only by every shard, so a missing
+# happens-before is a TSan report here), and the CLI smokes that drive client/rebuilder/apply
 # threads rerun in a separate TSan tree — TSan cannot share a build with
 # ASan, hence the third directory.
 TSAN_DIR="${BUILD_DIR}-tsan"

@@ -513,8 +513,8 @@ int RunServeBench(int argc, char** argv) {
     }
     core = built.value();
     std::printf("observation battery: %d orders, %d cuts/dir, %d pivots\n",
-                core->battery.num_orders(), core->battery.num_cuts(),
-                core->battery.num_pivots());
+                core->index.num_orders() - 1, core->index.num_cuts(),
+                core->index.num_trained_pivots());
   }
 
   auto server = ReachServer::Start(core, options);
