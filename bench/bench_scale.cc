@@ -10,7 +10,10 @@
 //     count k against the family's width knob;
 //   - query latency p50/p99 over uniform random pairs (every query is
 //     O(width) worst case, O(1) array probes in practice);
-//   - merge work: arcs skipped by the transitive-reduction rule.
+//   - merge work: arcs skipped by the transitive-reduction rule;
+//   - the process's AnonHugePages bytes while the index is live (-1 when
+//     unreadable): the label arrays sit on 2 MiB pages where the host's
+//     THP mode allows.
 //
 // The scale-free family at 10^6 runs with locality 64: the locality
 // window bounds the antichain width, and 64 keeps k (hence bytes/node)
@@ -30,6 +33,7 @@
 #include "graph/digraph.h"
 #include "graph/scale_generator.h"
 #include "scale/chain_index.h"
+#include "util/huge_page_allocator.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/timer.h"
@@ -49,6 +53,7 @@ struct RunResult {
   double p99_us = 0;
   double positive_share = 0;
   int64_t merges_skipped = 0;
+  int64_t anon_huge_pages_bytes = -1;
 };
 
 RunResult RunFamily(const ScaleGraphParams& params) {
@@ -66,6 +71,7 @@ RunResult RunFamily(const ScaleGraphParams& params) {
   result.num_chains = index.num_chains();
   result.bytes_per_node = index.BytesPerNode();
   result.merges_skipped = index.merges_skipped();
+  result.anon_huge_pages_bytes = AnonHugePagesBytes();
 
   // Per-query latency over uniform pairs. Timing each probe individually
   // would measure the clock, not the index; instead 64-query blocks are
@@ -114,7 +120,8 @@ void AddRow(TablePrinter* table, const ScaleGraphParams& params,
       .AddCell(result.p50_us, 4)
       .AddCell(result.p99_us, 4)
       .AddCell(result.positive_share, 3)
-      .AddCell(result.merges_skipped);
+      .AddCell(result.merges_skipped)
+      .AddCell(result.anon_huge_pages_bytes);
 }
 
 }  // namespace
@@ -125,7 +132,7 @@ int main() {
 
   TablePrinter table({"family", "n", "arcs", "width", "k", "gen_s",
                       "build_s", "B/node", "q_p50_us", "q_p99_us", "pos",
-                      "skipped"});
+                      "skipped", "anon_huge_pages_bytes"});
 
   // The acceptance grid: layered and scale-free at 10^5 and 10^6.
   std::vector<ScaleGraphParams> grid;

@@ -60,7 +60,8 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
   // Condense once; on an acyclic input this only renumbers the nodes.
   Condensation condensation = Condense(Digraph(num_nodes, arcs));
   core->dag = std::move(condensation.dag);
-  core->node_map = std::move(condensation.node_map);
+  core->node_map.assign(condensation.node_map.begin(),
+                        condensation.node_map.end());
   core->scc_size.assign(core->dag.NumNodes(), 0);
   for (const NodeId component : core->node_map) {
     ++core->scc_size[component];

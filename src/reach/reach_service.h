@@ -13,6 +13,7 @@
 #include "reach/reach_index.h"
 #include "reach/reach_stats.h"
 #include "util/codec.h"
+#include "util/huge_page_allocator.h"
 #include "util/status.h"
 
 namespace tcdb {
@@ -36,7 +37,9 @@ struct ReachServiceOptions {
 struct ReachCore {
   NodeId num_input_nodes = 0;
   Digraph dag;                    // condensation (== input when acyclic)
-  std::vector<NodeId> node_map;   // input node -> condensation node
+  // Input node -> condensation node. The first load of every query, so
+  // it shares the chain labels' huge pages at 10^6 nodes.
+  HugeVector<NodeId> node_map;
   std::vector<int32_t> scc_size;  // condensation node -> member count
   // Which of the two label structures below is populated. kLabels fills
   // `index` (partial rules + fallback ladder); kChain fills `chain`

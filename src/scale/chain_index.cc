@@ -20,6 +20,19 @@ Result<ChainIndex> ChainIndex::Build(const Digraph& dag,
   if (report == nullptr) report = &unused_report;
   *report = ChainBudgetReport();
   report->budget_bytes = ChainLabelBudget(options, n);
+  // Every array below, scratch and labels alike, may fail to allocate;
+  // that is a refusal like the budget's, never an abort.
+  try {
+    return BuildPass(dag, report);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("chain index allocation failed for " +
+                                     std::to_string(n) + " nodes");
+  }
+}
+
+Result<ChainIndex> ChainIndex::BuildPass(const Digraph& dag,
+                                         ChainBudgetReport* report) {
+  const NodeId n = dag.NumNodes();
   ChainIndex index;
   index.n_ = n;
   if (n == 0) return index;
@@ -58,7 +71,7 @@ Result<ChainIndex> ChainIndex::Build(const Digraph& dag,
   index.chain_pos_.assign(static_cast<size_t>(n), 0);
   index.row_begin_.assign(static_cast<size_t>(n), 0);
   index.row_len_.assign(static_cast<size_t>(n), 0);
-  std::vector<uint32_t>& frontier = index.frontier_;
+  HugeVector<uint32_t>& frontier = index.frontier_;
   std::vector<uint32_t> chain_len;   // current length per chain
   std::vector<NodeId> merge_order;   // per-node predecessor buffer
 

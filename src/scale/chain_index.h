@@ -8,6 +8,7 @@
 
 #include "graph/digraph.h"
 #include "util/codec.h"
+#include "util/huge_page_allocator.h"
 #include "util/status.h"
 
 namespace tcdb {
@@ -79,6 +80,10 @@ struct ChainBudgetReport {
 // the true width; families with unbounded width are stopped by the
 // max_label_bytes budget, which every build runs against.
 //
+// The five label arrays are HugeVectors: at 10^6 nodes a query's loads
+// land on ~380 MB of labels, and 2 MiB pages let the TLB cover them
+// (DESIGN §15). Arrays under 2 MiB stay on ordinary heap pages.
+//
 // A built index is immutable: queries are safe from any number of
 // threads concurrently (ReachServer shares one across its shards).
 class ChainIndex {
@@ -89,7 +94,8 @@ class ChainIndex {
   // Builds the labels. `dag` must be acyclic (condense cyclic inputs
   // first); fails with InvalidArgument otherwise, and with
   // ResourceExhausted when the frontier matrix would exceed the budget
-  // (options.max_label_bytes, or its default) or cannot be allocated.
+  // (options.max_label_bytes, or its default) or when any array of the
+  // build cannot be allocated.
   // After each node the build checks the lower bound
   //   frontier slots so far + (nodes left) * (chains open)
   // against the budget: a row covers every chain open when its node is
@@ -167,18 +173,23 @@ class ChainIndex {
   static Result<ChainIndex> Deserialize(codec::Reader* reader);
 
  private:
+  // Build's pass, which may throw std::bad_alloc; Build turns that into
+  // ResourceExhausted.
+  static Result<ChainIndex> BuildPass(const Digraph& dag,
+                                      ChainBudgetReport* report);
+
   NodeId n_ = 0;
   int32_t num_chains_ = 0;
-  std::vector<int32_t> chain_id_;    // node -> chain
-  std::vector<uint32_t> chain_pos_;  // node -> position on its chain
+  HugeVector<int32_t> chain_id_;    // node -> chain
+  HugeVector<uint32_t> chain_pos_;  // node -> position on its chain
   // Ragged frontier matrix: node v's row lives at
   // frontier_[row_begin_[v] .. row_begin_[v] + row_len_[v]) and covers
   // the chains that existed when v was processed (rows are laid out in
   // topological processing order, so row sizes are nondecreasing along
   // that order, not along node ids).
-  std::vector<int64_t> row_begin_;
-  std::vector<int32_t> row_len_;
-  std::vector<uint32_t> frontier_;  // stored as position + 1; 0 = none
+  HugeVector<int64_t> row_begin_;
+  HugeVector<int32_t> row_len_;
+  HugeVector<uint32_t> frontier_;  // stored as position + 1; 0 = none
   int64_t merges_done_ = 0;
   int64_t merges_skipped_ = 0;
 };

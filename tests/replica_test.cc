@@ -369,7 +369,9 @@ TEST(Replica, FollowersServeConcurrentlyWithTheMutationStream) {
   }
   for (int op = 0; op < 200; ++op) {
     Mutate(primary.get(), &reference, n, &rng, 1);
-    if (op % 16 == 0) ASSERT_TRUE(primary->Heartbeat().ok());
+    if (op % 16 == 0) {
+      ASSERT_TRUE(primary->Heartbeat().ok());
+    }
   }
   for (std::thread& client : clients) client.join();
 

@@ -111,17 +111,20 @@ fi
 # incremental_reach_test), the tick-exact per-rule stats of a
 # one-shard server against a direct service (determinism_test), and the
 # chain core's prefetch pipeline against one Decide per pair
-# (decide_batch_test), under ASan+UBSan so a stale scratch slot, an
-# out-of-range rule index or a lookahead index past the batch is a
-# report, not a miscount.
+# (decide_batch_test), and the huge-page allocator under the chain labels
+# (huge_page_allocator_test: threshold crossings, a restored 10^5 index,
+# an overrun into the poisoned 2 MiB rounding slack), under ASan+UBSan so
+# a stale scratch slot, an out-of-range rule index, a lookahead index past
+# the batch or a write past a huge array is a report, not a miscount.
 cmake --build "$SAN_DIR" -j "$(nproc)" --target reach_index_test \
     dynamic_reach_test incremental_reach_test determinism_test \
-    decide_batch_test
+    decide_batch_test huge_page_allocator_test
 "$SAN_DIR"/tests/reach_index_test --gtest_filter='-ObservationBatteryTest.*'
 "$SAN_DIR"/tests/dynamic_reach_test
 "$SAN_DIR"/tests/incremental_reach_test
 "$SAN_DIR"/tests/determinism_test
 "$SAN_DIR"/tests/decide_batch_test
+"$SAN_DIR"/tests/huge_page_allocator_test
 
 # --- Sanitized crash differential: 50 randomized kill-and-recover runs
 # through the durable stack (WAL + checkpoints on a fault-injecting

@@ -26,6 +26,7 @@
 #include "graph/algorithms.h"
 #include "graph/scale_generator.h"
 #include "scale/chain_index.h"
+#include "util/huge_page_allocator.h"
 #include "util/timer.h"
 #include "dynamic/dynamic_reach_service.h"
 #include "dynamic/index_rebuilder.h"
@@ -248,10 +249,12 @@ scale-bench subcommand (chain-decomposition index over a streamed family):
     streams one large-graph family (no arc list is materialized for the
     acyclic path), builds the ChainIndex — condensing first when --cyclic
     makes the input cyclic — times a uniform point-query volley and emits
-    one JSON line with n, arcs, num_chains, build_s, bytes_per_node and
-    query p50/p99. The build runs under the default frontier budget (1 KiB
-    per node, at least 64 MiB); a family too wide for it exits 1 with a
-    ResourceExhausted message naming the rank where it stopped
+    one JSON line with n, arcs, num_chains, build_s, bytes_per_node,
+    query p50/p99 and the process's AnonHugePages bytes from
+    /proc/self/smaps_rollup (-1 when unreadable). The build runs under
+    the default frontier budget (1 KiB per node, at least 64 MiB); a
+    family too wide for it exits 1 with a ResourceExhausted message
+    naming the rank where it stopped
     --family F             layered | deep-narrow | wide-shallow |
                            scale-free | kronecker (default layered)
     --n N                  nodes (default 100000)
@@ -1556,12 +1559,13 @@ int RunScaleBench(int argc, char** argv) {
       "\"num_chains\": %d, \"gen_s\": %.6f, \"build_s\": %.6f, "
       "\"bytes_per_node\": %.2f, \"queries\": %lld, \"positive\": %lld, "
       "\"query_p50_s\": %.9f, \"query_p99_s\": %.9f, "
-      "\"checked_sources\": %d}\n",
+      "\"checked_sources\": %d, \"anon_huge_pages_bytes\": %lld}\n",
       ScaleFamilyName(params.family), n,
       static_cast<long long>(graph.NumArcs()), params.num_back_arcs,
       index.num_chains(), gen_seconds, build_seconds, index.BytesPerNode(),
       static_cast<long long>(num_queries), static_cast<long long>(positive),
-      p50_s, p99_s, check_sources);
+      p50_s, p99_s, check_sources,
+      static_cast<long long>(AnonHugePagesBytes()));
   return 0;
 }
 
