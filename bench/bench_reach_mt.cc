@@ -1,10 +1,11 @@
 // bench_reach_mt — Multi-threaded reach serving on the paper's center
 // family G5 (n = 2000, F = 5, l = 200), in two acts:
 //
-// 1. Thread scaling: one shared immutable ReachCore, T shards with
-//    private caches/scratch, T client threads firing MakeServingWorkload
-//    batches of 256, for T in {1, 2, 4, 8, 16} up to the host's core
-//    count (more client threads than cores would measure the scheduler).
+// 1. Thread scaling: one shared immutable ReachCore, T client threads,
+//    each on its own server lane (private cache/scratch), firing
+//    MakeServingWorkload batches of 256, for T in {1, 2, 4, 8, 16} up to
+//    the host's core count (more client threads than cores would measure
+//    the scheduler).
 //    Reports queries/second, speedup over T = 1, the merged
 //    serving-latency histogram per point, and whether the point meets
 //    the scaling target of a speedup of at least 0.7 x T (reported, not
@@ -65,10 +66,8 @@ struct ServeResult {
 Result<ServeResult> ServeWorkload(
     std::shared_ptr<const ReachCore> core,
     std::span<const std::pair<NodeId, NodeId>> pairs, int32_t threads) {
-  ReachServerOptions options;
-  options.num_shards = threads;
   TCDB_ASSIGN_OR_RETURN(const std::unique_ptr<ReachServer> server,
-                        ReachServer::Start(std::move(core), options));
+                        ReachServer::Start(std::move(core)));
   TCDB_ASSIGN_OR_RETURN(
       const LoadReport report,
       RunServingLoad(server.get(), pairs, threads, /*batch_size=*/256));
@@ -140,7 +139,7 @@ int RunBench() {
   const std::vector<std::pair<NodeId, NodeId>> workload =
       MakeServingWorkload(graph, num_queries, /*seed=*/42);
 
-  std::cout << "Sharded reach serving scalability: " << family.name
+  std::cout << "Multi-threaded reach serving scalability: " << family.name
             << " (F=" << family.avg_out_degree
             << ", l=" << family.locality << "), " << num_queries
             << " queries per point, batches of 256\n\n";
@@ -152,9 +151,7 @@ int RunBench() {
   double baseline_qps = 0;
   for (const int32_t threads : {1, 2, 4, 8, 16}) {
     if (threads > cores) break;
-    ReachServerOptions options;
-    options.num_shards = threads;
-    auto server = ReachServer::Start(arcs, params.num_nodes, options);
+    auto server = ReachServer::Start(arcs, params.num_nodes);
     if (!server.ok()) {
       std::cerr << "server: " << server.status().ToString() << "\n";
       return 1;
@@ -223,7 +220,7 @@ int RunBench() {
 
   std::cout << "\nWorkload mixes: " << workload_queries
             << " queries each, " << serve_threads
-            << " shards, battery off vs on (JSON lines below)\n\n";
+            << " clients, battery off vs on (JSON lines below)\n\n";
 
   TablePrinter mix_table({"workload", "battery", "decided_pct", "label_pct",
                           "cache_pct", "fallback_pct", "p50_us", "p99_us"});

@@ -42,7 +42,8 @@ struct IndexRebuilderOptions {
 // mutations have accumulated past the last rebuild, snapshots the live
 // arc set, builds a fresh ReachCore off-thread, and hands it to the
 // publish callback — DynamicReachService::PublishSnapshot for the
-// single-threaded stack, ReachServer::SwapCore for the sharded one. The
+// single-threaded stack, ReachServer::SwapCore for the multi-threaded
+// one. The
 // serving side never blocks: the build runs entirely on this thread, and
 // publication is a pointer hand-off.
 //

@@ -20,7 +20,7 @@ namespace tcdb {
 // A reproducible point-query workload over `graph`: 60% independent
 // uniform pairs (mostly unreachable on sparse families), 30%
 // positive-biased pairs sampled by short random forward walks, 10%
-// repeats of a small hot set (exercises the per-shard answer caches).
+// repeats of a small hot set (exercises the per-lane answer caches).
 std::vector<std::pair<NodeId, NodeId>> MakeServingWorkload(
     const Digraph& graph, int64_t count, uint64_t seed);
 

@@ -17,7 +17,7 @@ constexpr ReachRule kTrainedPivotRules[3] = {ReachRule::kObsPivotThrough,
                                              ReachRule::kObsPivotBwdCut};
 
 // Sizes the scratch buffers for a graph of `n` nodes (no-op when already
-// sized, so the buffers amortize across a shard's queries).
+// sized, so the buffers amortize across a service's queries).
 void PrepareScratch(ReachIndex::SearchScratch* scratch, size_t n) {
   if (scratch->visited.capacity() != n) scratch->visited.Resize(n);
   if (scratch->target_slot.size() != n) scratch->target_slot.assign(n, -1);

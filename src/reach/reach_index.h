@@ -104,7 +104,7 @@ struct ReachIndexOptions {
 // Thread safety: a built index is immutable, so TryDecide and the label
 // accessors may run from any number of threads concurrently; the BFS
 // fallbacks mutate only the caller-provided SearchScratch. This is what
-// lets ReachServer share one index read-only across all of its shards.
+// lets ReachServer share one index read-only across all of its lanes.
 class ReachIndex {
  public:
   // Builds the labels. `dag` must be acyclic (condense cyclic inputs
@@ -121,7 +121,7 @@ class ReachIndex {
   // Reusable buffers for PrunedBfs/PrunedMultiBfs. The index itself is
   // immutable after Build() and safe to share across any number of
   // threads; all per-search mutable state lives here, so each concurrent
-  // caller (one per ReachServer shard) owns its own SearchScratch and
+  // caller (one per ReachServer lane) owns its own SearchScratch and
   // passes it in. Buffers are sized lazily on first use.
   struct SearchScratch {
     EpochSet visited;

@@ -33,7 +33,7 @@ struct ReachServiceOptions {
 // Built once and frozen; after Build() nothing mutates it, so one core is
 // safely shared read-only by any number of ReachService instances on any
 // number of threads (this is exactly what ReachServer does — one core,
-// N shards).
+// one service per calling thread).
 struct ReachCore {
   NodeId num_input_nodes = 0;
   Digraph dag;                    // condensation (== input when acyclic)
@@ -162,8 +162,8 @@ struct ReachCore {
 // exception: LabelPass, the first half of QueryBatch, reads only the core
 // it is given and writes only its batch-local result, so any number of
 // threads may run it at once. ReachServer (reach/reach_server.h) relies
-// on that: it runs the label pass on the caller's thread and only the
-// residue step under the shard's mutex.
+// on that: it runs the label pass outside the lock of the calling
+// thread's lane, and only the residue step under it.
 class ReachService {
  public:
   struct Answer {
@@ -182,9 +182,9 @@ class ReachService {
       const ArcList& arcs, NodeId num_nodes,
       const ReachServiceOptions& options = {});
 
-  // A shard over an existing shared core. `options.index` is ignored (the
-  // core's labels are already built); the per-shard knobs (cache capacity,
-  // BFS budget) apply.
+  // A service over an existing shared core. `options.index` is ignored
+  // (the core's labels are already built); the per-service knobs (cache
+  // capacity, BFS budget) apply.
   static std::unique_ptr<ReachService> Create(
       std::shared_ptr<const ReachCore> core,
       const ReachServiceOptions& options = {});

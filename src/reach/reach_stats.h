@@ -85,9 +85,9 @@ struct ReachStats {
   void Print(std::ostream& out, const ReachCore* core = nullptr) const;
   std::string ToString(const ReachCore* core = nullptr) const;
 
-  // Adds `other`'s counters into this one. Cross-shard aggregation:
-  // ReachServer snapshots merge every shard's stats through this, and the
-  // benches merge per-family blocks the same way.
+  // Adds `other`'s counters into this one. ReachServer snapshots merge
+  // every lane's stats through this, and the benches merge per-family
+  // blocks the same way.
   void Merge(const ReachStats& other);
 
   void Reset() { *this = ReachStats{}; }
@@ -96,8 +96,8 @@ struct ReachStats {
 // Fixed-bucket latency histogram with power-of-two microsecond buckets:
 // bucket 0 holds samples below 1 us, bucket i holds [2^(i-1), 2^i) us.
 // Small (a few hundred bytes), mergeable, and quantile-queryable — each
-// ReachServer shard keeps one so a stats snapshot can report per-shard and
-// aggregate p50/p99 without retaining per-query samples.
+// ReachServer lane keeps one so a stats snapshot can report the aggregate
+// p50/p99 without retaining per-query samples.
 class LatencyHistogram {
  public:
   // Covers up to ~2^26 us ≈ 67 s; slower samples clamp to the last bucket.

@@ -159,7 +159,7 @@ Status RunOneSeed(const FailoverStressOptions& options, uint64_t seed,
     rng.Uniform(64, 4096);  // discarded: keeps each seed's trace unchanged
     fo.max_apply_ahead = rng.Uniform(8, 256);
     fo.checkpoint_every = rng.Bernoulli(0.5) ? rng.Uniform(24, 96) : 0;
-    fo.server.num_shards = static_cast<int32_t>(rng.Uniform(1, 2));
+    rng.Uniform(1, 2);  // discarded: keeps each seed's trace unchanged
     follower_options.push_back(fo);
     pipe_capacities.push_back(
         static_cast<size_t>(rng.Uniform(1 << 10, 1 << 16)));

@@ -25,7 +25,7 @@ struct FollowerOptions {
   // The follower's own durable stack under its directory (its WAL is
   // what makes it promotable).
   DurableOptions durable;
-  // Follower-side serving (the sharded read path queries route to).
+  // Follower-side serving (the ReachServer queries go to).
   ReachServerOptions server;
   // Hard staleness bound: once this many applied records are not yet
   // visible to readers, the apply thread rebuilds and swaps the serving
@@ -63,7 +63,7 @@ struct FollowerStats {
 
 // The read replica: bootstraps from the primary's shipped checkpoint +
 // WAL segments, then applies the live record stream into its own
-// durable stack while a sharded ReachServer answers queries from an
+// durable stack while a multi-threaded ReachServer answers queries from an
 // immutable snapshot core.
 //
 // Epoch consistency is the SwapCore discipline: readers only ever see a

@@ -59,7 +59,6 @@ Result<ReplicaBenchResult> RunReplicaBench(
     disks.push_back(std::make_unique<MemFs>());
     FollowerOptions fo;
     fo.max_apply_ahead = options.max_apply_ahead;
-    fo.server.num_shards = options.follower_shards;
     auto [primary_end, follower_end] =
         MakeInProcessPipe(options.pipe_capacity_bytes);
     TCDB_ASSIGN_OR_RETURN(

@@ -31,7 +31,6 @@ struct ReplicaBenchOptions {
   // Follower staleness bound (FollowerOptions::max_apply_ahead).
   int64_t max_apply_ahead = 128;
   size_t pipe_capacity_bytes = 1 << 14;
-  int32_t follower_shards = 2;
   int32_t group_commit_records = 8;
   uint64_t seed = 42;
 };

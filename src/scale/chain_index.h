@@ -85,7 +85,7 @@ struct ChainBudgetReport {
 // (DESIGN §15). Arrays under 2 MiB stay on ordinary heap pages.
 //
 // A built index is immutable: queries are safe from any number of
-// threads concurrently (ReachServer shares one across its shards).
+// threads concurrently (ReachServer shares one across its lanes).
 class ChainIndex {
  public:
   // An empty index (zero nodes). Usable instances come from Build().

@@ -69,9 +69,9 @@ std::function<double()> MakeTickClock() {
   };
 }
 
-// A single-shard ReachServer is the sequential ReachService behind a
-// queue: same batched calls in the same order, so answers, rule
-// attribution, and the full ReachStats block (tick-clock seconds
+// A ReachServer driven by one thread is the sequential ReachService on
+// that thread's lane: same batched calls in the same order, so answers,
+// rule attribution, and the full ReachStats block (tick-clock seconds
 // included) must be bit-identical to driving the service directly.
 TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
   const GeneratorParams params{400, 5, 100, 91};
@@ -86,7 +86,6 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
   service.value()->SetClockForTesting(MakeTickClock());
 
   ReachServerOptions options;
-  options.num_shards = 1;
   options.service = service_options;
   auto server = ReachServer::Start(arcs, params.num_nodes, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -129,9 +128,9 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
 }
 
 // Single queries take the same two halves on both sides (label pass,
-// then the residue step with its one fallback routine), so a one-shard
-// server's Query replays ReachService::Query call by call and tick by
-// tick: the same answers, rules, search expansions and seconds, and
+// then the residue step with its one fallback routine), so a server
+// driven by one thread replays ReachService::Query call by call and tick
+// by tick: the same answers, rules, search expansions and seconds, and
 // neither counts a batch.
 TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
   const GeneratorParams params{400, 5, 100, 93};
@@ -145,7 +144,6 @@ TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
   service.value()->SetClockForTesting(MakeTickClock());
 
   ReachServerOptions options;
-  options.num_shards = 1;
   options.service = service_options;
   auto server = ReachServer::Start(arcs, params.num_nodes, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();

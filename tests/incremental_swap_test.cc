@@ -165,10 +165,10 @@ TEST(IncrementalRebuilderRaceTest, AdviseDrivenRebuildStaysExactAndMonotone) {
             log.value()->num_live_arcs());
 }
 
-// The sharded-serving variant: the owner drives an insert-only mutation
+// The multi-threaded serving variant: the owner drives an insert-only mutation
 // stream through the incremental tier while the rebuilder publishes every
 // core BOTH into the owner's service and into a ReachServer via SwapCore.
-// Client threads hammer chain probes on the server; per-shard adoption
+// Client threads hammer chain probes on the server; per-lane adoption
 // order makes each thread's answer stream monotone (YES never regresses
 // to NO), and the final state must reflect the full chain.
 TEST(IncrementalSwapTest, RebuiltCoresHotSwapMonotonicallyUnderClients) {
@@ -201,7 +201,7 @@ TEST(IncrementalSwapTest, RebuiltCoresHotSwapMonotonicallyUnderClients) {
       [serving, server_ptr](std::shared_ptr<const ReachCore> core,
                             MutationLog::Epoch epoch, double seconds) {
         serving->PublishSnapshot(core, epoch, seconds);
-        // Monotone-epoch swap into the sharded server; the rebuilder
+        // Monotone-epoch swap into the server; the rebuilder
         // never republishes an epoch, so this must always validate.
         TCDB_CHECK(server_ptr->SwapCore(std::move(core), epoch).ok());
       },

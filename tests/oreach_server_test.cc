@@ -1,10 +1,10 @@
-// Concurrency tests of the observation battery behind the sharded
-// serving layer: a battery core served by a multi-shard ReachServer under
-// concurrent clients answers bit-identically to the battery-off baseline,
-// the merged statistics attribute every query to exactly one rule, and a
-// battery core arrives intact through the SwapCore hot-swap path. This is
-// a TSan target (tools/check.sh): the battery is shared read-only by
-// every shard, so any missing synchronization shows up here.
+// Concurrency tests of the observation battery behind the multi-threaded
+// serving layer: a battery core served by a ReachServer under concurrent
+// clients answers bit-identically to the battery-off baseline, the merged
+// statistics attribute every query to exactly one rule, and a battery
+// core arrives intact through the SwapCore hot-swap path. This is a TSan
+// target (tools/check.sh): the battery is shared read-only by every
+// client's lane, so any missing synchronization shows up here.
 
 #include <gtest/gtest.h>
 
@@ -71,21 +71,19 @@ Fixture MakeFixture(uint64_t seed) {
   return f;
 }
 
-std::unique_ptr<ReachServer> StartOrDie(std::shared_ptr<const ReachCore> core,
-                                        int32_t shards) {
-  ReachServerOptions options;
-  options.num_shards = shards;
-  auto server = ReachServer::Start(std::move(core), options);
+std::unique_ptr<ReachServer> StartOrDie(
+    std::shared_ptr<const ReachCore> core) {
+  auto server = ReachServer::Start(std::move(core));
   TCDB_CHECK(server.ok()) << server.status().ToString();
   return std::move(server).value();
 }
 
 TEST(OreachServerTest, ShardedBatteryAnswersMatchBaseline) {
   const Fixture f = MakeFixture(17);
-  const std::unique_ptr<ReachServer> off = StartOrDie(f.baseline, 4);
-  const std::unique_ptr<ReachServer> on = StartOrDie(f.battery, 4);
+  const std::unique_ptr<ReachServer> off = StartOrDie(f.baseline);
+  const std::unique_ptr<ReachServer> on = StartOrDie(f.battery);
 
-  // One big batch: splits across all four shards.
+  // One big batch, one label pass.
   auto off_answers = off->QueryBatch(f.adversarial);
   auto on_answers = on->QueryBatch(f.adversarial);
   ASSERT_TRUE(off_answers.ok()) << off_answers.status().ToString();
@@ -107,7 +105,7 @@ TEST(OreachServerTest, ShardedBatteryAnswersMatchBaseline) {
 
 TEST(OreachServerTest, ConcurrentClientsAndRuleAttribution) {
   const Fixture f = MakeFixture(23);
-  const std::unique_ptr<ReachServer> server = StartOrDie(f.battery, 4);
+  const std::unique_ptr<ReachServer> server = StartOrDie(f.battery);
 
   auto report = RunServingLoad(server.get(), f.adversarial, /*num_clients=*/4,
                                /*batch_size=*/128);
@@ -115,8 +113,8 @@ TEST(OreachServerTest, ConcurrentClientsAndRuleAttribution) {
   EXPECT_EQ(report.value().queries,
             static_cast<int64_t>(f.adversarial.size()));
 
-  // Merged across shards, every query is attributed to exactly one rule,
-  // and the per-shard counters sum to the merged totals.
+  // Merged across the clients' lanes, every query is attributed to
+  // exactly one rule.
   const ReachServerStats stats = server->Snapshot();
   EXPECT_EQ(stats.merged.queries,
             static_cast<int64_t>(f.adversarial.size()));
@@ -125,16 +123,12 @@ TEST(OreachServerTest, ConcurrentClientsAndRuleAttribution) {
     rule_total += stats.merged.rule_decided[r];
   }
   EXPECT_EQ(rule_total, stats.merged.queries);
-  int64_t shard_queries = 0;
-  for (const ReachStats& shard : stats.per_shard) {
-    shard_queries += shard.queries;
-  }
-  EXPECT_EQ(shard_queries, stats.merged.queries);
+  EXPECT_EQ(stats.latency.count(), stats.merged.queries);
 }
 
 TEST(OreachServerTest, SwapCorePublishesBatteryToAllShards) {
   const Fixture f = MakeFixture(31);
-  const std::unique_ptr<ReachServer> server = StartOrDie(f.baseline, 4);
+  const std::unique_ptr<ReachServer> server = StartOrDie(f.baseline);
 
   // Warm traffic against the baseline core.
   auto warm = RunServingLoad(server.get(), f.adversarial, 4, 128);

@@ -1,8 +1,8 @@
-// Concurrency tests for the sharded ReachServer (ctest label:
+// Concurrency tests for ReachServer and its per-thread lanes (ctest label:
 // `concurrency`; check.sh reruns this binary under ThreadSanitizer).
 // Multi-threaded clients are cross-checked differentially against the
-// sequential ReferenceClosure oracle; shutdown and the merge-on-read
-// stats snapshot get dedicated races.
+// sequential ReferenceClosure oracle; shutdown, short-lived client
+// threads and the merge-on-read stats snapshot get dedicated races.
 
 #include <gtest/gtest.h>
 
@@ -19,12 +19,6 @@
 
 namespace tcdb {
 namespace {
-
-ReachServerOptions WithShards(int32_t num_shards) {
-  ReachServerOptions options;
-  options.num_shards = num_shards;
-  return options;
-}
 
 bool OracleReaches(const std::vector<std::vector<NodeId>>& closure, NodeId u,
                    NodeId v) {
@@ -46,14 +40,11 @@ std::vector<std::pair<NodeId, NodeId>> MakeQueries(NodeId num_nodes,
 // Every client thread fires batches at the server and diffs each answer
 // against the oracle closure of the *input* graph (so the cyclic case also
 // checks the condensation path end to end).
-void RunDifferential(const ArcList& arcs, NodeId num_nodes,
-                     int32_t num_shards) {
+void RunDifferential(const ArcList& arcs, NodeId num_nodes) {
   const Digraph graph(num_nodes, arcs);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  ReachServerOptions options;
-  options.num_shards = num_shards;
-  auto server = ReachServer::Start(arcs, num_nodes, options);
+  auto server = ReachServer::Start(arcs, num_nodes);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
 
   constexpr int kClients = 4;
@@ -84,32 +75,23 @@ void RunDifferential(const ArcList& arcs, NodeId num_nodes,
   EXPECT_EQ(mismatches.load(), 0);
 
   // Stats-merge consistency: the merged snapshot accounts for every query
-  // exactly once, the per-shard split sums to it, and the latency
-  // histogram saw one sample per query.
+  // exactly once, and the latency histogram saw one sample per query.
   const ReachServerStats stats = server.value()->Snapshot();
   const int64_t expected =
       int64_t{kClients} * kBatchesPerClient * kBatchSize;
   EXPECT_EQ(stats.merged.queries, expected);
-  ASSERT_EQ(stats.per_shard.size(), static_cast<size_t>(num_shards));
-  int64_t shard_queries = 0;
-  int64_t shard_positive = 0;
-  for (const ReachStats& shard : stats.per_shard) {
-    shard_queries += shard.queries;
-    shard_positive += shard.positive_answers;
-  }
-  EXPECT_EQ(shard_queries, stats.merged.queries);
-  EXPECT_EQ(shard_positive, stats.merged.positive_answers);
+  EXPECT_EQ(stats.merged.batches, int64_t{kClients} * kBatchesPerClient);
   EXPECT_EQ(stats.latency.count(), expected);
 }
 
 TEST(ReachServerTest, ConcurrentBatchesMatchOracleAcyclic) {
   const ArcList arcs = GenerateDag({300, 5, 200, 11});
-  RunDifferential(arcs, 300, 4);
+  RunDifferential(arcs, 300);
 }
 
 TEST(ReachServerTest, ConcurrentBatchesMatchOracleCyclic) {
   const ArcList arcs = GenerateCyclicDigraph({300, 5, 200, 12}, 40);
-  RunDifferential(arcs, 300, 3);
+  RunDifferential(arcs, 300);
 }
 
 TEST(ReachServerTest, SingleQueriesFromManyThreads) {
@@ -117,7 +99,7 @@ TEST(ReachServerTest, SingleQueriesFromManyThreads) {
   const ArcList arcs = GenerateDag({kNodes, 5, 50, 21});
   const std::vector<std::vector<NodeId>> closure =
       ReferenceClosure(Digraph(kNodes, arcs));
-  auto server = ReachServer::Start(arcs, kNodes, WithShards(4));
+  auto server = ReachServer::Start(arcs, kNodes);
   ASSERT_TRUE(server.ok());
 
   std::atomic<int> mismatches{0};
@@ -145,9 +127,7 @@ TEST(ReachServerTest, StopUnderLoadDrainsWithoutHanging) {
   const std::vector<std::vector<NodeId>> closure =
       ReferenceClosure(Digraph(kNodes, arcs));
 
-  ReachServerOptions options;
-  options.num_shards = 2;
-  auto server = ReachServer::Start(arcs, kNodes, options);
+  auto server = ReachServer::Start(arcs, kNodes);
   ASSERT_TRUE(server.ok());
 
   // Clients hammer the server; each submission must either complete with
@@ -199,7 +179,7 @@ TEST(ReachServerTest, StopUnderLoadDrainsWithoutHanging) {
 TEST(ReachServerTest, SnapshotIsSafeDuringTraffic) {
   constexpr NodeId kNodes = 300;
   const ArcList arcs = GenerateDag({kNodes, 5, 200, 51});
-  auto server = ReachServer::Start(arcs, kNodes, WithShards(3));
+  auto server = ReachServer::Start(arcs, kNodes);
   ASSERT_TRUE(server.ok());
 
   std::atomic<bool> done{false};
@@ -208,14 +188,9 @@ TEST(ReachServerTest, SnapshotIsSafeDuringTraffic) {
     while (!done.load()) {
       const ReachServerStats stats = server.value()->Snapshot();
       // Published counters are monotone: a later snapshot never loses
-      // queries, and the per-shard split always sums to the merge.
+      // queries.
       ASSERT_GE(stats.merged.queries, last_queries);
       last_queries = stats.merged.queries;
-      int64_t shard_sum = 0;
-      for (const ReachStats& shard : stats.per_shard) {
-        shard_sum += shard.queries;
-      }
-      ASSERT_EQ(shard_sum, stats.merged.queries);
       std::this_thread::yield();
     }
   });
@@ -232,7 +207,7 @@ TEST(ReachServerTest, SnapshotIsSafeDuringTraffic) {
 
 TEST(ReachServerTest, RejectsInvalidArgumentsWithoutEnqueueing) {
   const ArcList arcs = GenerateDag({50, 5, 20, 71});
-  auto server = ReachServer::Start(arcs, 50, WithShards(2));
+  auto server = ReachServer::Start(arcs, 50);
   ASSERT_TRUE(server.ok());
 
   auto bad = server.value()->Query(-1, 3);
@@ -242,37 +217,62 @@ TEST(ReachServerTest, RejectsInvalidArgumentsWithoutEnqueueing) {
   auto batch = server.value()->QueryBatch(pairs);
   ASSERT_FALSE(batch.ok());
   EXPECT_EQ(batch.status().code(), StatusCode::kInvalidArgument);
-  // Nothing reached a shard.
+  // Nothing reached a lane.
   EXPECT_EQ(server.value()->Snapshot().merged.queries, 0);
-
-  // Bad server configurations fail Start instead of limping along.
-  EXPECT_FALSE(ReachServer::Start(arcs, 50, WithShards(0)).ok());
 }
 
-TEST(ReachServerTest, RoutingIsStableAndCoversAllShards) {
-  const ArcList arcs = GenerateDag({2000, 2, 200, 81});
-  auto server = ReachServer::Start(arcs, 2000, WithShards(4));
+// Each client thread lives for one batch, eight at a time: every call
+// registers or inherits a lane, and a lane of an exited thread is reused
+// only by a later thread with the same id. The merged snapshot still
+// counts every query and every latency sample exactly once.
+TEST(ReachServerTest, ShortLivedThreadsAreCountedExactly) {
+  constexpr NodeId kNodes = 300;
+  const ArcList arcs = GenerateDag({kNodes, 5, 200, 91});
+  const std::vector<std::vector<NodeId>> closure =
+      ReferenceClosure(Digraph(kNodes, arcs));
+  auto server = ReachServer::Start(arcs, kNodes);
   ASSERT_TRUE(server.ok());
-  std::vector<int64_t> hits(4, 0);
-  for (NodeId v = 0; v < 2000; ++v) {
-    const int32_t shard = server.value()->ShardOf(v);
-    ASSERT_EQ(shard, server.value()->ShardOf(v));  // stable
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, 4);
-    ++hits[static_cast<size_t>(shard)];
+
+  constexpr int kThreads = 64;
+  constexpr int kAtOnce = 8;
+  constexpr int kBatchSize = 32;
+  std::atomic<int> mismatches{0};
+  for (int wave = 0; wave < kThreads / kAtOnce; ++wave) {
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kAtOnce; ++c) {
+      const uint64_t seed = 7000 + static_cast<uint64_t>(wave * kAtOnce + c);
+      clients.emplace_back([&, seed] {
+        const auto queries = MakeQueries(kNodes, kBatchSize, seed);
+        auto answers = server.value()->QueryBatch(queries);
+        if (!answers.ok()) {
+          mismatches.fetch_add(1000);
+          return;
+        }
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const auto& [u, v] = queries[i];
+          if (answers.value()[i].reachable != OracleReaches(closure, u, v)) {
+            mismatches.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();
   }
-  // splitmix64 routing spreads 2000 sources roughly evenly; a shard at
-  // zero would mean the hash degenerated.
-  for (const int64_t h : hits) EXPECT_GT(h, 2000 / 16);
+  EXPECT_EQ(mismatches.load(), 0);
+
+  const ReachServerStats stats = server.value()->Snapshot();
+  EXPECT_EQ(stats.merged.queries, int64_t{kThreads} * kBatchSize);
+  EXPECT_EQ(stats.merged.batches, kThreads);
+  EXPECT_EQ(stats.latency.count(), int64_t{kThreads} * kBatchSize);
 }
 
-// A call reads the current core through a per-thread copy. One thread
-// alternating between servers over different graphs, and a server
-// destroyed and replaced (possibly at the same address), must each
-// answer from their own core.
+// A call reads the current core and its lane through a per-thread copy.
+// One thread alternating between servers over different graphs, and a
+// server destroyed and replaced (possibly at the same address), must each
+// answer from their own core and count only their own queries.
 TEST(ReachServerTest, OneThreadAlternatingServersReadsEachServersCore) {
-  auto forward = ReachServer::Start(ArcList{{0, 1}}, 2, WithShards(2));
-  auto backward = ReachServer::Start(ArcList{{1, 0}}, 2, WithShards(2));
+  auto forward = ReachServer::Start(ArcList{{0, 1}}, 2);
+  auto backward = ReachServer::Start(ArcList{{1, 0}}, 2);
   ASSERT_TRUE(forward.ok());
   ASSERT_TRUE(backward.ok());
   const std::vector<std::pair<NodeId, NodeId>> pairs = {{0, 1}, {1, 0}};
@@ -288,13 +288,27 @@ TEST(ReachServerTest, OneThreadAlternatingServersReadsEachServersCore) {
     EXPECT_TRUE(forward.value()->Query(0, 1).value().reachable);
     EXPECT_FALSE(backward.value()->Query(0, 1).value().reachable);
   }
+  // Three rounds of one two-pair batch and one single query per server,
+  // and one more query on `backward`: each snapshot counts its own server's
+  // calls only, although one thread made them all.
+  EXPECT_TRUE(backward.value()->Query(1, 0).value().reachable);
+  const ReachServerStats f_stats = forward.value()->Snapshot();
+  const ReachServerStats b_stats = backward.value()->Snapshot();
+  EXPECT_EQ(f_stats.merged.queries, 3 * 3);
+  EXPECT_EQ(f_stats.merged.batches, 3);
+  EXPECT_EQ(f_stats.merged.positive_answers, 3 * 2);
+  EXPECT_EQ(f_stats.latency.count(), 3 * 3);
+  EXPECT_EQ(b_stats.merged.queries, 3 * 3 + 1);
+  EXPECT_EQ(b_stats.merged.batches, 3);
+  EXPECT_EQ(b_stats.merged.positive_answers, 3 + 1);
+  EXPECT_EQ(b_stats.latency.count(), 3 * 3 + 1);
 
   for (int round = 0; round < 4; ++round) {
     const bool arc = round % 2 == 0;
-    auto server = ReachServer::Start(arc ? ArcList{{0, 1}} : ArcList{}, 2,
-                                     WithShards(1));
+    auto server = ReachServer::Start(arc ? ArcList{{0, 1}} : ArcList{}, 2);
     ASSERT_TRUE(server.ok());
     EXPECT_EQ(server.value()->Query(0, 1).value().reachable, arc) << round;
+    EXPECT_EQ(server.value()->Snapshot().merged.queries, 1) << round;
   }
 }
 

@@ -343,7 +343,6 @@ TEST(Replica, FollowersServeConcurrentlyWithTheMutationStream) {
   MemFs disk_b;
   FollowerOptions options;
   options.max_apply_ahead = 32;
-  options.server.num_shards = 2;
   auto follower_a = Attach(primary.get(), &disk_a, options);
   auto follower_b = Attach(primary.get(), &disk_b, options, /*pipe=*/2048);
   ASSERT_NE(follower_a, nullptr);

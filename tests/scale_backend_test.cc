@@ -168,8 +168,8 @@ TEST(ScaleBackendTest, ChainCoreRejectsTruncatedImage) {
 }
 
 // Multi-threaded serving over one shared chain core: concurrent client
-// threads fire batches at a sharded ReachServer while every answer is
-// checked against the reference closure.
+// threads fire batches at a ReachServer while every answer is checked
+// against the reference closure.
 TEST(ScaleBackendTest, ServerOverChainCoreUnderConcurrentClients) {
   const NodeId n = 400;
   const ArcList arcs = CyclicPaperArcs(n, 53);
@@ -178,7 +178,6 @@ TEST(ScaleBackendTest, ServerOverChainCoreUnderConcurrentClients) {
 
   ReachServerOptions options;
   options.service.index.backend = ReachBackend::kChain;
-  options.num_shards = 4;
   auto server = ReachServer::Start(arcs, n, options);
   ASSERT_TRUE(server.ok()) << server.status().ToString();
   EXPECT_EQ(server.value()->core().backend, ReachBackend::kChain);

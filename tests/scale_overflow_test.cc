@@ -124,7 +124,7 @@ TEST(ScaleOverflowTest, StreamCountAndOracleAgreeAtBoundary) {
             static_cast<int64_t>(params.num_nodes) / 2);
 }
 
-// Serving counters are 64-bit through Merge: two shards each claiming
+// Serving counters are 64-bit through Merge: two lanes each claiming
 // 1.5 billion queries merge to 3 billion, past int32, without wrapping.
 TEST(ScaleOverflowTest, StatsCountersMergeBeyondInt32) {
   ReachStats a;

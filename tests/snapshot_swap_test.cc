@@ -2,7 +2,7 @@
 // `concurrency`; check.sh reruns this binary under ThreadSanitizer).
 // Covers ReachServer::SwapCore validation and hot-swap under concurrent
 // client traffic (per-pair answer monotonicity across a chain of
-// insert-only cores, through Query and through batches spanning shards;
+// insert-only cores, through Query and through QueryBatch;
 // zero stale-cache answers after a swap) plus the IndexRebuilder
 // publishing into a DynamicReachService while the owner thread mutates
 // and queries, and a failed background rebuild that leaves it serving.
@@ -55,14 +55,12 @@ TEST(SwapCoreTest, ValidatesCoreAndEpoch) {
 }
 
 TEST(SwapCoreTest, WorkersAdoptSwappedCoreAndDropStaleCache) {
-  // One shard so the cached answer and the follow-up query meet the same
-  // service. (0, 2) is NO in the starting core; the swapped core closes
-  // the chain. The second query must see the swap, not the cached NO.
-  ReachServerOptions options;
-  options.num_shards = 1;
+  // One thread, so the cached answer and the follow-up query meet the same
+  // lane. (0, 2) is NO in the starting core; the swapped core closes the
+  // chain. The second query must see the swap, not the cached NO.
   const ArcList before = {{0, 1}};
   const ArcList after = {{0, 1}, {1, 2}};
-  auto server = ReachServer::Start(before, 3, options);
+  auto server = ReachServer::Start(before, 3);
   ASSERT_TRUE(server.ok());
 
   auto first = server.value()->Query(0, 2);
@@ -113,8 +111,8 @@ std::vector<std::shared_ptr<const ReachCore>> ChainOfCores() {
 // Hot swap under load. The chain of cores is published with increasing
 // epochs while client threads hammer fixed probe pairs. Each thread loads
 // the publication slot afresh per call and never sees it go backwards,
-// and a shard never serves a residue against an older core than the
-// caller's, so the per-pair answer stream each thread observes must be
+// and its lane never serves a residue against an older core than the
+// call's, so the per-pair answer stream each thread observes must be
 // monotone: once YES, never NO again. After the final swap every pair is
 // YES — a NO would be an answer from a retired epoch.
 TEST(SwapCoreTest, SwapUnderLoadIsMonotoneWithoutStaleAnswers) {
@@ -123,9 +121,7 @@ TEST(SwapCoreTest, SwapUnderLoadIsMonotoneWithoutStaleAnswers) {
   constexpr int kStep = kChainStep;
   const std::vector<std::shared_ptr<const ReachCore>> cores = ChainOfCores();
 
-  ReachServerOptions options;
-  options.num_shards = 3;
-  auto server = ReachServer::Start(cores[0], options);
+  auto server = ReachServer::Start(cores[0]);
   ASSERT_TRUE(server.ok());
 
   // Probe pairs along the chain: NO in core 0, YES in the final core.
@@ -139,7 +135,7 @@ TEST(SwapCoreTest, SwapUnderLoadIsMonotoneWithoutStaleAnswers) {
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&] {
-      // Per-thread latch per probe: per-shard adoption order makes the
+      // Per-thread latch per probe: the lane's adoption order makes the
       // answer stream each thread observes monotone.
       std::vector<bool> seen_yes(probes.size(), false);
       while (!stop.load(std::memory_order_relaxed)) {
@@ -180,32 +176,26 @@ TEST(SwapCoreTest, SwapUnderLoadIsMonotoneWithoutStaleAnswers) {
   EXPECT_EQ(stats.published_epoch, kCores - 1);
 }
 
-// The same swap chain through QueryBatch: batches whose sources route to
-// different shards of a 3-shard server, issued back to back so they
-// straddle the swaps. Per client thread and pair the answers must be
-// monotone, and once the last swap is published every answer must match
-// the final core.
+// The same swap chain through QueryBatch: batches over several sources,
+// issued back to back so they straddle the swaps. Per client thread and
+// pair the answers must be monotone, and once the last swap is published
+// every answer must match the final core.
 TEST(SwapCoreTest, BatchSwapUnderLoadIsMonotoneWithoutStaleAnswers) {
   constexpr int kClients = 4;
   constexpr size_t kBatch = 16;
   const std::vector<std::shared_ptr<const ReachCore>> cores = ChainOfCores();
 
-  ReachServerOptions options;
-  options.num_shards = 3;
-  auto server = ReachServer::Start(cores[0], options);
+  auto server = ReachServer::Start(cores[0]);
   ASSERT_TRUE(server.ok());
 
   // Chain pairs (s, t), s < t: NO in core 0, YES in the final core,
   // whose chain covers 0 .. 49.
   std::vector<std::pair<NodeId, NodeId>> probes;
-  std::unordered_set<int32_t> shards;
   for (NodeId s = 0; s < 6; ++s) {
-    shards.insert(server.value()->ShardOf(s));
     for (NodeId t = s + 1; t < (kChainCores - 1) * kChainStep; t += 4) {
       probes.emplace_back(s, t);
     }
   }
-  ASSERT_GT(shards.size(), 1u);  // the batches really span shards
 
   std::atomic<bool> stop{false};
   std::atomic<int> violations{0};

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 verification: pin-discipline and serving-stack layering lints,
-# configure, build, full test suite, then the randomized storage stress
-# harness under ASan+UBSan.
+# Tier-1 verification: pin-discipline, serving-stack layering and
+# dead-option lints, configure, build, full test suite, then the
+# randomized storage stress harness under ASan+UBSan.
 # Usage: tools/check.sh [build-dir]   (default: build)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -30,6 +30,22 @@ paged_includes=$(grep -rnE '#include "(core/session\.h|storage/|succ/)' \
 if [[ -n "${paged_includes}" ]]; then
   echo "error: serving-stack sources include the paged machinery:"
   echo "${paged_includes}"
+  exit 1
+fi
+
+# --- Dead-option lint: ReachServer keeps one lane per calling thread and
+# reads no shard count. ReachServerOptions' shard-count field stays
+# declared only because the perfbench workloads set it, so outside
+# perfbench/ its declaration in src/reach/reach_server.h is the one place
+# the name may appear. (The bracket keeps this script from matching
+# itself.)
+shard_count_uses=$(grep -rnw 'num[_]shards' \
+    src bench examples tools tests CMakeLists.txt \
+    | grep -vx 'src/reach/reach_server.h:[0-9]*:  int32_t num[_]shards = 4;' \
+    || true)
+if [[ -n "${shard_count_uses}" ]]; then
+  echo "error: the ignored ReachServerOptions shard count is used:"
+  echo "${shard_count_uses}"
   exit 1
 fi
 
@@ -109,7 +125,7 @@ fi
 # battery step below runs), the dynamic service's snapshot / incremental /
 # live-BFS rungs and their stats (dynamic_reach_test,
 # incremental_reach_test), the tick-exact per-rule stats of a
-# one-shard server against a direct service (determinism_test), and the
+# one-thread server against a direct service (determinism_test), and the
 # chain core's prefetch pipeline against one Decide per pair
 # (decide_batch_test), and the huge-page allocator under the chain labels
 # (huge_page_allocator_test: threshold crossings, a restored 10^5 index,
@@ -193,8 +209,8 @@ fi
 # checkpoint-under-rebuild persistence test, the follower-catchup
 # replication tests, the chain-backend ReachServer differential
 # (concurrent clients over a kChain core, scale_backend_test), the
-# oreach-core sharded-serving tests (oreach_server_test — the core and
-# its observations are shared read-only by every shard, so a missing
+# oreach-core serving tests (oreach_server_test — the core and its
+# observations are shared read-only by every client's lane, so a missing
 # happens-before is a TSan report here), and the CLI smokes that drive client/rebuilder/apply
 # threads rerun in a separate TSan tree — TSan cannot share a build with
 # ASan, hence the third directory.

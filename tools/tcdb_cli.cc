@@ -55,7 +55,7 @@ namespace {
 void Usage() {
   std::fprintf(stderr, R"(usage: tcdb_cli [options]
        tcdb_cli reach <graph> <src> <dst> [--explain]
-       tcdb_cli serve-bench <graph> [--shards N] [--clients N]
+       tcdb_cli serve-bench <graph> [--clients N]
                 [--queries N] [--batch N] [--seed S]
                 [--workload W] [--battery] [--trace FILE]
        tcdb_cli workload-bench <graph> [--workload W] [--queries N]
@@ -113,11 +113,10 @@ reach subcommand (online point query via the src/reach/ index):
     prints the answer, the deciding rule, and the core's backend (chain
     or labels) with its chain count and frontier bytes against the budget
 
-serve-bench subcommand (multi-threaded sharded serving throughput):
+serve-bench subcommand (multi-threaded serving throughput):
   tcdb_cli serve-bench <graph> [flags]
     <graph>                arc-list file, or gen:N,F,L,SEED
-    --shards N             server shards (default 4)
-    --clients N            client threads firing batches (default =shards)
+    --clients N            client threads firing batches (default 4)
     --queries N            workload size (default 100000)
     --batch N              queries per QueryBatch call (default 256)
     --seed S               workload seed (default 42)
@@ -132,8 +131,8 @@ serve-bench subcommand (multi-threaded sharded serving throughput):
     --trace FILE           replay the query mix from a trace file
                            (see workload-bench --dump-trace)
     prints queries/second, the cache hit rate, the merged per-stage and
-    per-rule decision tables, the serving-latency histogram, the
-    per-shard query split, and the core's backend and budget check
+    per-rule decision tables, the serving-latency histogram, and the
+    core's backend and budget check
 
 workload-bench subcommand (traffic-model mixes on label cores, battery off
 vs on):
@@ -407,7 +406,7 @@ Result<std::shared_ptr<const ReachCore>> BuildBatteryCore(
   return ReachCore::Build(arcs, num_nodes, index_options);
 }
 
-// `tcdb_cli serve-bench <graph> [flags]`: stands up a sharded ReachServer
+// `tcdb_cli serve-bench <graph> [flags]`: stands up a ReachServer
 // over the input, fires a reproducible workload at it from client threads
 // (the legacy fixed mix, a traffic-model mix, or a replayed trace), and
 // prints throughput plus the merged serving statistics.
@@ -418,7 +417,7 @@ int RunServeBench(int argc, char** argv) {
   }
   const std::string graph_spec = argv[1];
   ReachServerOptions options;
-  int32_t clients = -1;  // default: one client per shard
+  int32_t clients = 4;
   int64_t num_queries = 100000;
   size_t batch_size = 256;
   uint64_t seed = 42;
@@ -434,9 +433,7 @@ int RunServeBench(int argc, char** argv) {
       }
       return argv[++i];
     };
-    if (flag == "--shards") {
-      ParseArgOrExit(flag, next(), &options.num_shards);
-    } else if (flag == "--clients") {
+    if (flag == "--clients") {
       ParseArgOrExit(flag, next(), &clients);
     } else if (flag == "--queries") {
       ParseArgOrExit(flag, next(), &num_queries);
@@ -455,7 +452,6 @@ int RunServeBench(int argc, char** argv) {
       return 2;
     }
   }
-  if (clients < 0) clients = options.num_shards;
 
   WorkloadKind kind = WorkloadKind::kMixed;
   if (!workload_name.empty() && !ParseWorkloadKind(workload_name, &kind)) {
@@ -538,19 +534,12 @@ int RunServeBench(int argc, char** argv) {
 
   const ReachServerStats stats = server.value()->Snapshot();
   std::printf(
-      "served %lld queries in %.3fs from %d clients over %d shards: "
-      "%.0f q/s\n",
+      "served %lld queries in %.3fs from %d clients: %.0f q/s\n",
       static_cast<long long>(report.value().queries),
-      report.value().seconds, clients, options.num_shards,
-      report.value().QueriesPerSecond());
+      report.value().seconds, clients, report.value().QueriesPerSecond());
   std::printf("latency %s\n", stats.latency.Summary().c_str());
   std::printf("cache hit rate %.2f%%\n",
               100.0 * stats.merged.CacheHitRate());
-  for (size_t s = 0; s < stats.per_shard.size(); ++s) {
-    std::printf("shard %zu: %lld queries, latency %s\n", s,
-                static_cast<long long>(stats.per_shard[s].queries),
-                stats.per_shard_latency[s].Summary().c_str());
-  }
   std::cout << stats.merged.ToString(core.get());
   return 0;
 }
