@@ -1,6 +1,8 @@
 // Microbenchmarks of the substrates (google-benchmark): buffer pool,
-// B+-tree, successor-list store, bit sets, tree codec, graph toolkit, and
-// the label path of the serving stack on chain cores.
+// B+-tree, successor-list store, bit sets, tree codec, graph toolkit, the
+// label path of the serving stack on chain cores, and the layers of the
+// dynamic tier on G5 (pivot decide, escalated live BFS, label-core and
+// pivot-tree builds, rebuild input).
 // These quantify the constants behind the simulator's CPU cost (the
 // paper's Table 3 shows CPU is dominated by successor-list operations).
 
@@ -15,6 +17,9 @@
 #include "bench_support/catalog.h"
 #include "core/bit_matrix.h"
 #include "core/database.h"
+#include "dynamic/dynamic_reach_service.h"
+#include "dynamic/incremental.h"
+#include "dynamic/mutation_log.h"
 #include "graph/algorithms.h"
 #include "graph/analyzer.h"
 #include "graph/generator.h"
@@ -494,6 +499,118 @@ void BM_ChainDecide(benchmark::State& state,
 }
 BENCHMARK_CAPTURE(BM_ChainDecide, g12, G12Chain);
 BENCHMARK_CAPTURE(BM_ChainDecide, layered_1m, Layered1MChain);
+
+// The dynamic tier's layers on G5 (instance 0, n = 2000), the label
+// family perfbench's mutate workload serves: the pivot trees' decide, a
+// query the trees leave to the live BFS, and the builds a rebuild runs.
+struct G5Dynamic {
+  ArcList arcs;
+  NodeId num_nodes = 0;
+  std::unique_ptr<MutationLog> log;
+  std::vector<std::pair<NodeId, NodeId>> pairs;  // uniform, u != v
+};
+
+const G5Dynamic& G5() {
+  static const G5Dynamic fixture = [] {
+    G5Dynamic g;
+    const GeneratorParams params = CatalogParams(FamilyByName("G5"), 0);
+    g.arcs = GenerateDag(params);
+    g.num_nodes = params.num_nodes;
+    g.log = MutationLog::Open(g.arcs, g.num_nodes).value();
+    Rng rng(11);
+    while (g.pairs.size() < 4096) {
+      const NodeId u = static_cast<NodeId>(rng.Uniform(0, g.num_nodes - 1));
+      const NodeId v = static_cast<NodeId>(rng.Uniform(0, g.num_nodes - 1));
+      if (u != v) g.pairs.emplace_back(u, v);
+    }
+    return g;
+  }();
+  return fixture;
+}
+
+void BM_IncrementalDecide(benchmark::State& state) {
+  const G5Dynamic& g = G5();
+  const std::unique_ptr<IncrementalIndex> index =
+      IncrementalIndex::Build(g.log->adjacency());
+  size_t offset = 0;
+  for (auto _ : state) {
+    for (size_t i = offset; i < offset + kServingBatch; ++i) {
+      benchmark::DoNotOptimize(index->Decide(g.pairs[i].first,
+                                             g.pairs[i].second));
+    }
+    offset = (offset + kServingBatch) % g.pairs.size();
+  }
+  SetPerQueryCounter(state);
+}
+BENCHMARK(BM_IncrementalDecide);
+
+// Queries past the snapshot epoch that the pivot trees leave undecided,
+// with the answer cache off: each one is a pruned BFS over the live graph.
+void BM_LiveReachesEscalated(benchmark::State& state) {
+  const G5Dynamic& g = G5();
+  std::unique_ptr<MutationLog> log =
+      MutationLog::Open(g.arcs, g.num_nodes).value();
+  DynamicReachOptions options;
+  options.cache_capacity = 0;
+  std::unique_ptr<DynamicReachService> service =
+      DynamicReachService::Create(log.get(), options).value();
+  // One delete makes the snapshot stale without changing the pivots.
+  const Arc arc = g.arcs.front();
+  if (!service->DeleteArc(arc.src, arc.dst).ok()) {
+    state.SkipWithError("delete failed");
+    return;
+  }
+  std::vector<std::pair<NodeId, NodeId>> escalated;
+  for (const auto& [u, v] : g.pairs) {
+    if (service->incremental().Decide(u, v) ==
+        ReachIndex::Verdict::kUnknown) {
+      escalated.emplace_back(u, v);
+    }
+  }
+  if (escalated.empty()) {
+    state.SkipWithError("no escalated pair");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        service->Query(escalated[i].first, escalated[i].second));
+    i = (i + 1) % escalated.size();
+  }
+  state.counters["escalated_share"] =
+      static_cast<double>(escalated.size()) /
+      static_cast<double>(g.pairs.size());
+}
+BENCHMARK(BM_LiveReachesEscalated);
+
+// Arg 0: the plain label core; Arg 1: with the oreach observations.
+void BM_ReachCoreBuildLabels(benchmark::State& state) {
+  const G5Dynamic& g = G5();
+  ReachIndexOptions options;
+  options.backend = ReachBackend::kLabels;
+  options.oreach = state.range(0) != 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ReachCore::Build(g.arcs, g.num_nodes, options));
+  }
+}
+BENCHMARK(BM_ReachCoreBuildLabels)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMicrosecond);
+
+void BM_IncrementalIndexBuild(benchmark::State& state) {
+  const G5Dynamic& g = G5();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(IncrementalIndex::Build(g.log->adjacency()));
+  }
+}
+BENCHMARK(BM_IncrementalIndexBuild)->Unit(benchmark::kMicrosecond);
+
+void BM_SnapshotArcs(benchmark::State& state) {
+  const G5Dynamic& g = G5();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(g.log->SnapshotArcs());
+  }
+}
+BENCHMARK(BM_SnapshotArcs)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace tcdb

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <limits>
 #include <string>
+#include <unordered_set>
 #include <utility>
 
 namespace tcdb {
@@ -15,12 +16,40 @@ double MonotonicSeconds() {
       .count();
 }
 
+// The pivot count fits the membership words and every pinned pivot is a
+// node of the log.
+Status ValidatePivots(const IncrementalOptions& options, NodeId num_nodes) {
+  const std::string cap = std::to_string(IncrementalIndex::kMaxPivots);
+  if (options.num_pivots > IncrementalIndex::kMaxPivots) {
+    return Status::InvalidArgument(
+        "num_pivots " + std::to_string(options.num_pivots) +
+        " exceeds the cap of " + cap);
+  }
+  std::unordered_set<NodeId> distinct;
+  for (const NodeId p : options.pinned_pivots) {
+    if (p < 0 || p >= num_nodes) {
+      return Status::InvalidArgument(
+          "pinned pivot " + std::to_string(p) + " out of range with " +
+          std::to_string(num_nodes) + " nodes");
+    }
+    distinct.insert(p);
+  }
+  if (distinct.size() > static_cast<size_t>(IncrementalIndex::kMaxPivots)) {
+    return Status::InvalidArgument(
+        std::to_string(distinct.size()) +
+        " distinct pinned pivots exceed the cap of " + cap);
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<std::unique_ptr<DynamicReachService>> DynamicReachService::Create(
     MutationLog* log, const DynamicReachOptions& options,
     std::shared_ptr<const ReachCore> snapshot) {
   TCDB_CHECK(log != nullptr);
+  TCDB_RETURN_IF_ERROR(
+      ValidatePivots(options.incremental_options, log->num_nodes()));
   auto service =
       std::unique_ptr<DynamicReachService>(new DynamicReachService());
   service->log_ = log;

@@ -42,13 +42,14 @@ struct DynamicReachOptions {
 // condensation for the residue. Past that epoch the snapshot is stale,
 // and the query goes to the incremental tier: per-pivot forward/backward
 // reachability trees (IncrementalIndex) repaired inside every mutation
-// answer an O(k) battery of observations that is exact at the live
-// epoch. What they leave undecided is settled by a BFS over the log's
-// in-memory LiveAdjacency on original node ids (deletions may have split
-// snapshot SCCs, so the stale condensation is never consulted), pruned
-// by the same trees: a node y with Decide(y, v) == kNo is a dead end and
-// is not expanded, one with kYes ends the search with YES (DESIGN.md
-// §11). Every query is recorded under the one rule that decided it.
+// answer a battery of observations, one word test over all pivots, that
+// is exact at the live epoch. What they leave undecided is settled by a
+// BFS over the log's in-memory LiveAdjacency on original node ids
+// (deletions may have split snapshot SCCs, so the stale condensation is
+// never consulted), pruned by the same trees: a node y with
+// Decide(y, v) == kNo is a dead end and is not expanded, one with kYes
+// ends the search with YES (DESIGN.md §11). Every query is recorded under
+// the one rule that decided it.
 //
 // Threading: mutations and queries belong to one owner thread (they
 // touch the log's adjacency, the trees, the cache and the stats).
@@ -69,7 +70,9 @@ class DynamicReachService {
   // path passes the deserialized checkpoint core, which must have been
   // built at exactly the log's base state (and must cover the log's node
   // universe; InvalidArgument otherwise). Its epoch is taken to be the
-  // log's current epoch.
+  // log's current epoch. InvalidArgument as well when the incremental
+  // options ask for more than IncrementalIndex::kMaxPivots pivots
+  // (num_pivots, or distinct pinned_pivots) or pin an out-of-range node.
   static Result<std::unique_ptr<DynamicReachService>> Create(
       MutationLog* log, const DynamicReachOptions& options = {},
       std::shared_ptr<const ReachCore> snapshot = nullptr);

@@ -140,19 +140,35 @@ int64_t MutationLog::num_live_arcs() const {
 }
 
 MutationLog::ArcSnapshot MutationLog::SnapshotArcs() const {
+  ArcList arcs;
   ArcSnapshot snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    snapshot.arcs.reserve(live_.size());
+    arcs.reserve(live_.size());
     for (const uint64_t key : live_) {
-      snapshot.arcs.push_back(
-          Arc{static_cast<int32_t>(key >> 32),
-              static_cast<int32_t>(key & 0xffffffffu)});
+      arcs.push_back(Arc{static_cast<int32_t>(key >> 32),
+                         static_cast<int32_t>(key & 0xffffffffu)});
     }
     snapshot.epoch = base_epoch_ + static_cast<Epoch>(entries_.size());
   }
-  // Hash order is not deterministic; rebuild inputs must be.
-  std::sort(snapshot.arcs.begin(), snapshot.arcs.end());
+  // Hash order is not deterministic; rebuild inputs must be. Bucket the
+  // arcs by source (a counting sort over the node ids), then sort each
+  // row, which is short, by destination.
+  std::vector<size_t> row_begin(static_cast<size_t>(num_nodes_) + 1, 0);
+  for (const Arc& arc : arcs) ++row_begin[static_cast<size_t>(arc.src) + 1];
+  for (size_t v = 0; v < static_cast<size_t>(num_nodes_); ++v) {
+    row_begin[v + 1] += row_begin[v];
+  }
+  std::vector<size_t> cursor(row_begin.begin(), row_begin.end() - 1);
+  snapshot.arcs.resize(arcs.size());
+  for (const Arc& arc : arcs) {
+    snapshot.arcs[cursor[static_cast<size_t>(arc.src)]++] = arc;
+  }
+  for (size_t v = 0; v < static_cast<size_t>(num_nodes_); ++v) {
+    std::sort(snapshot.arcs.begin() + static_cast<ptrdiff_t>(row_begin[v]),
+              snapshot.arcs.begin() +
+                  static_cast<ptrdiff_t>(row_begin[v + 1]));
+  }
   return snapshot;
 }
 

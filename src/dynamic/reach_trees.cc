@@ -2,14 +2,19 @@
 
 namespace tcdb {
 
-ReachTree::ReachTree(NodeId root, const LiveAdjacency& adj, bool forward)
+ReachTree::ReachTree(NodeId root, const LiveAdjacency& adj, bool forward,
+                     uint64_t* membership, int bit)
     : root_(root),
       forward_(forward),
+      membership_(membership),
       parent_(static_cast<size_t>(adj.num_nodes()), kAbsent),
       children_(static_cast<size_t>(adj.num_nodes())) {
   TCDB_CHECK(root >= 0 && root < adj.num_nodes());
+  TCDB_CHECK(bit >= 0 && bit < 64);
+  bit_ = uint64_t{1} << bit;
   affected_.Resize(static_cast<size_t>(adj.num_nodes()));
   parent_[static_cast<size_t>(root)] = root;
+  if (membership_ != nullptr) membership_[static_cast<size_t>(root)] |= bit_;
   size_ = 1;
   rescue_frontier_.clear();
   rescue_frontier_.push_back(root);
@@ -87,6 +92,9 @@ int64_t ReachTree::OnArcDeleted(NodeId src, NodeId dst,
   for (const NodeId s : subtree_) {
     parent_[static_cast<size_t>(s)] = kAbsent;
     children_[static_cast<size_t>(s)].clear();
+    if (membership_ != nullptr) {
+      membership_[static_cast<size_t>(s)] &= ~bit_;
+    }
   }
   size_ -= static_cast<int64_t>(subtree_.size());
 

@@ -28,13 +28,23 @@ namespace tcdb {
 // shrinks — a delete can never add reachability, so nodes outside S are
 // untouched).
 //
+// Membership can be mirrored bit-sliced: given `membership` (one word per
+// node) and a bit, the tree keeps that bit of membership[v] equal to
+// Contains(v) — set in Attach, cleared where a delete unlinks v — so an
+// owner of up to 64 trees reads all of their memberships of a node in one
+// load (IncrementalIndex::Decide).
+//
 // Thread safety: none; owned by the mutation/query thread like the rest
 // of the dynamic stack's mutable state.
 class ReachTree {
  public:
   // Builds the tree by BFS from `root` over `expand` rows (out-rows of
-  // the original orientation for a forward tree).
-  ReachTree(NodeId root, const LiveAdjacency& adj, bool forward);
+  // the original orientation for a forward tree). A non-null
+  // `membership` (adj.num_nodes() words, outliving the tree) receives the
+  // tree's membership in bit `bit` (0..63); the bit must be clear on
+  // every node beforehand.
+  ReachTree(NodeId root, const LiveAdjacency& adj, bool forward,
+            uint64_t* membership = nullptr, int bit = 0);
 
   NodeId root() const { return root_; }
   bool forward() const { return forward_; }
@@ -70,12 +80,19 @@ class ReachTree {
   void Attach(NodeId child, NodeId parent) {
     parent_[static_cast<size_t>(child)] = parent;
     children_[static_cast<size_t>(parent)].push_back(child);
+    if (membership_ != nullptr) {
+      membership_[static_cast<size_t>(child)] |= bit_;
+    }
     ++size_;
   }
 
   NodeId root_ = 0;
   bool forward_ = true;
   int64_t size_ = 0;
+  // The mirrored membership words and this tree's bit in them (null: no
+  // mirror).
+  uint64_t* membership_ = nullptr;
+  uint64_t bit_ = 0;
   // parent_[v]: kAbsent when v is unreachable from the root; root_ for
   // the root itself; otherwise the tree predecessor, joined to v by a
   // live arc.

@@ -109,7 +109,8 @@ class ReachIndex {
  public:
   // Builds the labels. `dag` must be acyclic (condense cyclic inputs
   // first); fails with InvalidArgument otherwise. O(n + m) plus
-  // O(k * (n + m)) for k pivots, and O((n + m) log n) per extra order.
+  // O(n + m) word operations per 64 pivot candidates (one cone sweep per
+  // direction), and O((n + m) log n) per extra order.
   // With options.oreach, `traffic` (pairs of `dag`'s node ids) trains the
   // trained pivots; options.oreach_traffic is not read here.
   static Result<ReachIndex> Build(

@@ -5,6 +5,8 @@
 #include "reach/reach_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <span>
 #include <utility>
 
 #include "graph/algorithms.h"
@@ -22,6 +24,8 @@ constexpr int32_t kExtraOrders = 3;
 constexpr int32_t kCutsPerDirection = 3;
 constexpr int32_t kTrainedPivots = 12;
 constexpr int32_t kCandidatePool = 48;
+// One cone sweep sizes the whole trained pool.
+static_assert(kTrainedPivots <= kCandidatePool && kCandidatePool <= 64);
 constexpr int64_t kSyntheticSample = 4096;
 // Seeds the extra orders, the cut cones and the synthetic sample; the
 // stream tags give each of them a disjoint pseudo-random stream.
@@ -30,45 +34,66 @@ constexpr uint64_t kOrderStream = 0x9e3779b97f4a7c15ULL;
 constexpr uint64_t kCutStream = 0xbf58476d1ce4e5b9ULL;
 constexpr uint64_t kSampleStream = 0x94d049bb133111ebULL;
 
-// Forward DFS from `root`; sets the bit of every node reachable from it
-// (root included) and returns the reachable count.
-int64_t FillReachableSet(const Digraph& graph, NodeId root, BitVector* out,
-                         std::vector<NodeId>* scratch) {
-  scratch->clear();
-  scratch->push_back(root);
-  out->Set(static_cast<size_t>(root));
-  int64_t count = 1;
-  while (!scratch->empty()) {
-    const NodeId v = scratch->back();
-    scratch->pop_back();
-    for (const NodeId s : graph.Successors(v)) {
-      if (out->TestAndSet(static_cast<size_t>(s))) {
-        ++count;
-        scratch->push_back(s);
-      }
-    }
-  }
-  return count;
-}
-
-// A pivot candidate: its forward and backward cones, and their size
-// product, the traffic-free count of pairs it can decide.
-struct PivotCandidate {
-  NodeId node = -1;
-  BitVector fwd;
-  BitVector bwd;
-  int64_t coverage = 0;
+// The forward and backward cones of up to 64 pivot candidates at once,
+// bit-sliced: bit j of fwd[v] is set iff candidates[j] reaches v (itself
+// included), bit j of bwd[v] iff v reaches candidates[j]. One pass over a
+// topological order per direction ORs a node's word into its successors
+// (forward) or gathers its successors' words (backward), so sizing a pool
+// of candidates costs one O(n + m) word sweep per 64 of them instead of
+// two searches each.
+struct ConeWords {
+  std::vector<uint64_t> fwd;
+  std::vector<uint64_t> bwd;
+  // Forward x backward cone size per candidate: the traffic-free count of
+  // pairs it can decide.
+  std::vector<int64_t> coverage;
 };
 
-PivotCandidate EvaluatePivot(const Digraph& dag, const Digraph& reversed,
-                             NodeId node, std::vector<NodeId>* scratch) {
-  PivotCandidate c;
-  c.node = node;
-  c.fwd.Resize(static_cast<size_t>(dag.NumNodes()));
-  c.bwd.Resize(static_cast<size_t>(dag.NumNodes()));
-  c.coverage = FillReachableSet(dag, node, &c.fwd, scratch) *
-               FillReachableSet(reversed, node, &c.bwd, scratch);
-  return c;
+ConeWords SweepCones(const Digraph& dag, std::span<const NodeId> order,
+                     std::span<const NodeId> candidates) {
+  TCDB_CHECK(candidates.size() <= 64);
+  const size_t n = static_cast<size_t>(dag.NumNodes());
+  ConeWords cones;
+  cones.fwd.assign(n, 0);
+  cones.bwd.assign(n, 0);
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    cones.fwd[candidates[j]] |= uint64_t{1} << j;
+    cones.bwd[candidates[j]] |= uint64_t{1} << j;
+  }
+  for (const NodeId x : order) {
+    const uint64_t w = cones.fwd[x];
+    if (w == 0) continue;
+    for (const NodeId s : dag.Successors(x)) cones.fwd[s] |= w;
+  }
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    uint64_t w = cones.bwd[*it];
+    for (const NodeId s : dag.Successors(*it)) w |= cones.bwd[s];
+    cones.bwd[*it] = w;
+  }
+  std::vector<int64_t> fwd_size(candidates.size(), 0);
+  std::vector<int64_t> bwd_size(candidates.size(), 0);
+  for (size_t v = 0; v < n; ++v) {
+    for (uint64_t w = cones.fwd[v]; w != 0; w &= w - 1) {
+      ++fwd_size[std::countr_zero(w)];
+    }
+    for (uint64_t w = cones.bwd[v]; w != 0; w &= w - 1) {
+      ++bwd_size[std::countr_zero(w)];
+    }
+  }
+  cones.coverage.resize(candidates.size());
+  for (size_t j = 0; j < candidates.size(); ++j) {
+    cones.coverage[j] = fwd_size[j] * bwd_size[j];
+  }
+  return cones;
+}
+
+// Bit `bit` of every node's cone word, as an n-bit set.
+BitVector ConeBits(const std::vector<uint64_t>& words, int bit) {
+  std::vector<uint64_t> bits((words.size() + 63) / 64, 0);
+  for (size_t v = 0; v < words.size(); ++v) {
+    bits[v >> 6] |= ((words[v] >> bit) & 1) << (v & 63);
+  }
+  return BitVector::FromWords(words.size(), std::move(bits));
 }
 
 // The `count` nodes of largest (out-degree + 1) * (in-degree + 1), ties
@@ -227,48 +252,56 @@ std::vector<NodeId> TrainingCandidates(
   return candidates;
 }
 
-// The first `count` candidates of a greedy coverage pick, by index: each
-// round keeps the candidate deciding the most still-undecided `residue`
-// pairs; once the residue is exhausted, the remaining slots go by raw cone
-// coverage so the pivots still generalize.
+// The first `count` of `candidates` (at most 64, their cones in `cones`)
+// of a greedy coverage pick, by index: each round keeps the candidate
+// deciding the most still-undecided `residue` pairs; once the residue is
+// exhausted, the remaining slots go by raw cone coverage so the pivots
+// still generalize.
 std::vector<size_t> GreedyPivotOrder(
-    const std::vector<PivotCandidate>& candidates,
-    std::vector<std::pair<NodeId, NodeId>> residue, int32_t count) {
-  const auto decides = [](const PivotCandidate& c,
-                          const std::pair<NodeId, NodeId>& pair) {
-    return ReachIndex::PivotRuleFor(c.fwd, c.bwd, pair.first,
-                                    pair.second) >= 0;
-  };
-  std::vector<bool> used(candidates.size(), false);
+    const ConeWords& cones, std::span<const NodeId> candidates,
+    const std::vector<std::pair<NodeId, NodeId>>& residue, int32_t count) {
+  // decided[r]: the candidates one of whose rules (PivotRuleFor, word-wide)
+  // decides residue[r].
+  std::vector<uint64_t> decided;
+  decided.reserve(residue.size());
+  for (const auto& [u, v] : residue) {
+    const uint64_t fwd_u = cones.fwd[u];
+    const uint64_t fwd_v = cones.fwd[v];
+    const uint64_t bwd_u = cones.bwd[u];
+    const uint64_t bwd_v = cones.bwd[v];
+    decided.push_back((bwd_u & fwd_v) | (fwd_u & ~fwd_v) | (bwd_v & ~bwd_u));
+  }
+  uint64_t used = 0;
   std::vector<size_t> order;
   for (int32_t round = 0; round < count; ++round) {
+    int64_t gain[64] = {};
+    for (const uint64_t word : decided) {
+      for (uint64_t w = word; w != 0; w &= w - 1) ++gain[std::countr_zero(w)];
+    }
     int64_t best_gain = -1;
     int64_t best_coverage = -1;
     size_t best = candidates.size();
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (used[i]) continue;
-      const PivotCandidate& c = candidates[i];
-      int64_t gain = 0;
-      for (const auto& pair : residue) gain += decides(c, pair) ? 1 : 0;
+      if ((used >> i) & 1) continue;
+      const int64_t coverage = cones.coverage[i];
       // Ties (notably gain == 0 after the residue dries up) fall back to
       // coverage, then to the smaller node id.
-      if (gain > best_gain ||
-          (gain == best_gain &&
-           (c.coverage > best_coverage ||
-            (c.coverage == best_coverage && best < candidates.size() &&
-             c.node < candidates[best].node)))) {
-        best_gain = gain;
-        best_coverage = c.coverage;
+      if (gain[i] > best_gain ||
+          (gain[i] == best_gain &&
+           (coverage > best_coverage ||
+            (coverage == best_coverage && best < candidates.size() &&
+             candidates[i] < candidates[best])))) {
+        best_gain = gain[i];
+        best_coverage = coverage;
         best = i;
       }
     }
     if (best >= candidates.size()) break;
-    used[best] = true;
+    const uint64_t bit = uint64_t{1} << best;
+    used |= bit;
     order.push_back(best);
     if (best_gain > 0) {
-      std::erase_if(residue, [&](const std::pair<NodeId, NodeId>& pair) {
-        return decides(candidates[best], pair);
-      });
+      std::erase_if(decided, [bit](uint64_t word) { return (word & bit) != 0; });
     }
   }
   return order;
@@ -375,28 +408,39 @@ Result<ReachIndex> ReachIndex::Build(
   const bool observations = options.oreach && n > 0;
   if (k == 0 && !observations) return index;
   const Digraph reversed = dag.Reversed();
-  std::vector<NodeId> scratch;
-  auto add_pivot = [&index](PivotCandidate&& c) {
-    index.pivots_.push_back(c.node);
-    index.pivot_fwd_.push_back(std::move(c.fwd));
-    index.pivot_bwd_.push_back(std::move(c.bwd));
+  auto add_pivot = [&index](NodeId node, const ConeWords& cones, int bit) {
+    index.pivots_.push_back(node);
+    index.pivot_fwd_.push_back(ConeBits(cones.fwd, bit));
+    index.pivot_bwd_.push_back(ConeBits(cones.bwd, bit));
   };
 
-  // Structural pivots: evaluate a degree-ranked candidate pool and keep
-  // the pivots whose forward x backward coverage decides the most pairs.
+  // Structural pivots: size a degree-ranked candidate pool, 64 to a sweep,
+  // and keep the pivots whose forward x backward coverage decides the
+  // most pairs (ties to the higher-ranked hub).
   if (k > 0) {
     const int64_t pool = std::min<int64_t>(
         n, static_cast<int64_t>(k) *
                std::max<int32_t>(options.pivot_candidates_per_slot, 1));
-    std::vector<PivotCandidate> evaluated;
-    for (const NodeId v : TopHubs(dag, reversed, pool)) {
-      evaluated.push_back(EvaluatePivot(dag, reversed, v, &scratch));
+    const std::vector<NodeId> hubs = TopHubs(dag, reversed, pool);
+    std::vector<ConeWords> sweeps;
+    for (size_t b = 0; b < hubs.size(); b += 64) {
+      sweeps.push_back(SweepCones(
+          dag, order,
+          std::span(hubs).subspan(b, std::min<size_t>(64, hubs.size() - b))));
     }
-    std::stable_sort(evaluated.begin(), evaluated.end(),
-                     [](const PivotCandidate& a, const PivotCandidate& b) {
-                       return a.coverage > b.coverage;
+    const auto coverage = [&sweeps](size_t i) {
+      return sweeps[i / 64].coverage[i % 64];
+    };
+    std::vector<size_t> ranked(hubs.size());
+    for (size_t i = 0; i < ranked.size(); ++i) ranked[i] = i;
+    std::stable_sort(ranked.begin(), ranked.end(),
+                     [&coverage](size_t a, size_t b) {
+                       return coverage(a) > coverage(b);
                      });
-    for (int32_t i = 0; i < k; ++i) add_pivot(std::move(evaluated[i]));
+    for (int32_t i = 0; i < k; ++i) {
+      const size_t c = ranked[static_cast<size_t>(i)];
+      add_pivot(hubs[c], sweeps[c / 64], static_cast<int>(c % 64));
+    }
   }
   index.num_structural_ = static_cast<int32_t>(index.pivots_.size());
   if (!observations) return index;
@@ -434,15 +478,13 @@ Result<ReachIndex> ReachIndex::Build(
   std::sort(residue.begin(), residue.end());
   residue.erase(std::unique(residue.begin(), residue.end()), residue.end());
 
-  std::vector<PivotCandidate> evaluated;
-  for (const NodeId v : TrainingCandidates(
-           dag, reversed, residue,
-           std::min<int32_t>(std::max(kCandidatePool, num_trained), n))) {
-    evaluated.push_back(EvaluatePivot(dag, reversed, v, &scratch));
-  }
+  const std::vector<NodeId> candidates = TrainingCandidates(
+      dag, reversed, residue,
+      std::min<int32_t>(std::max(kCandidatePool, num_trained), n));
+  const ConeWords cones = SweepCones(dag, order, candidates);
   for (const size_t i :
-       GreedyPivotOrder(evaluated, std::move(residue), num_trained)) {
-    add_pivot(std::move(evaluated[i]));
+       GreedyPivotOrder(cones, candidates, residue, num_trained)) {
+    add_pivot(candidates[i], cones, static_cast<int>(i));
   }
   return index;
 }
