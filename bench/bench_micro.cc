@@ -583,18 +583,16 @@ void BM_LiveReachesEscalated(benchmark::State& state) {
 }
 BENCHMARK(BM_LiveReachesEscalated);
 
-// Arg 0: the plain label core; Arg 1: with the oreach observations.
+// The search core: condensation, root words and reverse CSR.
 void BM_ReachCoreBuildLabels(benchmark::State& state) {
   const G5Dynamic& g = G5();
   ReachIndexOptions options;
   options.backend = ReachBackend::kLabels;
-  options.oreach = state.range(0) != 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(ReachCore::Build(g.arcs, g.num_nodes, options));
   }
 }
-BENCHMARK(BM_ReachCoreBuildLabels)->Arg(0)->Arg(1)->Unit(
-    benchmark::kMicrosecond);
+BENCHMARK(BM_ReachCoreBuildLabels)->Unit(benchmark::kMicrosecond);
 
 void BM_IncrementalIndexBuild(benchmark::State& state) {
   const G5Dynamic& g = G5();

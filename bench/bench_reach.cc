@@ -171,9 +171,8 @@ int RunBench() {
   std::cout
       << "\nReading the table: \"O(1) %\" is the share the precomputed "
          "labels decided (chain frontiers on a chain core, which decide "
-         "everything; otherwise topological bounds, DFS intervals, chains, "
-         "supportive pivots, adjacency); the pruned-BFS fallback serves "
-         "only the residue, which is why point "
+         "everything; otherwise the id order and the 64 root words); the "
+         "exact search serves only the residue, which is why point "
          "queries stay microseconds even on the dense families.\n";
   return 0;
 }

@@ -16,16 +16,14 @@
 //    verdict on noise.
 //
 // 2. Workload mixes: every TrafficModel kind (uniform, zipf, hot-pair,
-//    adversarial, mixed) is served twice — once on the baseline kLabels
-//    core, once with the O'Reach observation battery enabled and trained
-//    on a disjoint traffic sample of the same kind. Each run emits one
+//    adversarial, mixed) is served on one search core (a pinned kLabels
+//    core: 64 root words and a bidirectional search). Each run emits one
 //    machine-readable JSON line (decided rate, per-rule hit fractions,
 //    cache hit rate, p50/p99) plus a human table row. The adversarial
-//    mix is mined against the baseline core's O(1) rules, i.e. it is the
-//    fallback cliff by construction; the bench *gates* on the battery
-//    recovering a margin of it: label-decided fraction (battery on) must
-//    exceed (battery off) by at least REACH_MT_BATTERY_MARGIN_PCT
-//    percentage points (default below), else exit nonzero.
+//    mix is mined against the core's O(1) rules, i.e. it sends the most
+//    queries to the search. The bench *gates* on exact answers: after
+//    the timed volley every pair of every mix is asked once more and
+//    checked against the reference closure, else exit nonzero.
 //
 // QUICK=1 shrinks the workloads; REACH_MT_QUERIES / REACH_MT_WORKLOAD_QUERIES
 // override the volley sizes outright.
@@ -41,6 +39,7 @@
 #include <vector>
 
 #include "bench_support/catalog.h"
+#include "graph/algorithms.h"
 #include "graph/digraph.h"
 #include "graph/generator.h"
 #include "reach/load_driver.h"
@@ -53,13 +52,6 @@
 
 namespace tcdb {
 namespace {
-
-// Battery-on label-decided fraction must beat battery-off by at least
-// this many percentage points on the adversarial mix. Measured headroom
-// is far larger (the miner targets exactly the residue the battery's
-// negative observations cover); the gate only has to catch the battery
-// rung silently falling out of the ladder.
-constexpr int64_t kDefaultBatteryMarginPct = 10;
 
 // Timings per thread count in act 1.
 constexpr int kScalingRepeats = 5;
@@ -79,13 +71,19 @@ double Quantile(std::vector<double> values, double q) {
 struct ServeResult {
   ReachServerStats stats;
   double qps = 0;
+  // Pairs whose answer, asked again after the timed volley, differs from
+  // `closure`.
+  int64_t wrong = 0;
 };
 
 // Fires `pairs` at a fresh server over `core` from `threads` clients and
-// returns the merged post-run snapshot.
+// returns the merged post-run snapshot, then asks every pair once more
+// and counts the answers that differ from `closure` (the reference
+// closure, reflexive).
 Result<ServeResult> ServeWorkload(
     std::shared_ptr<const ReachCore> core,
-    std::span<const std::pair<NodeId, NodeId>> pairs, int32_t threads) {
+    std::span<const std::pair<NodeId, NodeId>> pairs, int32_t threads,
+    const std::vector<std::vector<NodeId>>& closure) {
   TCDB_ASSIGN_OR_RETURN(const std::unique_ptr<ReachServer> server,
                         ReachServer::Start(std::move(core)));
   TCDB_ASSIGN_OR_RETURN(
@@ -94,13 +92,20 @@ Result<ServeResult> ServeWorkload(
   ServeResult result;
   result.stats = server->Snapshot();
   result.qps = report.QueriesPerSecond();
+  TCDB_ASSIGN_OR_RETURN(const std::vector<ReachServer::Answer> answers,
+                        server->QueryBatch(pairs));
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    const bool truth = u == v || std::binary_search(closure[u].begin(),
+                                                    closure[u].end(), v);
+    if (answers[i].reachable != truth) ++result.wrong;
+  }
   server->Stop();
   return result;
 }
 
 // Fraction of queries the O(1) labels decided outright — no cache hit,
-// no pruned BFS, no session. This is the number the battery exists to
-// move, and the one the adversarial gate compares.
+// no search.
 double LabelDecidedRate(const ReachStats& stats) {
   if (stats.queries == 0) return 0;
   return static_cast<double>(stats.DecidedWithoutFallback() -
@@ -114,15 +119,12 @@ std::string Fixed(double value, int digits) {
   return buffer;
 }
 
-// One machine-readable line per (workload, battery) run. Stable keys so
-// plotting scripts can diff battery on/off without scraping the table.
-void EmitJsonLine(const char* workload, bool battery,
-                  const ServeResult& run) {
+// One machine-readable line per workload run, with stable keys.
+void EmitJsonLine(const char* workload, const ServeResult& run) {
   const ReachStats& s = run.stats.merged;
   const double queries = static_cast<double>(std::max<int64_t>(s.queries, 1));
   std::cout << "{\"bench\":\"reach_workloads\",\"workload\":\"" << workload
-            << "\",\"battery\":" << (battery ? "true" : "false")
-            << ",\"queries\":" << s.queries
+            << "\",\"queries\":" << s.queries
             << ",\"qps\":" << Fixed(run.qps, 0)
             << ",\"decided_rate\":"
             << Fixed(static_cast<double>(s.DecidedWithoutFallback()) / queries,
@@ -248,35 +250,30 @@ int RunBench() {
   table.Print(std::cout);
   table.WriteCsv("reach_mt_scaling");
 
-  // ---- Act 2: workload mixes, battery off vs on ------------------------
+  // ---- Act 2: workload mixes on the search core ------------------------
   const int64_t workload_queries =
       GetEnvInt("REACH_MT_WORKLOAD_QUERIES", quick ? 8000 : 60000);
   const int32_t serve_threads = 4;
 
-  // Both cores pin the label ladder: the battery is one of its rungs.
-  ReachIndexOptions baseline_options;
-  baseline_options.backend = ReachBackend::kLabels;
-  auto baseline_core =
-      ReachCore::Build(arcs, params.num_nodes, baseline_options);
-  if (!baseline_core.ok()) {
-    std::cerr << "core: " << baseline_core.status().ToString() << "\n";
+  ReachIndexOptions search_options;
+  search_options.backend = ReachBackend::kLabels;
+  auto search_core = ReachCore::Build(arcs, params.num_nodes, search_options);
+  if (!search_core.ok()) {
+    std::cerr << "core: " << search_core.status().ToString() << "\n";
     return 1;
   }
-  // Mines/filters against the baseline O(1) rules only — the adversarial
-  // mix is what *those* rules cannot decide, which is exactly the
-  // population the battery is graded on.
-  const WorkloadDecideProbe baseline_probe =
-      MakeLadderProbe(baseline_core.value());
+  // The adversarial mix is what the core's O(1) rules cannot decide.
+  const WorkloadDecideProbe probe = MakeLadderProbe(search_core.value());
+  const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  std::cout << "\nWorkload mixes: " << workload_queries
+  std::cout << "\nWorkload mixes on the search core: " << workload_queries
             << " queries each, " << serve_threads
-            << " clients, battery off vs on (JSON lines below)\n\n";
+            << " clients (JSON lines below)\n\n";
 
-  TablePrinter mix_table({"workload", "battery", "decided_pct", "label_pct",
-                          "cache_pct", "fallback_pct", "p50_us", "p99_us"});
-  double adversarial_off_rate = -1;
-  double adversarial_on_rate = -1;
-
+  TablePrinter mix_table({"workload", "decided_pct", "label_pct",
+                          "cache_pct", "search_pct", "p50_us", "p99_us",
+                          "wrong"});
+  int64_t wrong = 0;
   const WorkloadKind kinds[] = {WorkloadKind::kUniform, WorkloadKind::kZipf,
                                 WorkloadKind::kHotPair,
                                 WorkloadKind::kAdversarial,
@@ -288,82 +285,46 @@ int RunBench() {
     TrafficModelOptions traffic_options;
     traffic_options.kind = kind;
     traffic_options.seed = 1000 + k;
-    const std::vector<std::pair<NodeId, NodeId>> mix = MakeModelWorkload(
-        graph, traffic_options, workload_queries, baseline_probe);
+    const std::vector<std::pair<NodeId, NodeId>> mix =
+        MakeModelWorkload(graph, traffic_options, workload_queries, probe);
 
-    // Battery training traffic: same mix shape, disjoint seed — the
-    // pivots are trained on what this workload *looks like*, not on the
-    // exact pairs it will serve.
-    TrafficModelOptions train_options = traffic_options;
-    train_options.seed += 7777;
-    ReachIndexOptions battery_options = baseline_options;
-    battery_options.oreach = true;
-    battery_options.oreach_traffic =
-        MakeModelWorkload(graph, train_options, 4096, baseline_probe);
-    auto battery_core =
-        ReachCore::Build(arcs, params.num_nodes, battery_options);
-    if (!battery_core.ok()) {
-      std::cerr << "battery core: " << battery_core.status().ToString()
-                << "\n";
+    auto run = ServeWorkload(search_core.value(), mix, serve_threads, closure);
+    if (!run.ok()) {
+      std::cerr << name << ": " << run.status().ToString() << "\n";
       return 1;
     }
-
-    for (const bool battery : {false, true}) {
-      auto run = ServeWorkload(
-          battery ? battery_core.value() : baseline_core.value(), mix,
-          serve_threads);
-      if (!run.ok()) {
-        std::cerr << name << ": " << run.status().ToString() << "\n";
-        return 1;
-      }
-      const ReachStats& s = run.value().stats.merged;
-      const double queries =
-          static_cast<double>(std::max<int64_t>(s.queries, 1));
-      const double label_rate = LabelDecidedRate(s);
-      mix_table.NewRow()
-          .AddCell(std::string(name))
-          .AddCell(std::string(battery ? "on" : "off"))
-          .AddCell(100.0 * static_cast<double>(s.DecidedWithoutFallback()) /
-                       queries,
-                   2)
-          .AddCell(100.0 * label_rate, 2)
-          .AddCell(100.0 * s.CacheHitRate(), 2)
-          .AddCell(100.0 *
-                       static_cast<double>(s.queries -
-                                           s.DecidedWithoutFallback()) /
-                       queries,
-                   2)
-          .AddCell(run.value().stats.latency.QuantileSeconds(0.50) * 1e6, 2)
-          .AddCell(run.value().stats.latency.QuantileSeconds(0.99) * 1e6, 2);
-      EmitJsonLine(name, battery, run.value());
-      if (kind == WorkloadKind::kAdversarial) {
-        (battery ? adversarial_on_rate : adversarial_off_rate) = label_rate;
-      }
-    }
+    const ReachStats& s = run.value().stats.merged;
+    const double queries =
+        static_cast<double>(std::max<int64_t>(s.queries, 1));
+    mix_table.NewRow()
+        .AddCell(std::string(name))
+        .AddCell(100.0 * static_cast<double>(s.DecidedWithoutFallback()) /
+                     queries,
+                 2)
+        .AddCell(100.0 * LabelDecidedRate(s), 2)
+        .AddCell(100.0 * s.CacheHitRate(), 2)
+        .AddCell(100.0 *
+                     static_cast<double>(s.queries -
+                                         s.DecidedWithoutFallback()) /
+                     queries,
+                 2)
+        .AddCell(run.value().stats.latency.QuantileSeconds(0.50) * 1e6, 2)
+        .AddCell(run.value().stats.latency.QuantileSeconds(0.99) * 1e6, 2)
+        .AddCell(run.value().wrong);
+    EmitJsonLine(name, run.value());
+    wrong += run.value().wrong;
   }
   std::cout << "\n";
   mix_table.Print(std::cout);
   mix_table.WriteCsv("reach_workloads");
 
   // ---- The gate --------------------------------------------------------
-  const double required_margin =
-      static_cast<double>(GetEnvInt("REACH_MT_BATTERY_MARGIN_PCT",
-                                    kDefaultBatteryMarginPct)) /
-      100.0;
-  const double margin = adversarial_on_rate - adversarial_off_rate;
-  std::cout << "\nbattery gate (adversarial): label_rate off="
-            << Fixed(adversarial_off_rate, 4)
-            << " on=" << Fixed(adversarial_on_rate, 4)
-            << " margin=" << Fixed(margin, 4)
-            << " required=" << Fixed(required_margin, 4) << "\n";
-  if (adversarial_off_rate < 0 || adversarial_on_rate < 0 ||
-      margin < required_margin) {
-    std::cerr << "FAIL: observation battery did not raise the O(1) "
-                 "label-decided fraction on the adversarial mix by the "
-                 "required margin\n";
+  if (wrong > 0) {
+    std::cerr << "FAIL: " << wrong
+              << " answers differ from the reference closure\n";
     return 1;
   }
-  std::cout << "PASS: battery margin holds\n";
+  std::cout << "PASS: every answer matches the reference closure\n";
   return 0;
 }
 

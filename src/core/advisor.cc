@@ -31,12 +31,14 @@ Advice RecommendAlgorithm(const RectangleModel& model, NodeId num_nodes,
         s <= static_cast<double>(config.search_source_limit)) {
       // Below the absolute limit the workload is point lookups, not
       // closure computation: a one-shot ReachIndex build answers most of
-      // them in O(1) and a ReachService settles the rest with a pruned
-      // BFS, so no closure run is needed at all.
+      // them in O(1) from its root words and a ReachService settles the
+      // rest with the index's bidirectional search, so no closure run is
+      // needed at all.
       advice.use_reach_index = true;
       advice.rationale +=
           "; at this scale prefer ReachService point queries against a "
-          "prebuilt ReachIndex, with a pruned BFS as the fallback rung";
+          "prebuilt ReachIndex, whose root words decide most pairs and "
+          "whose bidirectional search settles the rest";
     }
     return advice;
   }

@@ -1,7 +1,6 @@
 #include "dynamic/dynamic_reach_service.h"
 
 #include <chrono>
-#include <limits>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -173,17 +172,15 @@ DynamicReachService::Answer DynamicReachService::SnapshotDecide(NodeId u,
   const ReachCore& core = *snapshot_;
   ReachRule rule = ReachRule::kSelf;
   ReachIndex::Verdict verdict = core.Decide(u, v, &rule);
-  if (verdict == ReachIndex::Verdict::kUnknown) {
-    int64_t expansions = 0;
-    verdict = core.index.PrunedBfs(
-        core.dag, core.node_map[static_cast<size_t>(u)],
-        core.node_map[static_cast<size_t>(v)],
-        std::numeric_limits<int64_t>::max(), &snapshot_scratch_, &expansions);
-    TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
-    serving_stats_.bfs_expansions += expansions;
-    rule = ReachRule::kPrunedBfs;
+  if (verdict != ReachIndex::Verdict::kUnknown) {
+    return {verdict == ReachIndex::Verdict::kYes, rule};
   }
-  return {verdict == ReachIndex::Verdict::kYes, rule};
+  int64_t expansions = 0;
+  const bool reached = core.index.Search(
+      core.dag, core.node_map[static_cast<size_t>(u)],
+      core.node_map[static_cast<size_t>(v)], &snapshot_scratch_, &expansions);
+  serving_stats_.bfs_expansions += expansions;
+  return {reached, ReachRule::kPrunedBfs};
 }
 
 bool DynamicReachService::LiveReaches(NodeId u, NodeId v) {

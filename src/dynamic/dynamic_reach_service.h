@@ -38,9 +38,10 @@ struct DynamicReachOptions {
 //
 // While no mutation has landed since the serving snapshot was built
 // (log epoch == snapshot epoch) the snapshot IS the live graph, and
-// ReachCore::Decide answers, with an exact pruned BFS over the
-// condensation for the residue. Past that epoch the snapshot is stale,
-// and the query goes to the incremental tier: per-pivot forward/backward
+// ReachCore::Decide answers, with the core's exact search
+// (ReachIndex::Search) over the condensation for the residue. Past that
+// epoch the snapshot is stale, and the query goes to the incremental
+// tier: per-pivot forward/backward
 // reachability trees (IncrementalIndex) repaired inside every mutation
 // answer a battery of observations, one word test over all pivots, that
 // is exact at the live epoch. What they leave undecided is settled by a
@@ -127,8 +128,7 @@ class DynamicReachService {
   DynamicReachService() : cache_(0) {}
 
   // Exact reachability on the snapshot (valid at the snapshot epoch):
-  // ReachCore::Decide, then an unbounded pruned BFS over the
-  // condensation.
+  // ReachCore::Decide, then the core's search over the condensation.
   Answer SnapshotDecide(NodeId u, NodeId v);
 
   // BFS over the log's live adjacency, original node ids, pruned by the
@@ -149,7 +149,7 @@ class DynamicReachService {
   std::unique_ptr<IncrementalIndex> incremental_;
 
   ReachAnswerCache cache_;
-  ReachIndex::SearchScratch snapshot_scratch_;  // snapshot BFS buffers
+  ReachIndex::SearchScratch snapshot_scratch_;  // snapshot search buffers
   EpochSet live_visited_;                       // original-id BFS set
   std::vector<NodeId> live_frontier_;
 

@@ -116,16 +116,12 @@ class IncrementalIndex {
 
   // Every pivot's rules on the live graph at once; kUnknown for the
   // residue.
+  // The backward trees are the ancestor words and the forward trees the
+  // descendant words of ReachIndex::DecideByWords.
   ReachIndex::Verdict Decide(NodeId u, NodeId v) const {
-    const uint64_t fwd_u = fwd_bits_[static_cast<size_t>(u)];
-    const uint64_t fwd_v = fwd_bits_[static_cast<size_t>(v)];
-    const uint64_t bwd_u = bwd_bits_[static_cast<size_t>(u)];
-    const uint64_t bwd_v = bwd_bits_[static_cast<size_t>(v)];
-    if ((bwd_u & fwd_v) != 0) return ReachIndex::Verdict::kYes;
-    if (((fwd_u & ~fwd_v) | (bwd_v & ~bwd_u)) != 0) {
-      return ReachIndex::Verdict::kNo;
-    }
-    return ReachIndex::Verdict::kUnknown;
+    return ReachIndex::DecideByWords(
+        bwd_bits_[static_cast<size_t>(u)], fwd_bits_[static_cast<size_t>(u)],
+        bwd_bits_[static_cast<size_t>(v)], fwd_bits_[static_cast<size_t>(v)]);
   }
 
   // True once the repair cost since the last adoption exceeds the

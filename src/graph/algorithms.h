@@ -39,6 +39,11 @@ SccResult StronglyConnectedComponents(const Digraph& graph);
 // node's condensation node. This implements the paper's preprocessing
 // justification for studying acyclic graphs: a cyclic input is condensed
 // cheaply relative to the closure cost (Section 1).
+//
+// Condensation ids are the SCC ids, so they are reverse-topological: every
+// arc of `dag` runs from a higher id to a lower one, and descending ids are
+// a topological order. ReachIndex relies on this (u < v proves that u does
+// not reach v); CondensationTest.IdsAreReverseTopological pins it.
 struct Condensation {
   Digraph dag;
   std::vector<NodeId> node_map;  // input node -> condensation node

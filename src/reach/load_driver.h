@@ -35,8 +35,7 @@ std::vector<std::pair<NodeId, NodeId>> MakeModelWorkload(
     WorkloadDecideProbe probe = nullptr);
 
 // The serving ladder's O(1) rungs as a predicate over input-node pairs:
-// ReachCore::Decide (trivial rules, index labels with the oreach
-// observations when the core carries them, then adjacency). This is what
+// ReachCore::Decide (trivial rules, then the core's labels). This is what
 // the adversarial miner probes: pairs it cannot decide are exactly the
 // fallback residue. The returned closure shares ownership of `core`.
 WorkloadDecideProbe MakeLadderProbe(std::shared_ptr<const ReachCore> core);

@@ -9,25 +9,13 @@ enum class ReachRule {
   kCacheHit = 0,        // LRU answer cache
   kSelf,                // u == v (reflexivity)
   kSameScc,             // one strongly connected component
-  kTopoWindow,          // base topo position / reach-bound window: "no"
-  kDfsInterval,         // DFS-forest interval containment: "yes"
-  kChainStep,           // same greedy chain, earlier position: "yes"
-  kSupportiveThrough,   // base pivot: u ~> p ~> v: "yes"
-  kSupportiveFwdCut,    // base pivot: p ~> u but not p ~> v: "no"
-  kSupportiveBwdCut,    // base pivot: v ~> p but not u ~> p: "no"
-  kAdjacency,           // (u, v) is an arc: "yes"
+  kTopoWindow,          // u < v in reverse-topological ids: "no"
+  kSupportiveThrough,   // a root r with u ~> r ~> v: "yes"
+  kSupportiveFwdCut,    // a root r with r ~> u but not r ~> v: "no"
+  kSupportiveBwdCut,    // a root r with v ~> r but not u ~> r: "no"
   kChainFrontier,       // kChain backend frontier labels (always definitive)
-  // --- ReachIndex oreach observations, stage kObservation ---
-  kObsTopoOrder,        // an extra topological order has pos[v] < pos[u]
-  kObsSandwich,         // an extra order's reach-bound window excludes v
-  kObsLevel,            // forward/backward longest-path levels contradict
-  kObsForwardCut,       // u inside a successor-closed cut, v outside: "no"
-  kObsBackwardCut,      // v inside a predecessor-closed cut, u outside: "no"
-  kObsPivotThrough,     // traffic pivot: u ~> p ~> v: "yes"
-  kObsPivotFwdCut,      // traffic pivot: p ~> u but not p ~> v: "no"
-  kObsPivotBwdCut,      // traffic pivot: v ~> p but not u ~> p: "no"
   // --- past the O(1) labels ---
-  kPrunedBfs,           // interval-pruned BFS over the condensation
+  kPrunedBfs,           // the word-pruned bidirectional search
   kIncremental,         // dynamic: the incrementally maintained per-pivot
                         // reachability trees (exact at the live epoch)
   kLiveBfs,             // dynamic: search on the live graph, pruned by
@@ -44,18 +32,12 @@ enum class ReachStage {
   kCache = 0,           // LRU answer cache hit
   kTrivial,             // u == v, or u and v share a strongly connected
                         // component of the (cyclic) input
-  kTopoNegative,        // topological-order / reach-bound intervals: "no"
-  kDfsPositive,         // DFS-forest interval containment: "yes"
-  kChainPositive,       // same chain, earlier position: "yes"
-  kSupportivePositive,  // u reaches a pivot that reaches v: "yes"
-  kSupportiveNegative,  // a pivot separates u from v: "no"
-  kAdjacency,           // (u, v) is an arc of the graph: "yes"
-                        // (O(log out-degree) via the sorted CSR row)
-  kObservation,         // ReachIndex's oreach observations: levels,
-                        // extra orders, cuts, trained pivots
+  kTopoNegative,        // reverse-topological id order: "no"
+  kSupportivePositive,  // u reaches a root that reaches v: "yes"
+  kSupportiveNegative,  // a root separates u from v: "no"
   kChainFrontier,       // chain-decomposition frontier labels (the kChain
                         // backend; exact, so always definitive)
-  kPrunedBfs,           // interval-pruned BFS
+  kPrunedBfs,           // word-pruned bidirectional search
   kIncremental,         // dynamic: the incremental per-pivot trees
   kLiveBfs,             // dynamic: search on the live graph
 };
@@ -72,28 +54,13 @@ constexpr ReachStage StageOf(ReachRule rule) {
       return ReachStage::kTrivial;
     case ReachRule::kTopoWindow:
       return ReachStage::kTopoNegative;
-    case ReachRule::kDfsInterval:
-      return ReachStage::kDfsPositive;
-    case ReachRule::kChainStep:
-      return ReachStage::kChainPositive;
     case ReachRule::kSupportiveThrough:
       return ReachStage::kSupportivePositive;
     case ReachRule::kSupportiveFwdCut:
     case ReachRule::kSupportiveBwdCut:
       return ReachStage::kSupportiveNegative;
-    case ReachRule::kAdjacency:
-      return ReachStage::kAdjacency;
     case ReachRule::kChainFrontier:
       return ReachStage::kChainFrontier;
-    case ReachRule::kObsTopoOrder:
-    case ReachRule::kObsSandwich:
-    case ReachRule::kObsLevel:
-    case ReachRule::kObsForwardCut:
-    case ReachRule::kObsBackwardCut:
-    case ReachRule::kObsPivotThrough:
-    case ReachRule::kObsPivotFwdCut:
-    case ReachRule::kObsPivotBwdCut:
-      return ReachStage::kObservation;
     case ReachRule::kPrunedBfs:
       return ReachStage::kPrunedBfs;
     case ReachRule::kIncremental:
@@ -115,36 +82,14 @@ inline const char* ReachRuleName(ReachRule rule) {
       return "same-scc";
     case ReachRule::kTopoWindow:
       return "topo-window";
-    case ReachRule::kDfsInterval:
-      return "dfs-interval";
-    case ReachRule::kChainStep:
-      return "chain-step";
     case ReachRule::kSupportiveThrough:
       return "supportive-through";
     case ReachRule::kSupportiveFwdCut:
       return "supportive-fwd-cut";
     case ReachRule::kSupportiveBwdCut:
       return "supportive-bwd-cut";
-    case ReachRule::kAdjacency:
-      return "adjacency";
     case ReachRule::kChainFrontier:
       return "chain-frontier";
-    case ReachRule::kObsTopoOrder:
-      return "obs-topo-order";
-    case ReachRule::kObsSandwich:
-      return "obs-sandwich";
-    case ReachRule::kObsLevel:
-      return "obs-level";
-    case ReachRule::kObsForwardCut:
-      return "obs-forward-cut";
-    case ReachRule::kObsBackwardCut:
-      return "obs-backward-cut";
-    case ReachRule::kObsPivotThrough:
-      return "obs-pivot-through";
-    case ReachRule::kObsPivotFwdCut:
-      return "obs-pivot-fwd-cut";
-    case ReachRule::kObsPivotBwdCut:
-      return "obs-pivot-bwd-cut";
     case ReachRule::kPrunedBfs:
       return "pruned-bfs";
     case ReachRule::kIncremental:
@@ -165,18 +110,10 @@ inline const char* ReachStageName(ReachStage stage) {
       return "trivial";
     case ReachStage::kTopoNegative:
       return "topo-negative";
-    case ReachStage::kDfsPositive:
-      return "dfs-interval";
-    case ReachStage::kChainPositive:
-      return "chain";
     case ReachStage::kSupportivePositive:
       return "supportive-yes";
     case ReachStage::kSupportiveNegative:
       return "supportive-no";
-    case ReachStage::kAdjacency:
-      return "adjacency";
-    case ReachStage::kObservation:
-      return "observation";
     case ReachStage::kChainFrontier:
       return "chain-frontier";
     case ReachStage::kPrunedBfs:

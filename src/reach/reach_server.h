@@ -49,7 +49,7 @@ struct ReachServerStats {
 // label pass (ReachService::LabelPass) reads only that core, lock-free;
 // it decides nearly every query on a labelled core. The residue the
 // labels leave is served on the calling thread's lane: one ReachService
-// (answer cache, pruned-BFS scratch, stats) and a latency histogram
+// (answer cache, search scratch, stats) and a latency histogram
 // behind a mutex that no other client takes, so clients never wait for
 // each other.
 //

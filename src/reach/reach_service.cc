@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <limits>
-#include <unordered_map>
 
 #include "graph/algorithms.h"
 
@@ -12,28 +10,16 @@ namespace tcdb {
 
 namespace {
 
-// The first word of a core image. Images of the previous layout, which
-// followed the label index with a battery flag byte, began with
+// The first word of a core image. Images without a tag began with
 // num_input_nodes, a non-negative i32, so a tag with bit 31 set can never
-// be mistaken for one of them; the low bits number the layout.
-constexpr uint32_t kCoreImageTag = 0x80000000u | 2;
+// be mistaken for one of them; the low bits number the layout. Layout 3
+// stores no label words: a kLabels image ends with the SCC sizes.
+constexpr uint32_t kCoreImageTag = 0x80000000u | 3;
 
-// Fills core->index over core->dag, with options.oreach_traffic mapped
-// onto the condensation for the oreach pivot trainer.
-Status BuildLabelCore(const ReachIndexOptions& options, ReachCore* core) {
+// Fills core->index over core->dag.
+Status BuildLabelCore(ReachCore* core) {
   core->backend = ReachBackend::kLabels;
-  std::vector<std::pair<NodeId, NodeId>> traffic;
-  for (const auto& [src, dst] : options.oreach_traffic) {
-    if (src < 0 || src >= core->num_input_nodes || dst < 0 ||
-        dst >= core->num_input_nodes) {
-      continue;
-    }
-    const NodeId csrc = core->node_map[src];
-    const NodeId cdst = core->node_map[dst];
-    if (csrc != cdst) traffic.emplace_back(csrc, cdst);
-  }
-  TCDB_ASSIGN_OR_RETURN(core->index,
-                        ReachIndex::Build(core->dag, options, traffic));
+  TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Build(core->dag));
   return Status::Ok();
 }
 
@@ -68,7 +54,7 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
   }
 
   if (options.backend == ReachBackend::kLabels) {
-    TCDB_RETURN_IF_ERROR(BuildLabelCore(options, core.get()));
+    TCDB_RETURN_IF_ERROR(BuildLabelCore(core.get()));
     return std::shared_ptr<const ReachCore>(std::move(core));
   }
   // kChain, or kAuto's attempt under the tighter of its two budgets; a
@@ -77,8 +63,7 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
   if (options.backend == ReachBackend::kAuto) {
     const int64_t n = core->dag.NumNodes();
     const int64_t label_budget =
-        kAutoChainBudgetFactor *
-        LabelCoreBytes(n, core->dag.NumArcs(), options.num_supportive);
+        kAutoChainBudgetFactor * LabelCoreBytes(n, core->dag.NumArcs());
     chain_options.max_label_bytes =
         std::min(label_budget, ChainLabelBudget(options.chain, n));
   }
@@ -94,7 +79,7 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Build(
     core->chain = std::move(chain).value();
   } else if (options.backend == ReachBackend::kAuto &&
              chain.status().code() == StatusCode::kResourceExhausted) {
-    TCDB_RETURN_IF_ERROR(BuildLabelCore(options, core.get()));
+    TCDB_RETURN_IF_ERROR(BuildLabelCore(core.get()));
   } else {
     return chain.status();
   }
@@ -139,16 +124,7 @@ ReachIndex::Verdict ReachCore::Decide(NodeId src, NodeId dst,
     *rule = src == dst ? ReachRule::kSelf : ReachRule::kSameScc;
     return ReachIndex::Verdict::kYes;
   }
-  const ReachIndex::Verdict verdict = DecideCondensed(csrc, cdst, rule);
-  if (verdict != ReachIndex::Verdict::kUnknown) return verdict;
-  // A direct arc covers the non-tree arcs the interval labels cannot
-  // witness.
-  const std::span<const NodeId> successors = dag.Successors(csrc);
-  if (std::binary_search(successors.begin(), successors.end(), cdst)) {
-    *rule = ReachRule::kAdjacency;
-    return ReachIndex::Verdict::kYes;
-  }
-  return ReachIndex::Verdict::kUnknown;
+  return DecideCondensed(csrc, cdst, rule);
 }
 
 void ReachCore::DecideBatch(std::span<const std::pair<NodeId, NodeId>> pairs,
@@ -204,11 +180,7 @@ void ReachCore::SerializeAppend(std::string* out) const {
   }
   for (const NodeId component : node_map) codec::PutI32(out, component);
   for (const int32_t size : scc_size) codec::PutI32(out, size);
-  if (backend == ReachBackend::kChain) {
-    chain.SerializeAppend(out);
-  } else {
-    index.SerializeAppend(out);
-  }
+  if (backend == ReachBackend::kChain) chain.SerializeAppend(out);
 }
 
 Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
@@ -282,10 +254,12 @@ Result<std::shared_ptr<const ReachCore>> ReachCore::Deserialize(
     core->chain_count = core->chain.num_chains();
     core->chain_bytes = core->chain.FrontierBytes();
   } else {
-    TCDB_ASSIGN_OR_RETURN(core->index, ReachIndex::Deserialize(reader));
-    if (core->index.num_nodes() != dag_nodes) {
-      return Status::Corruption("reach core index size mismatch");
+    Result<ReachIndex> index = ReachIndex::Build(core->dag);
+    if (!index.ok()) {
+      return Status::Corruption("reach core condensation invalid: " +
+                                index.status().message());
     }
+    core->index = std::move(index).value();
   }
   return std::shared_ptr<const ReachCore>(std::move(core));
 }
@@ -304,7 +278,6 @@ std::unique_ptr<ReachService> ReachService::Create(
   TCDB_CHECK(core != nullptr);
   auto service = std::unique_ptr<ReachService>(new ReachService());
   service->core_ = std::move(core);
-  service->options_ = options;
   service->cache_ = ReachAnswerCache(options.cache_capacity);
   return service;
 }
@@ -347,35 +320,6 @@ Result<ReachService::Answer> ReachService::Query(NodeId src, NodeId dst) {
   pass.stats.batches = 0;  // a single query is not a batch
   ServeResidue({&pair, 1}, &pass);
   return pass.answers[0];
-}
-
-void ReachService::SearchGroup(NodeId csrc, std::span<const NodeId> targets,
-                               std::vector<bool>* reached) {
-  const int64_t unbounded = std::numeric_limits<int64_t>::max();
-  if (targets.size() == 1) {
-    ReachIndex::Verdict verdict = ReachIndex::Verdict::kUnknown;
-    for (const int64_t budget : {options_.bfs_budget, unbounded}) {
-      if (budget <= 0) continue;
-      int64_t expansions = 0;
-      verdict = core_->index.PrunedBfs(core_->dag, csrc, targets[0], budget,
-                                       &scratch_, &expansions);
-      stats_.bfs_expansions += expansions;
-      if (verdict != ReachIndex::Verdict::kUnknown) break;
-    }
-    TCDB_CHECK(verdict != ReachIndex::Verdict::kUnknown);
-    reached->assign(1, verdict == ReachIndex::Verdict::kYes);
-    return;
-  }
-  bool definitive = false;
-  for (const int64_t budget : {options_.bfs_budget, unbounded}) {
-    if (budget <= 0) continue;
-    int64_t expansions = 0;
-    definitive = core_->index.PrunedMultiBfs(core_->dag, csrc, targets, budget,
-                                             reached, &scratch_, &expansions);
-    stats_.bfs_expansions += expansions;
-    if (definitive) break;
-  }
-  TCDB_CHECK(definitive);
 }
 
 Result<std::vector<ReachService::Answer>> ReachService::QueryBatch(
@@ -440,14 +384,11 @@ void ReachService::ServeResidue(
   if (pass->residue.empty()) return;
   std::vector<Answer>& answers = pass->answers;
 
-  // Time is chained from here: each cache hit and each fallback group is
-  // charged the span since the previous one ended, on top of the
-  // label-pass time its queries already spent.
+  // Time is chained from here: each cache hit and each search is charged
+  // the span since the previous one ended, on top of the label-pass time
+  // its query already spent.
   const double start = NowSeconds();
   double mark = start;
-  // Cache hits end here, in input order; the rest is grouped by condensed
-  // source so each fallback search serves all of that source's targets.
-  std::unordered_map<NodeId, std::vector<size_t>> residue;
   const bool relabel = pass->core != core_.get();
   for (const size_t i : pass->residue) {
     ReachRule rule = ReachRule::kSelf;
@@ -462,53 +403,22 @@ void ReachService::ServeResidue(
       verdict = cached ? ReachIndex::Verdict::kYes : ReachIndex::Verdict::kNo;
     }
     if (verdict == ReachIndex::Verdict::kUnknown) {
-      const NodeId csrc = core_->node_map[pairs[i].first];
-      residue[csrc].push_back(i);
-      continue;
+      int64_t expansions = 0;
+      const bool reached = core_->index.Search(
+          core_->dag, core_->node_map[pairs[i].first],
+          core_->node_map[pairs[i].second], &scratch_, &expansions);
+      stats_.bfs_expansions += expansions;
+      if (cache_.Insert(pairs[i].first, pairs[i].second, reached)) {
+        ++stats_.cache_insertions;
+      }
+      verdict = reached ? ReachIndex::Verdict::kYes : ReachIndex::Verdict::kNo;
+      rule = ReachRule::kPrunedBfs;
     }
     answers[i] = {verdict == ReachIndex::Verdict::kYes, rule};
     const double now = NowSeconds();
     stats_.Record(rule, answers[i].reachable,
                   (now - mark) + pass->label_seconds_per_query);
     mark = now;
-  }
-
-  for (auto& [csrc, indices] : residue) {
-    // Distinct condensed targets of this source (with their pair indices;
-    // duplicate queries resolve together).
-    std::vector<NodeId> targets;
-    std::vector<std::vector<size_t>> target_indices;
-    std::unordered_map<NodeId, size_t> target_slot;
-    for (const size_t i : indices) {
-      const NodeId cdst = core_->node_map[pairs[i].second];
-      const auto [it, inserted] =
-          target_slot.emplace(cdst, targets.size());
-      if (inserted) {
-        targets.push_back(cdst);
-        target_indices.emplace_back();
-      }
-      target_indices[it->second].push_back(i);
-    }
-
-    std::vector<bool> reached;
-    SearchGroup(csrc, targets, &reached);
-
-    // The group's fallback work is shared evenly across its queries, on
-    // top of the label-pass share each of them already spent.
-    const double end = NowSeconds();
-    const double per_query_seconds =
-        (end - mark) / static_cast<double>(indices.size()) +
-        pass->label_seconds_per_query;
-    mark = end;
-    for (size_t t = 0; t < targets.size(); ++t) {
-      for (const size_t i : target_indices[t]) {
-        answers[i] = {reached[t], ReachRule::kPrunedBfs};
-        if (cache_.Insert(pairs[i].first, pairs[i].second, reached[t])) {
-          ++stats_.cache_insertions;
-        }
-        stats_.Record(ReachRule::kPrunedBfs, reached[t], per_query_seconds);
-      }
-    }
   }
   pass->seconds += mark - start;
 }

@@ -20,16 +20,12 @@ namespace tcdb {
 
 struct ReachServiceOptions {
   ReachIndexOptions index;
-  // Node-expansion budget of the first pruned-BFS attempt (per query, or
-  // per batch source group). The residue beyond it is settled by an
-  // unbounded pruned BFS, which is exact; <= 0 goes straight there.
-  int64_t bfs_budget = 512;
   // LRU answer-cache entries; 0 disables the cache.
   size_t cache_capacity = 4096;
 };
 
 // The immutable half of a serving stack: the condensation of the input,
-// the node map back to original ids, SCC sizes, and the O(1) label index.
+// the node map back to original ids, SCC sizes, and the label structure.
 // Built once and frozen; after Build() nothing mutates it, so one core is
 // safely shared read-only by any number of ReachService instances on any
 // number of threads (this is exactly what ReachServer does — one core,
@@ -42,9 +38,9 @@ struct ReachCore {
   HugeVector<NodeId> node_map;
   std::vector<int32_t> scc_size;  // condensation node -> member count
   // Which of the two label structures below is populated. kLabels fills
-  // `index` (partial rules + fallback ladder); kChain fills `chain`
-  // (exact frontier labels, no fallback ever runs). The other member
-  // stays empty. Never kAuto: that option resolves to one of the two.
+  // `index` (root words plus a search); kChain fills `chain` (exact
+  // frontier labels, no search ever runs). The other member stays empty.
+  // Never kAuto: that option resolves to one of the two.
   ReachBackend backend = ReachBackend::kLabels;
   ReachIndex index;
   ChainIndex chain;
@@ -71,9 +67,8 @@ struct ReachCore {
   std::string BackendSummary() const;
 
   // Reachability between condensation nodes from the labels alone:
-  // reflexive, never unknown for kChain; for kLabels, index.TryDecide,
-  // oreach observations included. When decided, a non-null `rule` names
-  // the deciding rule.
+  // reflexive, never unknown for kChain; for kLabels, index.TryDecide.
+  // When decided, a non-null `rule` names the deciding rule.
   ReachIndex::Verdict DecideCondensed(NodeId csrc, NodeId cdst,
                                       ReachRule* rule = nullptr) const;
   // The same decision reported at stage granularity (StageOf its rule).
@@ -86,10 +81,9 @@ struct ReachCore {
   }
 
   // Every O(1) rung of the serving ladder on input ids, in order: self
-  // and same-SCC, DecideCondensed, then a direct arc (binary search over
-  // the sorted CSR row). kUnknown is exactly the residue the service must
-  // search; otherwise a non-null `rule` names the deciding rule.
-  // Endpoints must lie in [0, num_input_nodes).
+  // and same-SCC, then DecideCondensed. kUnknown is exactly the residue
+  // the service must search; otherwise a non-null `rule` names the
+  // deciding rule. Endpoints must lie in [0, num_input_nodes).
   ReachIndex::Verdict Decide(NodeId src, NodeId dst,
                              ReachRule* rule = nullptr) const;
 
@@ -114,36 +108,36 @@ struct ReachCore {
   // `arcs` may be cyclic and unsorted; endpoints must lie in
   // [0, num_nodes). options.backend picks the structure; kAuto (the
   // default) tries the chain labels under a budget of
-  // kAutoChainBudgetFactor * LabelCoreBytes(n, m, num_supportive) for the
-  // condensation's n and m, capped by options.chain's budget, and builds
-  // the label core when that attempt is refused.
+  // kAutoChainBudgetFactor * LabelCoreBytes(n, m) for the condensation's
+  // n and m, capped by options.chain's budget, and builds the label core
+  // when that attempt is refused.
   static Result<std::shared_ptr<const ReachCore>> Build(
       const ArcList& arcs, NodeId num_nodes,
       const ReachIndexOptions& options = {});
 
   // Checkpoint image: appends a fixed-width little-endian encoding of the
   // whole core (a layout tag, condensation arcs, node map, SCC sizes, then
-  // the label index or the chain index) to `out`. Deserialize() restores
-  // a core whose query behavior is bit-identical to the serialized one —
-  // the CSR is rebuilt from the sorted arc list, which the Digraph
-  // constructor normalizes the same way every time. Corruption on a
-  // truncated or inconsistent image, or one of another layout; every
-  // count is checked against the bytes left before anything is sized
-  // from it.
+  // for kChain the chain index) to `out`. A kLabels image stores no words:
+  // Deserialize() rebuilds them from the arcs with the same deterministic
+  // sweep, so the restored core answers bit-identically — the CSR is
+  // rebuilt from the sorted arc list, which the Digraph constructor
+  // normalizes the same way every time. Corruption on a truncated or
+  // inconsistent image, or one of another layout; every count is checked
+  // against the bytes left before anything is sized from it.
   void SerializeAppend(std::string* out) const;
   static Result<std::shared_ptr<const ReachCore>> Deserialize(
       codec::Reader* reader);
 };
 
-// The serving front end for online `reaches(src, dst)?` traffic. A
-// one-shot ReachIndex build over the in-memory condensation answers most
-// queries in O(1), and the undecided residue walks a short ladder —
+// The serving front end for online `reaches(src, dst)?` traffic. The
+// core's labels answer most queries in O(1), and the undecided residue
+// walks a short ladder —
 //
-//   O(1) labels -> answer cache -> bounded pruned BFS -> unbounded pruned BFS
+//   O(1) labels -> answer cache -> exact search (ReachIndex::Search)
 //
-// The cache only ever holds fallback answers, which the labels of the
-// same core cannot decide, so consulting it after the labels changes no
-// answer and no rule; it only keeps the cache off the O(1) path.
+// The cache only ever holds search answers, which the labels of the same
+// core cannot decide, so consulting it after the labels changes no answer
+// and no rule; it only keeps the cache off the O(1) path.
 //
 // The paged closure machinery (TcSession, the buffer pool, the successor-
 // list store) is the paper's instrument and plays no part in serving.
@@ -183,8 +177,7 @@ class ReachService {
       const ReachServiceOptions& options = {});
 
   // A service over an existing shared core. `options.index` is ignored
-  // (the core's labels are already built); the per-service knobs (cache
-  // capacity, BFS budget) apply.
+  // (the core's labels are already built); the cache capacity applies.
   static std::unique_ptr<ReachService> Create(
       std::shared_ptr<const ReachCore> core,
       const ReachServiceOptions& options = {});
@@ -197,15 +190,12 @@ class ReachService {
   // path). The new core must cover the same input-node universe;
   // InvalidArgument otherwise. Invalidates the answer cache (generation
   // bump — entries computed against the old core can never be served
-  // again) and drops the pruned-BFS scratch (sized from the old core).
+  // again) and drops the search scratch (sized from the old core).
   // Owner-thread only, like every other mutating call.
   Status AdoptCore(std::shared_ptr<const ReachCore> core);
 
-  // Answers a batch. Beyond per-query caching, the fallback residue is
-  // grouped by source so one pruned BFS serves every undecided
-  // destination of that source — the per-query cost of a miss
-  // amortizes across the batch. Exactly LabelPass(core(), pairs)
-  // followed by ServeResidue.
+  // Answers a batch: exactly LabelPass(core(), pairs) followed by
+  // ServeResidue.
   Result<std::vector<Answer>> QueryBatch(
       std::span<const std::pair<NodeId, NodeId>> pairs);
 
@@ -235,8 +225,8 @@ class ReachService {
   BatchPass LabelPass(const ReachCore& core,
                       std::span<const std::pair<NodeId, NodeId>> pairs) const;
 
-  // Second half, owner-thread only: the answer cache, then the grouped
-  // pruned BFS for pass->residue against this service's current core;
+  // Second half, owner-thread only: the answer cache, then one search per
+  // query of pass->residue against this service's current core;
   // merges the pass's stats and records the residue's. If the service
   // adopted another core since the label pass, the residue is first put
   // through that core's labels.
@@ -264,14 +254,6 @@ class ReachService {
  private:
   ReachService() : cache_(0) {}
 
-  // The fallback for one residue group: sets (*reached)[t] to whether
-  // condensed `csrc` reaches targets[t], by a pruned BFS bounded by
-  // options_.bfs_budget, then an unbounded one. A single target takes
-  // PrunedBfs, which prunes with the labels at every node; several share
-  // one PrunedMultiBfs.
-  void SearchGroup(NodeId csrc, std::span<const NodeId> targets,
-                   std::vector<bool>* reached);
-
   // Current time in seconds from clock_ (steady_clock when not injected).
   double NowSeconds() const;
 
@@ -279,9 +261,8 @@ class ReachService {
   std::shared_ptr<const ReachCore> core_;
 
   // Private, mutable: one owner thread at a time.
-  ReachServiceOptions options_;
   ReachAnswerCache cache_;
-  ReachIndex::SearchScratch scratch_;  // pruned-BFS buffers
+  ReachIndex::SearchScratch scratch_;  // search buffers
   ReachStats stats_;
   std::function<double()> clock_;  // empty -> steady_clock
 };

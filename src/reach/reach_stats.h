@@ -62,8 +62,8 @@ struct ReachStats {
                      static_cast<double>(queries);
   }
 
-  // Queries answered without a search — everything except the pruned-BFS
-  // and live-BFS rules.
+  // Queries answered without a search — everything except the kPrunedBfs
+  // (the search core's search) and kLiveBfs rules.
   int64_t DecidedWithoutFallback() const {
     return queries - RuleDecided(ReachRule::kPrunedBfs) -
            RuleDecided(ReachRule::kLiveBfs);

@@ -51,10 +51,10 @@ struct ChainBudgetReport {
 // Exact point-reachability index over a DAG via concatenable-chain
 // decomposition (Kritikakis & Tollis, "Parameterized Linear Time
 // Transitive Closure" / "Fast and Practical DAG Decomposition with
-// Reachability Applications"). Where ReachIndex is a bundle of partial
-// O(1) rules backed by a search fallback, this index is total: every
+// Reachability Applications"). Where ReachIndex decides most pairs
+// from 64 root words and searches the rest, this index is total: every
 // query is answered from the labels in O(1), which is what lets the
-// serving stack drop the BFS fallback entirely at 10^6 nodes.
+// serving stack drop the search entirely at 10^6 nodes.
 //
 // One forward topological pass produces
 //   - a chain decomposition: every node gets a chain id and a position;

@@ -1,8 +1,5 @@
 #include "scale/topo_order.h"
 
-#include <algorithm>
-#include <utility>
-
 namespace tcdb {
 
 namespace {
@@ -35,43 +32,6 @@ Result<std::vector<NodeId>> FifoTopoOrder(const Digraph& dag) {
     const NodeId v = order[head];
     for (const NodeId w : dag.Successors(v)) {
       if (--in_degree[w] == 0) order.push_back(w);
-    }
-  }
-  if (order.size() != static_cast<size_t>(n)) return CyclicError();
-  return order;
-}
-
-Result<std::vector<NodeId>> RankedTopoOrder(const Digraph& dag,
-                                            std::span<const uint64_t> rank) {
-  const NodeId n = dag.NumNodes();
-  if (rank.size() != static_cast<size_t>(n)) {
-    return Status::InvalidArgument("rank vector size does not match graph");
-  }
-  std::vector<int32_t> in_degree = CountInDegrees(dag);
-  // Min-heap of ready nodes keyed (rank, id); std::make_heap is a
-  // max-heap, hence the inverted comparator.
-  auto later = [&rank](NodeId a, NodeId b) {
-    return rank[static_cast<size_t>(a)] != rank[static_cast<size_t>(b)]
-               ? rank[static_cast<size_t>(a)] > rank[static_cast<size_t>(b)]
-               : a > b;
-  };
-  std::vector<NodeId> heap;
-  for (NodeId v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) heap.push_back(v);
-  }
-  std::make_heap(heap.begin(), heap.end(), later);
-  std::vector<NodeId> order;
-  order.reserve(static_cast<size_t>(n));
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const NodeId v = heap.back();
-    heap.pop_back();
-    order.push_back(v);
-    for (const NodeId w : dag.Successors(v)) {
-      if (--in_degree[w] == 0) {
-        heap.push_back(w);
-        std::push_heap(heap.begin(), heap.end(), later);
-      }
     }
   }
   if (order.size() != static_cast<size_t>(n)) return CyclicError();

@@ -65,19 +65,6 @@ class BitVector {
     return size_ == other.size_ && words_ == other.words_;
   }
 
-  // Raw word image, for serialization. words().size() == (size+63)/64.
-  const std::vector<uint64_t>& Words() const { return words_; }
-
-  // Rebuilds a vector from a serialized word image. Bits past `size` in the
-  // last word must be zero (they are never set by this class).
-  static BitVector FromWords(size_t size, std::vector<uint64_t> words) {
-    BitVector v;
-    TCDB_CHECK_EQ(words.size(), (size + 63) / 64);
-    v.size_ = size;
-    v.words_ = std::move(words);
-    return v;
-  }
-
  private:
   size_t size_ = 0;
   std::vector<uint64_t> words_;

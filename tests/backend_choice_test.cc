@@ -1,7 +1,7 @@
 // The default backend choice (ReachBackend::kAuto): ReachCore::Build keeps
-// the chain labels when their frontier fits within twice the label core
-// they replace, and builds the label core otherwise. Pinned here: the
-// choice on every catalog family, all-pairs answers equal to the
+// the chain labels when their frontier fits within twice the bytes of the
+// label core they replace, and builds the label core otherwise. Pinned
+// here: the choice on every catalog family, all-pairs answers equal to the
 // reference on each (and on cyclic inputs), the exact byte boundary of the
 // rule, the recorded figures, and that the image never carries kAuto.
 
@@ -33,7 +33,7 @@ std::shared_ptr<const ReachCore> BuildOrDie(
 // Every ordered pair of `num_nodes` checked against the reference closure
 // of the input graph (reflexive): ReachCore::Decide answers what its
 // labels decide, and the pairs it leaves undecided go through the
-// service's search fallback, one QueryBatch per source.
+// service's search, one QueryBatch per source.
 void ExpectAllPairsMatchReference(const ArcList& arcs, NodeId num_nodes,
                                   std::shared_ptr<const ReachCore> core) {
   const Digraph graph(num_nodes, arcs);
@@ -97,8 +97,7 @@ INSTANTIATE_TEST_SUITE_P(Catalog, CatalogChoiceTest,
 
 // Cyclic inputs go through the condensation first; the rule is applied to
 // the condensation's n and m. One narrow graph (chain) and one sparse one
-// (labels), with oreach asked for on both: only the label core carries
-// the observations.
+// (labels).
 TEST(BackendChoiceTest, CyclicInputsAllPairs) {
   struct Case {
     GeneratorParams params;
@@ -111,68 +110,63 @@ TEST(BackendChoiceTest, CyclicInputsAllPairs) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.params.avg_out_degree);
     const ArcList arcs = GenerateCyclicDigraph(c.params, 30);
-    ReachIndexOptions options;
-    options.oreach = true;
     const std::shared_ptr<const ReachCore> core =
-        BuildOrDie(arcs, c.params.num_nodes, options);
+        BuildOrDie(arcs, c.params.num_nodes);
     ASSERT_TRUE(core->condensed());
     EXPECT_EQ(core->backend, c.want) << core->BackendSummary();
-    EXPECT_EQ(core->index.has_observations(),
-              c.want == ReachBackend::kLabels);
     ExpectAllPairsMatchReference(arcs, c.params.num_nodes, core);
   }
 }
 
-// LabelCoreBytes is the image of a kLabels core without the oreach
-// observations less its fixed header (46 bytes: the core's 21, the index's
-// 25) and pivot ids (4 per pivot), on an acyclic input.
+// LabelCoreBytes is the image of a kLabels core on an acyclic input less
+// its fixed 21-byte header, plus the 32 bytes per node the decoder
+// rebuilds rather than reads: the image stores no words.
 TEST(BackendChoiceTest, LabelCoreBytesMatchesTheImage) {
-  for (const int32_t pivots : {0, 3, 8}) {
-    const GeneratorParams params{700, 5, 100, 4};
+  for (const GeneratorParams& params :
+       {GeneratorParams{700, 5, 100, 4}, GeneratorParams{300, 20, 30, 2},
+        GeneratorParams{50, 1, 5, 3}}) {
+    SCOPED_TRACE(params.avg_out_degree);
     const ArcList arcs = GenerateDag(params);
     ReachIndexOptions options;
     options.backend = ReachBackend::kLabels;
-    options.num_supportive = pivots;
     const std::shared_ptr<const ReachCore> core =
         BuildOrDie(arcs, params.num_nodes, options);
+    ASSERT_FALSE(core->condensed());
     std::string image;
     core->SerializeAppend(&image);
-    EXPECT_EQ(static_cast<int64_t>(image.size()),
-              LabelCoreBytes(core->dag.NumNodes(), core->dag.NumArcs(),
-                             pivots) +
-                  46 + 4 * pivots)
-        << pivots << " pivots";
+    const int64_t n = core->dag.NumNodes();
+    EXPECT_EQ(static_cast<int64_t>(image.size()) - 21 + 32 * n,
+              LabelCoreBytes(n, core->dag.NumArcs()));
   }
 }
 
-// 35 isolated nodes open 35 chains; the frontier holds 1 + 2 + ... + 35 =
-// 630 slots = 2520 bytes, exactly 2 * LabelCoreBytes(35, 0, 0) = 2 * 36 *
-// 35. At the budget the chain core is kept; a cap one byte lower
+// 39 isolated nodes open 39 chains; the frontier holds 1 + 2 + ... + 39 =
+// 780 slots = 3120 bytes, exactly 2 * LabelCoreBytes(39, 0) = 2 * 40 * 39.
+// At the budget the chain core is kept; a cap one byte lower
 // (options.chain, which kAuto also honours) gives the label core, and so
-// does one more node (666 slots against a budget of 648).
+// does one more node (820 slots = 3280 bytes against a budget of 3200).
 TEST(BackendChoiceTest, BudgetBoundaryIsExact) {
   ReachIndexOptions options;
-  options.num_supportive = 0;
-  ASSERT_EQ(kAutoChainBudgetFactor * LabelCoreBytes(35, 0, 0), 2520);
+  ASSERT_EQ(kAutoChainBudgetFactor * LabelCoreBytes(39, 0), 3120);
 
   const std::shared_ptr<const ReachCore> at_budget =
-      BuildOrDie({}, 35, options);
+      BuildOrDie({}, 39, options);
   EXPECT_EQ(at_budget->backend, ReachBackend::kChain);
-  EXPECT_EQ(at_budget->chain_bytes, 2520);
-  EXPECT_EQ(at_budget->chain_budget_bytes, 2520);
-  EXPECT_EQ(at_budget->chain.FrontierBytes(), 2520);
+  EXPECT_EQ(at_budget->chain_bytes, 3120);
+  EXPECT_EQ(at_budget->chain_budget_bytes, 3120);
+  EXPECT_EQ(at_budget->chain.FrontierBytes(), 3120);
 
-  options.chain.max_label_bytes = 2520;
-  EXPECT_EQ(BuildOrDie({}, 35, options)->backend, ReachBackend::kChain);
-  options.chain.max_label_bytes = 2519;
-  const std::shared_ptr<const ReachCore> below = BuildOrDie({}, 35, options);
+  options.chain.max_label_bytes = 3120;
+  EXPECT_EQ(BuildOrDie({}, 39, options)->backend, ReachBackend::kChain);
+  options.chain.max_label_bytes = 3119;
+  const std::shared_ptr<const ReachCore> below = BuildOrDie({}, 39, options);
   EXPECT_EQ(below->backend, ReachBackend::kLabels);
-  EXPECT_EQ(below->chain_budget_bytes, 2519);
-  EXPECT_EQ(below->chain_stop_rank, 34);  // the last node crosses it
-  EXPECT_EQ(below->chain_bytes, 2520);
+  EXPECT_EQ(below->chain_budget_bytes, 3119);
+  EXPECT_EQ(below->chain_stop_rank, 38);  // the last node crosses it
+  EXPECT_EQ(below->chain_bytes, 3120);
 
   options.chain.max_label_bytes = 0;
-  EXPECT_EQ(BuildOrDie({}, 36, options)->backend, ReachBackend::kLabels);
+  EXPECT_EQ(BuildOrDie({}, 40, options)->backend, ReachBackend::kLabels);
 }
 
 // The recorded figures, for each way a core can come about.
@@ -187,10 +181,8 @@ TEST(BackendChoiceTest, CoreRecordsTheChoice) {
   EXPECT_EQ(chain->chain_bytes, chain->chain.FrontierBytes());
   EXPECT_EQ(chain->chain_budget_bytes,
             kAutoChainBudgetFactor *
-                LabelCoreBytes(chain->dag.NumNodes(), chain->dag.NumArcs(),
-                               ReachIndexOptions().num_supportive));
+                LabelCoreBytes(chain->dag.NumNodes(), chain->dag.NumArcs()));
   EXPECT_LE(chain->chain_bytes, chain->chain_budget_bytes);
-  EXPECT_FALSE(chain->index.has_observations());
 
   const GeneratorParams sparse = CatalogParams(FamilyByName("G5"), 0);
   const ArcList sparse_arcs = GenerateDag(sparse);

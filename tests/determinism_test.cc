@@ -128,7 +128,7 @@ TEST(ReachServingDeterminismTest, SingleShardServerMatchesDirectService) {
 }
 
 // Single queries take the same two halves on both sides (label pass,
-// then the residue step with its one fallback routine), so a server
+// then the residue step with its one search), so a server
 // driven by one thread replays ReachService::Query call by call and tick
 // by tick: the same answers, rules, search expansions and seconds, and
 // neither counts a batch.
@@ -138,7 +138,6 @@ TEST(ReachServingDeterminismTest, SingleShardServerQueryMatchesDirectQuery) {
 
   ReachServiceOptions service_options;
   service_options.index.backend = ReachBackend::kLabels;
-  service_options.bfs_budget = 8;  // both search rungs run
   auto service = ReachService::Build(arcs, params.num_nodes, service_options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   service.value()->SetClockForTesting(MakeTickClock());

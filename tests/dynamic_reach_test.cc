@@ -371,18 +371,17 @@ TEST(DynamicReachServiceTest, ServingStatsAttributeEscalatedSearches) {
 }
 
 // At the snapshot epoch the dynamic service runs the same O(1) ladder as
-// ReachCore::Decide, oreach observations included, and searches only its
+// ReachCore::Decide, the root words included, and searches only its
 // residue.
 TEST(DynamicReachServiceTest, SnapshotLadderConsultsTheBattery) {
   const GeneratorParams params{300, 5, 100, 8};
   auto log = MustOpen(GenerateDag(params), params.num_nodes);
   DynamicReachOptions options;
   options.index.backend = ReachBackend::kLabels;
-  options.index.oreach = true;
   options.cache_capacity = 0;
   auto service = MustCreate(log.get(), options);
   const ReachCore& core = service->snapshot();
-  ASSERT_TRUE(core.index.has_observations());
+  ASSERT_EQ(core.backend, ReachBackend::kLabels);
 
   std::pair<NodeId, NodeId> observed{-1, -1};
   std::pair<NodeId, NodeId> residue{-1, -1};
@@ -394,21 +393,22 @@ TEST(DynamicReachServiceTest, SnapshotLadderConsultsTheBattery) {
       const ReachIndex::Verdict verdict = core.Decide(u, v, &rule);
       if (verdict == ReachIndex::Verdict::kUnknown) {
         residue = {u, v};
-      } else if (StageOf(rule) == ReachStage::kObservation) {
+      } else if (StageOf(rule) == ReachStage::kSupportivePositive ||
+                 StageOf(rule) == ReachStage::kSupportiveNegative) {
         observed = {u, v};
         observed_rule = rule;
         observed_yes = verdict == ReachIndex::Verdict::kYes;
       }
     }
   }
-  ASSERT_GE(observed.first, 0) << "the observations decided no pair";
+  ASSERT_GE(observed.first, 0) << "the root words decided no pair";
   ASSERT_GE(residue.first, 0) << "the labels left no residue";
 
   auto answer = service->Query(observed.first, observed.second);
   ASSERT_TRUE(answer.ok());
   EXPECT_EQ(answer.value().reachable, observed_yes);
   EXPECT_EQ(answer.value().rule, observed_rule);
-  EXPECT_EQ(answer.value().stage, ReachStage::kObservation);
+  EXPECT_EQ(answer.value().stage, StageOf(observed_rule));
 
   ReachRule rule;
   MustQuery(service.get(), residue.first, residue.second, &rule);

@@ -232,6 +232,28 @@ TEST(CondensationTest, RandomCyclicGraphCondensesToDag) {
   }
 }
 
+// Condensation ids are reverse-topological: every arc of the condensed DAG
+// runs from a higher id to a lower one, on random cyclic and acyclic
+// inputs. The search core's "u < v means no" test relies on it.
+TEST(CondensationTest, IdsAreReverseTopological) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    const GeneratorParams params{150 + static_cast<NodeId>(seed) * 10,
+                                 2 + static_cast<int32_t>(seed % 5),
+                                 10 + static_cast<int32_t>(seed) * 7, seed};
+    for (const bool cyclic : {false, true}) {
+      const ArcList arcs =
+          cyclic ? GenerateCyclicDigraph(params, params.num_nodes / 5)
+                 : GenerateDag(params);
+      const Digraph dag = Condense(Digraph(params.num_nodes, arcs)).dag;
+      for (NodeId v = 0; v < dag.NumNodes(); ++v) {
+        for (const NodeId s : dag.Successors(v)) {
+          ASSERT_GT(v, s) << "seed " << seed << (cyclic ? " cyclic" : "");
+        }
+      }
+    }
+  }
+}
+
 // --- Reference closure ----------------------------------------------------
 
 TEST(ReferenceClosureTest, HandComputedExample) {

@@ -1,10 +1,12 @@
-// Concurrency tests of the observation battery behind the multi-threaded
-// serving layer: a battery core served by a ReachServer under concurrent
-// clients answers bit-identically to the battery-off baseline, the merged
-// statistics attribute every query to exactly one rule, and a battery
-// core arrives intact through the SwapCore hot-swap path. This is a TSan
-// target (tools/check.sh): the battery is shared read-only by every
-// client's lane, so any missing synchronization shows up here.
+// Concurrency tests of the search core (a kLabels core: the O'Reach-style
+// battery of 64 root words plus a bidirectional search) behind the
+// multi-threaded serving layer: served by a ReachServer under concurrent
+// clients it answers bit-identically to an exact chain core, the merged
+// statistics attribute every query to exactly one rule, and it arrives
+// intact through the SwapCore hot-swap path. This is a TSan target
+// (tools/check.sh): the core is shared read-only by every client's lane
+// while each lane searches on its own scratch, so any missing
+// synchronization shows up here.
 
 #include <gtest/gtest.h>
 
@@ -27,13 +29,13 @@ struct Fixture {
   ArcList arcs;
   NodeId num_nodes = 0;
   Digraph graph;
-  std::shared_ptr<const ReachCore> baseline;
-  std::shared_ptr<const ReachCore> battery;
+  std::shared_ptr<const ReachCore> baseline;  // kChain: exact labels
+  std::shared_ptr<const ReachCore> battery;   // kLabels: words + search
   std::vector<std::pair<NodeId, NodeId>> adversarial;
 };
 
-// One graph, both cores, and an adversarial mix mined against the
-// baseline ladder — the traffic most likely to expose a battery bug.
+// One graph, both cores, and an adversarial mix mined against the search
+// core's words — the traffic that sends the most queries to the search.
 Fixture MakeFixture(uint64_t seed) {
   Fixture f;
   GeneratorParams params;
@@ -45,29 +47,23 @@ Fixture MakeFixture(uint64_t seed) {
   f.num_nodes = params.num_nodes;
   f.graph = Digraph(f.num_nodes, f.arcs);
 
-  // Both cores pin the label ladder: the battery is one of its rungs.
   ReachIndexOptions baseline_options;
-  baseline_options.backend = ReachBackend::kLabels;
+  baseline_options.backend = ReachBackend::kChain;
   auto baseline = ReachCore::Build(f.arcs, f.num_nodes, baseline_options);
   TCDB_CHECK(baseline.ok()) << baseline.status().ToString();
   f.baseline = baseline.value();
+
+  ReachIndexOptions battery_options;
+  battery_options.backend = ReachBackend::kLabels;
+  auto battery = ReachCore::Build(f.arcs, f.num_nodes, battery_options);
+  TCDB_CHECK(battery.ok()) << battery.status().ToString();
+  f.battery = battery.value();
 
   TrafficModelOptions traffic;
   traffic.kind = WorkloadKind::kAdversarial;
   traffic.seed = seed + 1;
   f.adversarial = MakeModelWorkload(f.graph, traffic, 6000,
-                                    MakeLadderProbe(f.baseline));
-
-  ReachIndexOptions battery_options = baseline_options;
-  battery_options.oreach = true;
-  TrafficModelOptions train = traffic;
-  train.seed = seed + 2;
-  battery_options.oreach_traffic =
-      MakeModelWorkload(f.graph, train, 2048, MakeLadderProbe(f.baseline));
-  auto battery = ReachCore::Build(f.arcs, f.num_nodes, battery_options);
-  TCDB_CHECK(battery.ok()) << battery.status().ToString();
-  TCDB_CHECK(battery.value()->index.has_observations());
-  f.battery = battery.value();
+                                    MakeLadderProbe(f.battery));
   return f;
 }
 
@@ -95,12 +91,14 @@ TEST(OreachServerTest, ShardedBatteryAnswersMatchBaseline) {
         << f.adversarial[i].first << " -> " << f.adversarial[i].second;
   }
 
-  // The battery must be doing real work on this mix, not just riding on
-  // identical answers.
+  // Both halves of the search core do real work on this mix: the words
+  // decide some queries and the search settles others.
   const ReachServerStats stats = on->Snapshot();
-  EXPECT_GT(stats.merged.Decided(ReachStage::kObservation), 0);
-  EXPECT_GT(stats.merged.DecidedWithoutFallback(),
-            off->Snapshot().merged.DecidedWithoutFallback());
+  EXPECT_GT(stats.merged.Decided(ReachStage::kSupportivePositive) +
+                stats.merged.Decided(ReachStage::kSupportiveNegative),
+            0);
+  EXPECT_GT(stats.merged.Decided(ReachStage::kPrunedBfs), 0);
+  EXPECT_EQ(off->Snapshot().merged.Decided(ReachStage::kPrunedBfs), 0);
 }
 
 TEST(OreachServerTest, ConcurrentClientsAndRuleAttribution) {
@@ -130,13 +128,13 @@ TEST(OreachServerTest, SwapCorePublishesBatteryToAllShards) {
   const Fixture f = MakeFixture(31);
   const std::unique_ptr<ReachServer> server = StartOrDie(f.baseline);
 
-  // Warm traffic against the baseline core.
+  // Warm traffic against the chain core, which never searches.
   auto warm = RunServingLoad(server.get(), f.adversarial, 4, 128);
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
-  EXPECT_EQ(server->Snapshot().merged.Decided(ReachStage::kObservation), 0);
+  EXPECT_EQ(server->Snapshot().merged.Decided(ReachStage::kPrunedBfs), 0);
 
-  // Publish the battery core, then drive traffic: every call after the
-  // swap reads the battery core's labels.
+  // Publish the search core, then drive traffic: every call after the
+  // swap reads its words and searches its residue.
   ASSERT_TRUE(server->SwapCore(f.battery, /*epoch=*/1).ok());
   auto volley = RunServingLoad(server.get(), f.adversarial, 4, 128);
   ASSERT_TRUE(volley.ok()) << volley.status().ToString();
@@ -144,7 +142,7 @@ TEST(OreachServerTest, SwapCorePublishesBatteryToAllShards) {
   const ReachServerStats stats = server->Snapshot();
   EXPECT_EQ(stats.core_swaps, 1);
   EXPECT_EQ(stats.published_epoch, 1);
-  EXPECT_GT(stats.merged.Decided(ReachStage::kObservation), 0);
+  EXPECT_GT(stats.merged.Decided(ReachStage::kPrunedBfs), 0);
 
   // Sampled differential after the swap: answers still match the exact
   // BFS cones of the original graph.

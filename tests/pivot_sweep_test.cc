@@ -7,9 +7,6 @@
 //     pivots).
 //   - The word Decide equals the per-pivot rule loop on all pairs.
 //   - IncrementalIndex picks the pivots a per-draw candidate scorer picks.
-//   - The serialized kLabels cores of G1-G12 (instance 0, with and without
-//     the oreach observations) hash to golden digests, so the label build's
-//     pivot choice cannot drift silently.
 //   - DynamicReachService::Create refuses more than 64 pivots with a
 //     Status and serves at 64.
 
@@ -22,13 +19,11 @@
 #include <utility>
 #include <vector>
 
-#include "bench_support/catalog.h"
 #include "dynamic/dynamic_reach_service.h"
 #include "dynamic/incremental.h"
 #include "dynamic/mutation_log.h"
 #include "dynamic/reach_trees.h"
 #include "graph/generator.h"
-#include "reach/reach_service.h"
 #include "util/random.h"
 
 namespace tcdb {
@@ -278,70 +273,6 @@ TEST(PivotSweepSelectionTest, PicksTheSamePivotsAsPerDrawScoring) {
           << "n " << c.n << (c.cyclic ? " cyclic" : " dag") << " pivots "
           << c.num_pivots << " per slot " << c.per_slot << " seed " << seed;
     }
-  }
-}
-
-// --- Golden label-core images --------------------------------------------------
-
-uint64_t Fnv1a(const std::string& bytes) {
-  uint64_t digest = 0xcbf29ce484222325ull;
-  for (const char c : bytes) {
-    digest ^= static_cast<uint8_t>(c);
-    digest *= 0x100000001b3ull;
-  }
-  return digest;
-}
-
-// FNV-1a of ReachCore::SerializeAppend for the kLabels core of instance 0
-// of each catalog family, without and with the oreach observations. The
-// digests were taken from the per-candidate-search build that the cone
-// sweeps replaced: the same pivots, bit for bit.
-TEST(PivotSweepGoldenTest, LabelCoreImagesMatchGoldenDigests) {
-  struct Golden {
-    const char* family;
-    bool oreach;
-    uint64_t digest;
-  };
-  const Golden goldens[] = {
-      {"G1", false, 0xa0da7b45f879f257ull},
-      {"G1", true, 0xfa5940b9609e15eaull},
-      {"G2", false, 0x34cab236e81d524cull},
-      {"G2", true, 0x8d0df16cb9157dbbull},
-      {"G3", false, 0x3f587fa2f291b53cull},
-      {"G3", true, 0x52901713c97dbfafull},
-      {"G4", false, 0xe11a2d016303c408ull},
-      {"G4", true, 0xe443a84aa1f8004eull},
-      {"G5", false, 0xa86926910a850158ull},
-      {"G5", true, 0x57c718797b34800full},
-      {"G6", false, 0x6b7db23b4041fb09ull},
-      {"G6", true, 0xc54676d02a41b3adull},
-      {"G7", false, 0x2f34fb1e3438463full},
-      {"G7", true, 0x8fc7e66242a6d8c4ull},
-      {"G8", false, 0x5b65030ff01730a3ull},
-      {"G8", true, 0x3fc19c3d97624cfaull},
-      {"G9", false, 0x2d42312fc61c61dbull},
-      {"G9", true, 0x7ecf3e780c275cbeull},
-      {"G10", false, 0x49f0e85924978f3bull},
-      {"G10", true, 0xb8f82a51fc98f58dull},
-      {"G11", false, 0xd41749c5a1b203c5ull},
-      {"G11", true, 0x62ad8c5d45d679a5ull},
-      {"G12", false, 0xac8292cefaf6c886ull},
-      {"G12", true, 0xfa3f85e6a20538dbull},
-  };
-  for (const Golden& golden : goldens) {
-    const GeneratorParams params =
-        CatalogParams(FamilyByName(golden.family), 0);
-    ReachIndexOptions options;
-    options.backend = ReachBackend::kLabels;
-    options.oreach = golden.oreach;
-    auto core = ReachCore::Build(GenerateDag(params), params.num_nodes,
-                                 options);
-    ASSERT_TRUE(core.ok()) << core.status().ToString();
-    std::string image;
-    core.value()->SerializeAppend(&image);
-    EXPECT_EQ(Fnv1a(image), golden.digest)
-        << golden.family << (golden.oreach ? " with" : " without")
-        << " oreach";
   }
 }
 

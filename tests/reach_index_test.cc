@@ -2,11 +2,12 @@
 // answers are cross-checked against ground truth from the in-memory oracle
 // closure, a TcSession SRCH run, and ComputeReduction closure sizes, over
 // the paper's F x l generator grid — including the batched and warm-cache
-// serving paths and every rung of the fallback ladder — plus the label
-// index's oreach observations and the core image's decoder.
+// serving paths and both backends — plus the search core's root words and
+// search, and the core image's decoder.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 #include <string>
@@ -40,14 +41,17 @@ const std::vector<Family>& Families() {
   return families;
 }
 
-// Query mix for one graph: random pairs plus arc endpoints (guaranteed
-// positives that stress the positive rules).
+// The random pairs that open every MakeQueries mix.
+constexpr size_t kRandomQueries = 150;
+
+// Query mix for one graph: kRandomQueries random pairs, then arc endpoints
+// (guaranteed positives that stress the positive rules).
 std::vector<std::pair<NodeId, NodeId>> MakeQueries(const ArcList& arcs,
                                                    NodeId num_nodes,
                                                    uint64_t seed) {
   std::vector<std::pair<NodeId, NodeId>> queries;
   Rng rng(seed);
-  for (int i = 0; i < 150; ++i) {
+  for (size_t i = 0; i < kRandomQueries; ++i) {
     queries.emplace_back(
         static_cast<NodeId>(rng.Uniform(0, num_nodes - 1)),
         static_cast<NodeId>(rng.Uniform(0, num_nodes - 1)));
@@ -60,9 +64,9 @@ std::vector<std::pair<NodeId, NodeId>> MakeQueries(const ArcList& arcs,
   return queries;
 }
 
-// Options that pin the label ladder, for the tests that count its stages
-// and searches (the default kAuto serves these graphs from chain labels).
-ReachServiceOptions LabelLadderOptions() {
+// Options that pin the search core, for the tests that count its rules
+// and searches (the default kAuto serves some graphs from chain labels).
+ReachServiceOptions SearchCoreOptions() {
   ReachServiceOptions options;
   options.index.backend = ReachBackend::kLabels;
   return options;
@@ -80,7 +84,8 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
   constexpr NodeId kNodes = 300;
   constexpr int kSeedsPerFamily = 10;
   for (const Family& family : Families()) {
-    ReachStats aggregate;
+    int64_t random_decided = 0;
+    int64_t random_queries = 0;
     for (int seed = 1; seed <= kSeedsPerFamily; ++seed) {
       const GeneratorParams params{kNodes, family.avg_out_degree,
                                    family.locality,
@@ -90,26 +95,30 @@ TEST(ReachDifferentialTest, AgreesWithOracleAcrossFamilies) {
       const std::vector<std::vector<NodeId>> closure =
           ReferenceClosure(graph);
 
-      auto service = ReachService::Build(arcs, kNodes, LabelLadderOptions());
+      auto service = ReachService::Build(arcs, kNodes, SearchCoreOptions());
       ASSERT_TRUE(service.ok()) << service.status().ToString();
       const auto queries = MakeQueries(arcs, kNodes, 100 + seed);
-      for (const auto& [u, v] : queries) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const auto [u, v] = queries[i];
         auto answer = service.value()->Query(u, v);
         ASSERT_TRUE(answer.ok());
         EXPECT_EQ(answer.value().reachable, OracleReaches(closure, u, v))
             << "F=" << family.avg_out_degree << " l=" << family.locality
             << " seed=" << seed << " (" << u << ", " << v << ") via "
             << ReachRuleName(answer.value().rule);
+        if (i < kRandomQueries) {
+          ++random_queries;
+          if (answer.value().rule != ReachRule::kPrunedBfs) ++random_decided;
+        }
       }
-      aggregate.Merge(service.value()->stats());
     }
-    // Acceptance: the O(1) labels decide > 80% of queries per family
-    // (the fallback is the pruned BFS).
-    EXPECT_GT(aggregate.DecidedWithoutFallback(),
-              (aggregate.queries * 8) / 10)
+    // Acceptance: the O(1) labels decide > 80% of the random queries per
+    // family (the rest goes to the search). The arc-endpoint queries only
+    // check answers: a direct arc is the search's first expansion.
+    EXPECT_GT(random_decided, (random_queries * 8) / 10)
         << "F=" << family.avg_out_degree << " l=" << family.locality
-        << ": " << aggregate.DecidedWithoutFallback() << " of "
-        << aggregate.queries << " decided without fallback";
+        << ": " << random_decided << " of " << random_queries
+        << " random queries decided without the search";
   }
 }
 
@@ -122,7 +131,7 @@ TEST(ReachDifferentialTest, BatchMatchesOracleAndWarmCacheRepeats) {
     const Digraph graph(kNodes, arcs);
     const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-    auto service = ReachService::Build(arcs, kNodes, LabelLadderOptions());
+    auto service = ReachService::Build(arcs, kNodes, SearchCoreOptions());
     ASSERT_TRUE(service.ok());
     const auto queries = MakeQueries(arcs, kNodes, 9);
     auto batch = service.value()->QueryBatch(queries);
@@ -138,7 +147,7 @@ TEST(ReachDifferentialTest, BatchMatchesOracleAndWarmCacheRepeats) {
         service.value()->stats().Decided(ReachStage::kCache);
 
     // Second round: answers are unchanged, and the cache serves exactly
-    // the fallback-decided queries — the cache policy deliberately skips
+    // the search-decided queries — the cache policy deliberately skips
     // O(1)-decided answers (they re-derive in nanoseconds and would only
     // evict the expensive entries), so a round-1 label answer must come
     // from the same label stage again.
@@ -246,29 +255,22 @@ TEST(ReachDifferentialTest, CyclicInputsServeOnTheCondensation) {
   EXPECT_EQ(self.value().stage, ReachStage::kTrivial);
 }
 
-// Every rung configuration produces the same (correct) answers; the
-// unbounded pruned BFS actually fires when the cheaper rungs are disabled.
+// Every backend and cache configuration produces the same (correct)
+// answers, and the search actually fires on the search core.
 TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
   const Digraph graph(params.num_nodes, arcs);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  // No budgeted BFS, no supportive labels, no cache: the residue goes
-  // straight to the unbounded pruned BFS.
-  ReachServiceOptions unbounded_only = LabelLadderOptions();
-  unbounded_only.bfs_budget = 0;
-  unbounded_only.index.num_supportive = 0;
-  unbounded_only.cache_capacity = 0;
-
-  ReachServiceOptions tiny_budget = LabelLadderOptions();
-  tiny_budget.bfs_budget = 4;  // force the budgeted pass to give up sometimes
-  tiny_budget.index.num_supportive = 0;
-
-  ReachServiceOptions defaults;
+  ReachServiceOptions no_cache = SearchCoreOptions();
+  no_cache.cache_capacity = 0;
+  ReachServiceOptions chain;
+  chain.index.backend = ReachBackend::kChain;
+  const ReachServiceOptions defaults;
 
   for (const ReachServiceOptions& options :
-       {unbounded_only, tiny_budget, defaults}) {
+       {no_cache, SearchCoreOptions(), chain, defaults}) {
     auto service = ReachService::Build(arcs, params.num_nodes, options);
     ASSERT_TRUE(service.ok());
     const auto queries = MakeQueries(arcs, params.num_nodes, 5);
@@ -277,19 +279,22 @@ TEST(ReachFallbackLadderTest, AllConfigurationsAgreeWithOracle) {
       ASSERT_TRUE(answer.ok());
       EXPECT_EQ(answer.value().reachable, OracleReaches(closure, u, v));
     }
+    auto batch = service.value()->QueryBatch(queries);
+    ASSERT_TRUE(batch.ok());
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(batch.value()[i].reachable,
+                OracleReaches(closure, queries[i].first, queries[i].second));
+    }
   }
 
-  auto unbounded_service =
-      ReachService::Build(arcs, params.num_nodes, unbounded_only);
-  ASSERT_TRUE(unbounded_service.ok());
-  // The diamond residue: with supportive labels off, some pair needs the
-  // search.
+  auto search_service = ReachService::Build(arcs, params.num_nodes, no_cache);
+  ASSERT_TRUE(search_service.ok());
   const auto queries = MakeQueries(arcs, params.num_nodes, 5);
-  auto batch = unbounded_service.value()->QueryBatch(queries);
+  auto batch = search_service.value()->QueryBatch(queries);
   ASSERT_TRUE(batch.ok());
-  EXPECT_GT(unbounded_service.value()->stats().Decided(ReachStage::kPrunedBfs),
+  EXPECT_GT(search_service.value()->stats().Decided(ReachStage::kPrunedBfs),
             0);
-  EXPECT_GT(unbounded_service.value()->stats().bfs_expansions, 0);
+  EXPECT_GT(search_service.value()->stats().bfs_expansions, 0);
 }
 
 // Regression: cache_insertions used to count every Insert() call, even
@@ -300,7 +305,7 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
   const ArcList arcs = GenerateDag(params);
 
   // Caching disabled: nothing can be stored, so nothing may be counted.
-  ReachServiceOptions no_cache = LabelLadderOptions();
+  ReachServiceOptions no_cache = SearchCoreOptions();
   no_cache.cache_capacity = 0;
   auto disabled = ReachService::Build(arcs, params.num_nodes, no_cache);
   ASSERT_TRUE(disabled.ok());
@@ -312,12 +317,9 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
   EXPECT_GT(disabled.value()->stats().queries, 0);
   EXPECT_EQ(disabled.value()->stats().cache_insertions, 0);
 
-  // A duplicated fallback pair in one batch resolves as one group; the
-  // second Insert refreshes the first and must not be counted.
-  ReachServiceOptions unbounded_only = LabelLadderOptions();
-  unbounded_only.bfs_budget = 0;
-  unbounded_only.index.num_supportive = 0;
-  auto probe = ReachService::Build(arcs, params.num_nodes, unbounded_only);
+  // A searched pair asked twice in one batch is searched and stored once;
+  // the second copy is a cache hit and must not be counted.
+  auto probe = ReachService::Build(arcs, params.num_nodes, SearchCoreOptions());
   ASSERT_TRUE(probe.ok());
   std::pair<NodeId, NodeId> fallback_pair{-1, -1};
   for (const auto& [u, v] : queries) {
@@ -330,31 +332,31 @@ TEST(ReachServiceTest, CacheInsertionsCountOnlyStoredEntries) {
   }
   ASSERT_GE(fallback_pair.first, 0) << "no query needed the search rung";
 
-  auto service = ReachService::Build(arcs, params.num_nodes, unbounded_only);
+  auto service =
+      ReachService::Build(arcs, params.num_nodes, SearchCoreOptions());
   ASSERT_TRUE(service.ok());
   const std::vector<std::pair<NodeId, NodeId>> twice = {fallback_pair,
                                                         fallback_pair};
   auto batch = service.value()->QueryBatch(twice);
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(service.value()->stats().cache_insertions, 1);
+  EXPECT_EQ(batch.value()[1].rule, ReachRule::kCacheHit);
 }
 
 // Regression: QueryBatch timed each pass-1 classification but threw the
-// timer away for queries that fell through to the fallback pass, so their
+// timer away for queries that fell through to the search, so their
 // recorded latency missed the label work. With a tick clock (+1s per
-// read), a single-fallback batch reads the clock twice in pass 1 and
-// twice in pass 2: the recorded total must be 2.0s, not the 1.0s of the
-// fallback interval alone.
+// read), a single-search batch reads the clock twice in pass 1 and twice
+// in pass 2: the recorded total must be 2.0s, not the 1.0s of the search
+// interval alone.
 TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   const GeneratorParams params{250, 5, 100, 19};
   const ArcList arcs = GenerateDag(params);
 
-  ReachServiceOptions unbounded_only = LabelLadderOptions();
-  unbounded_only.bfs_budget = 0;
-  unbounded_only.index.num_supportive = 0;
-  unbounded_only.cache_capacity = 0;
+  ReachServiceOptions no_cache = SearchCoreOptions();
+  no_cache.cache_capacity = 0;
 
-  auto probe = ReachService::Build(arcs, params.num_nodes, unbounded_only);
+  auto probe = ReachService::Build(arcs, params.num_nodes, no_cache);
   ASSERT_TRUE(probe.ok());
   std::pair<NodeId, NodeId> fallback_pair{-1, -1};
   for (const auto& [u, v] : MakeQueries(arcs, params.num_nodes, 5)) {
@@ -367,7 +369,7 @@ TEST(ReachServiceTest, BatchLatencyIncludesPassOneClassification) {
   }
   ASSERT_GE(fallback_pair.first, 0) << "no query needed the search rung";
 
-  auto service = ReachService::Build(arcs, params.num_nodes, unbounded_only);
+  auto service = ReachService::Build(arcs, params.num_nodes, no_cache);
   ASSERT_TRUE(service.ok());
   double ticks = 0.0;
   service.value()->SetClockForTesting([&ticks] { return ticks += 1.0; });
@@ -453,39 +455,38 @@ TEST(ReachServiceTest, ValidatesInputs) {
   EXPECT_FALSE(ReachService::Build({}, -1).ok());
 }
 
+// 4 -> 3 -> 1 and 4 -> 2 -> 1 (a diamond), 0 isolated: ids are
+// reverse-topological, as Condense numbers them.
+Digraph SmallDiamond() { return Digraph(5, {{4, 3}, {4, 2}, {3, 1}, {2, 1}}); }
+
 TEST(ReachIndexTest, LabelInvariantsOnASmallDag) {
-  // 0 -> 1 -> 3, 0 -> 2 -> 3 (diamond), 4 isolated.
-  const ArcList arcs = {{0, 1}, {0, 2}, {1, 3}, {2, 3}};
-  auto index = ReachIndex::Build(Digraph(5, arcs));
-  ASSERT_TRUE(index.ok());
+  const Digraph dag = SmallDiamond();
+  auto index = ReachIndex::Build(dag);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
   const ReachIndex& idx = index.value();
   EXPECT_EQ(idx.num_nodes(), 5);
 
   ReachRule rule;
-  EXPECT_EQ(idx.TryDecide(3, 0, &rule), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(idx.TryDecide(1, 4, &rule), ReachIndex::Verdict::kNo);
   EXPECT_EQ(rule, ReachRule::kTopoWindow);
-  EXPECT_EQ(idx.TryDecide(0, 3, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(idx.TryDecide(4, 1, &rule), ReachIndex::Verdict::kYes);
+  EXPECT_EQ(rule, ReachRule::kSupportiveThrough);
+  EXPECT_EQ(idx.TryDecide(3, 2, &rule), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(rule, ReachRule::kSupportiveFwdCut);
   EXPECT_EQ(idx.TryDecide(0, 0, &rule), ReachIndex::Verdict::kYes);
   EXPECT_EQ(rule, ReachRule::kSelf);
   // The isolated node reaches nothing and is reached by nothing.
-  EXPECT_EQ(idx.TryDecide(4, 3, nullptr), ReachIndex::Verdict::kNo);
-  EXPECT_EQ(idx.TryDecide(0, 4, nullptr), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(idx.TryDecide(4, 0, nullptr), ReachIndex::Verdict::kNo);
+  EXPECT_EQ(idx.TryDecide(1, 0, nullptr), ReachIndex::Verdict::kNo);
 
-  // PrunedBfs is definitive given budget, and kUnknown without one.
+  // The search is exact, with no budget.
   ReachIndex::SearchScratch scratch;
-  EXPECT_EQ(idx.PrunedBfs(Digraph(5, arcs), 2, 3, 100, &scratch),
-            ReachIndex::Verdict::kYes);
-  EXPECT_EQ(idx.PrunedBfs(Digraph(5, arcs), 1, 2, 100, &scratch),
-            ReachIndex::Verdict::kNo);
-  EXPECT_EQ(idx.PrunedBfs(Digraph(5, arcs), 0, 3, 0, &scratch),
-            ReachIndex::Verdict::kUnknown);
+  EXPECT_TRUE(idx.Search(dag, 4, 1, &scratch));
+  EXPECT_TRUE(idx.Search(dag, 2, 1, &scratch));
+  EXPECT_TRUE(idx.Search(dag, 3, 3, &scratch));
+  EXPECT_FALSE(idx.Search(dag, 3, 2, &scratch));
+  EXPECT_FALSE(idx.Search(dag, 0, 4, &scratch));
 
-  // Chains partition the nodes.
-  EXPECT_GT(idx.num_chains(), 0);
-  for (NodeId v = 0; v < 5; ++v) {
-    EXPECT_GE(idx.chain_id(v), 0);
-    EXPECT_LT(idx.chain_id(v), idx.num_chains());
-  }
   EXPECT_FALSE(ReachIndex::Build(Digraph(2, {{0, 1}, {1, 0}})).ok());
 }
 
@@ -513,149 +514,157 @@ TEST(ReachRuleTest, StageOfIsTotalAndReachesEveryStage) {
     EXPECT_STRNE(ReachStageName(static_cast<ReachStage>(s)), "?") << s;
   }
   static_assert(StageOf(ReachRule::kSameScc) == ReachStage::kTrivial);
-  static_assert(StageOf(ReachRule::kObsLevel) == ReachStage::kObservation);
+  static_assert(StageOf(ReachRule::kSupportiveBwdCut) ==
+                ReachStage::kSupportiveNegative);
 }
 
 
-// --- The oreach observations ------------------------------------------
+// --- The root-word battery ----------------------------------------------
 //
-// Every observation verdict differentially pinned against the BFS
-// reference closure across the paper generator and all five scale
-// families, cyclic inputs through the condensation front, a 50-seed
-// oreach-on vs oreach-off bit-identical sweep over full ReachService
-// answers, trained-pivot determinism, image round trips with truncation
-// errors, and ReachCore::Decide as the one O(1) decision behind both the
-// service ladder and the adversarial miner's probe.
+// In O'Reach's terms the 64 root words are a battery of supportive-vertex
+// observations, and this suite pins them: the roots and words on a hand
+// DAG, the id test's place before the word tests, every verdict and every
+// search against the BFS reference closure across the paper generator and
+// all five scale families, cyclic inputs through the condensation, a
+// 50-seed search-core vs chain-core bit-identical sweep over full
+// ReachService answers, root determinism, words rebuilt from an image,
+// truncated images, and ReachCore::Decide as the one O(1) decision behind
+// both the service ladder and the adversarial miner's probe.
 
-ReachIndex BuildWithObservations(
-    const Digraph& dag,
-    const std::vector<std::pair<NodeId, NodeId>>& traffic = {}) {
-  ReachIndexOptions options;
-  options.oreach = true;
-  auto built = ReachIndex::Build(dag, options, traffic);
+// The condensation of an acyclic `graph`: the same DAG with its ids
+// renumbered reverse-topologically, which is what a ReachIndex needs.
+Digraph Condensed(const Digraph& graph) { return Condense(graph).dag; }
+
+ReachIndex BuildIndexOrDie(const Digraph& dag) {
+  auto built = ReachIndex::Build(dag);
   TCDB_CHECK(built.ok()) << built.status().ToString();
   return std::move(built).value();
 }
 
+bool DecidedByWords(ReachRule rule) {
+  return StageOf(rule) == ReachStage::kSupportivePositive ||
+         StageOf(rule) == ReachStage::kSupportiveNegative;
+}
+
 // Every non-unknown verdict on every pair must agree with the reference
-// closure — the labels are only allowed to be incomplete, never wrong —
-// and the observations must decide some of the pairs the base rules
-// leave over.
-void ExpectSoundOnAllPairs(const Digraph& dag, const ReachIndex& index,
-                           const std::string& context) {
+// closure, the search must answer every pair exactly, and the words must
+// decide some pair. Returns the number of pairs left to the search.
+int64_t ExpectExactOnAllPairs(const Digraph& dag, const std::string& context) {
+  const ReachIndex index = BuildIndexOrDie(dag);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(dag);
-  int64_t observed = 0;
+  ReachIndex::SearchScratch scratch;
+  int64_t by_words = 0;
+  int64_t searched = 0;
   for (NodeId u = 0; u < dag.NumNodes(); ++u) {
     for (NodeId v = 0; v < dag.NumNodes(); ++v) {
-      ReachRule rule = ReachRule::kSelf;
+      const bool truth = OracleReaches(closure, u, v);
+      EXPECT_EQ(index.Search(dag, u, v, &scratch), truth)
+          << context << ": search u=" << u << " v=" << v;
+      ReachRule rule = ReachRule::kCacheHit;
       const ReachIndex::Verdict verdict = index.TryDecide(u, v, &rule);
-      if (verdict == ReachIndex::Verdict::kUnknown) continue;
-      ASSERT_EQ(verdict == ReachIndex::Verdict::kYes,
-                OracleReaches(closure, u, v))
+      if (verdict == ReachIndex::Verdict::kUnknown) {
+        ++searched;
+        continue;
+      }
+      EXPECT_EQ(verdict == ReachIndex::Verdict::kYes, truth)
           << context << ": u=" << u << " v=" << v
           << " rule=" << ReachRuleName(rule);
-      if (StageOf(rule) == ReachStage::kObservation) ++observed;
+      if (DecidedByWords(rule)) ++by_words;
     }
   }
-  EXPECT_GT(observed, 0) << context << ": the observations decided nothing";
+  EXPECT_GT(by_words, 0) << context << ": the words decided nothing";
+  return searched;
 }
 
 TEST(ObservationBatteryTest, EmptyAndDegenerate) {
   const ReachIndex empty;
   EXPECT_EQ(empty.num_nodes(), 0);
-  EXPECT_FALSE(empty.has_observations());
+  EXPECT_TRUE(empty.roots().empty());
 
-  const ReachIndex one = BuildWithObservations(Digraph(1, {}));
-  EXPECT_TRUE(one.has_observations());
+  auto none = ReachIndex::Build(Digraph(0, {}));
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(none.value().num_nodes(), 0);
+  EXPECT_TRUE(none.value().roots().empty());
+
+  const Digraph single(1, {});
+  const ReachIndex one = BuildIndexOrDie(single);
+  EXPECT_EQ(one.roots(), std::vector<NodeId>{0});
+  EXPECT_EQ(one.anc(0), 1u);
+  EXPECT_EQ(one.desc(0), 1u);
   ReachRule rule = ReachRule::kCacheHit;
   EXPECT_EQ(one.TryDecide(0, 0, &rule), ReachIndex::Verdict::kYes);
   EXPECT_EQ(rule, ReachRule::kSelf);
-
-  ReachIndexOptions options;
-  options.oreach = true;
-  auto none = ReachIndex::Build(Digraph(0, {}), options);
-  ASSERT_TRUE(none.ok()) << none.status().ToString();
-  EXPECT_EQ(none.value().num_nodes(), 0);
-  EXPECT_FALSE(none.value().has_observations());
+  ReachIndex::SearchScratch scratch;
+  EXPECT_TRUE(one.Search(single, 0, 0, &scratch));
 }
 
+// A cycle, and an acyclic graph whose ids run upward, are both refused:
+// the id test needs every arc to run from a higher id to a lower one.
 TEST(ObservationBatteryTest, RejectsCyclicInput) {
-  ReachIndexOptions options;
-  options.oreach = true;
-  EXPECT_FALSE(
-      ReachIndex::Build(Digraph(3, {{0, 1}, {1, 2}, {2, 0}}), options).ok());
+  for (const Digraph& graph :
+       {Digraph(3, {{0, 1}, {1, 2}, {2, 0}}), Digraph(2, {{0, 1}}),
+        Digraph(2, {{1, 1}})}) {
+    const Status status = ReachIndex::Build(graph).status();
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << status.ToString();
+  }
 }
 
 TEST(ObservationBatteryTest, HandDagObservations) {
-  // Two parallel diamonds plus an isolated node: 0->1->3, 0->2->3, 4.
-  const Digraph dag(5, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
-  // With the default 8 structural pivots every one of the 5 nodes would be
-  // a pivot and the base rules would decide every pair; without them the
-  // levels, orders, cuts and trained pivots get pairs to decide.
-  ReachIndexOptions options;
-  options.oreach = true;
-  options.num_supportive = 0;
-  auto built = ReachIndex::Build(dag, options);
-  ASSERT_TRUE(built.ok()) << built.status().ToString();
-  const ReachIndex& index = built.value();
-  EXPECT_TRUE(index.has_observations());
-  EXPECT_EQ(index.num_orders(), 4);  // the base order and three more
-  EXPECT_EQ(index.num_cuts(), 3);
-  EXPECT_EQ(index.num_supportive(), 0);
-  EXPECT_EQ(index.num_trained_pivots(), 5);  // min(12, n)
-  EXPECT_EQ(static_cast<int32_t>(index.pivot_nodes().size()), 5);
-  // The isolated node reaches nothing and is reached by nothing; the
-  // backward pair is refuted; reflexive pairs are the kSelf rule's.
-  EXPECT_EQ(index.TryDecide(0, 4), ReachIndex::Verdict::kNo);
-  EXPECT_EQ(index.TryDecide(4, 3), ReachIndex::Verdict::kNo);
-  EXPECT_EQ(index.TryDecide(3, 0), ReachIndex::Verdict::kNo);
-  ReachRule rule = ReachRule::kCacheHit;
-  EXPECT_EQ(index.TryDecide(2, 2, &rule), ReachIndex::Verdict::kYes);
-  EXPECT_EQ(rule, ReachRule::kSelf);
-  ExpectSoundOnAllPairs(dag, index, "hand dag");
+  // SmallDiamond's (in + 1) * (out + 1): 4 for nodes 2 and 3, 3 for nodes
+  // 1 and 4, 1 for node 0; ties go to the smaller id.
+  const ReachIndex index = BuildIndexOrDie(SmallDiamond());
+  ASSERT_EQ(index.roots(), (std::vector<NodeId>{2, 3, 1, 4, 0}));
+  // Bit i is roots()[i]: node 2 is bit 0, 3 bit 1, 1 bit 2, 4 bit 3, 0
+  // bit 4. anc: the roots a node reaches; desc: the roots reaching it.
+  const uint64_t anc[5] = {0b10000, 0b00100, 0b00101, 0b00110, 0b01111};
+  const uint64_t desc[5] = {0b10000, 0b01111, 0b01001, 0b01010, 0b01000};
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_EQ(index.anc(v), anc[v]) << v;
+    EXPECT_EQ(index.desc(v), desc[v]) << v;
+  }
 }
 
-// The observations run after every base rule, so they only decide pairs
-// the base rules leave undecided: with oreach on, every pair the
-// oreach-off index decides gets the same verdict and the same rule, and
-// the oreach-off index carries no observation at all.
+// The id test runs before the word tests, so the words only decide pairs
+// it leaves (u > v): every pair with u < v is the id test's "no", and
+// every other verdict is DecideByWords on the pair's words, rule
+// included.
 TEST(ObservationBatteryTest, ObservationsOnlyDecideTheBaseResidue) {
   const GeneratorParams params{300, 4, 60, 5};
-  const Digraph dag(params.num_nodes, GenerateDag(params));
-  auto plain = ReachIndex::Build(dag);
-  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
-  EXPECT_FALSE(plain.value().has_observations());
-  EXPECT_EQ(plain.value().num_orders(), 1);
-  EXPECT_EQ(plain.value().num_cuts(), 0);
-  EXPECT_EQ(plain.value().num_trained_pivots(), 0);
-  const ReachIndex observed = BuildWithObservations(dag);
-  EXPECT_EQ(observed.num_supportive(), plain.value().num_supportive());
-
-  int64_t residue_decided = 0;
-  for (NodeId u = 0; u < params.num_nodes; ++u) {
-    for (NodeId v = 0; v < params.num_nodes; ++v) {
-      ReachRule base_rule = ReachRule::kCacheHit;
+  const Digraph dag =
+      Condensed(Digraph(params.num_nodes, GenerateDag(params)));
+  const ReachIndex index = BuildIndexOrDie(dag);
+  int64_t by_words = 0;
+  int64_t residue = 0;
+  for (NodeId u = 0; u < dag.NumNodes(); ++u) {
+    for (NodeId v = 0; v < dag.NumNodes(); ++v) {
+      if (u == v) continue;
       ReachRule rule = ReachRule::kCacheHit;
-      const ReachIndex::Verdict base =
-          plain.value().TryDecide(u, v, &base_rule);
-      const ReachIndex::Verdict verdict = observed.TryDecide(u, v, &rule);
-      if (base == ReachIndex::Verdict::kUnknown) {
-        if (verdict != ReachIndex::Verdict::kUnknown) {
-          ASSERT_EQ(StageOf(rule), ReachStage::kObservation)
-              << "u=" << u << " v=" << v;
-          ++residue_decided;
-        }
+      const ReachIndex::Verdict verdict = index.TryDecide(u, v, &rule);
+      if (u < v) {
+        ASSERT_EQ(verdict, ReachIndex::Verdict::kNo);
+        ASSERT_EQ(rule, ReachRule::kTopoWindow);
         continue;
       }
-      ASSERT_EQ(verdict, base) << "u=" << u << " v=" << v;
-      ASSERT_EQ(rule, base_rule) << "u=" << u << " v=" << v;
+      ReachRule word_rule = ReachRule::kCacheHit;
+      const ReachIndex::Verdict words = ReachIndex::DecideByWords(
+          index.anc(u), index.desc(u), index.anc(v), index.desc(v),
+          &word_rule);
+      ASSERT_EQ(verdict, words) << "u=" << u << " v=" << v;
+      if (words == ReachIndex::Verdict::kUnknown) {
+        ++residue;
+        continue;
+      }
+      ASSERT_EQ(rule, word_rule) << "u=" << u << " v=" << v;
+      ++by_words;
     }
   }
-  EXPECT_GT(residue_decided, 0);
+  EXPECT_GT(by_words, 0);
+  EXPECT_GT(residue, 0);
 }
 
-// The acceptance differential: every verdict sound on the paper
-// generator and on all five scale families.
+// The acceptance differential: every verdict and every search exact on
+// the paper generator and on all five scale families.
 TEST(ObservationBatteryTest, DifferentialPaperGenerator) {
   for (const uint64_t seed : {1u, 2u, 3u}) {
     GeneratorParams params;
@@ -663,13 +672,16 @@ TEST(ObservationBatteryTest, DifferentialPaperGenerator) {
     params.avg_out_degree = 5;
     params.locality = 60;
     params.seed = seed;
-    const Digraph dag(params.num_nodes, GenerateDag(params));
-    ExpectSoundOnAllPairs(dag, BuildWithObservations(dag),
-                          "generator seed " + std::to_string(seed));
+    const Digraph dag =
+        Condensed(Digraph(params.num_nodes, GenerateDag(params)));
+    EXPECT_GT(ExpectExactOnAllPairs(dag, "generator seed " +
+                                             std::to_string(seed)),
+              0);
   }
 }
 
 TEST(ObservationBatteryTest, DifferentialAllScaleFamilies) {
+  int64_t searched = 0;
   for (const ScaleFamily family : kAllScaleFamilies) {
     ScaleGraphParams params;
     params.family = family;
@@ -678,13 +690,14 @@ TEST(ObservationBatteryTest, DifferentialAllScaleFamilies) {
     params.degree = 3;
     params.locality = 32;
     params.seed = 12;
-    const Digraph dag(params.num_nodes, ScaleArcList(params));
-    ExpectSoundOnAllPairs(dag, BuildWithObservations(dag),
-                          ScaleFamilyName(family));
+    const Digraph dag =
+        Condensed(Digraph(params.num_nodes, ScaleArcList(params)));
+    searched += ExpectExactOnAllPairs(dag, ScaleFamilyName(family));
   }
+  EXPECT_GT(searched, 0);
 }
 
-// Cyclic input through the serving stack: the oreach core is built on the
+// Cyclic input through the serving stack: the search core is built on the
 // condensation; all answers must still match the reference closure of the
 // original graph.
 TEST(ObservationBatteryTest, CyclicCondensedDifferential) {
@@ -701,12 +714,11 @@ TEST(ObservationBatteryTest, CyclicCondensedDifferential) {
   const Digraph graph(params.num_nodes, arcs);
   const std::vector<std::vector<NodeId>> closure = ReferenceClosure(graph);
 
-  ReachServiceOptions options = LabelLadderOptions();
-  options.index.oreach = true;
-  auto service = ReachService::Build(arcs, params.num_nodes, options);
+  auto service =
+      ReachService::Build(arcs, params.num_nodes, SearchCoreOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE(service.value()->condensed());
-  ASSERT_TRUE(service.value()->index().has_observations());
+  ASSERT_EQ(service.value()->core().backend, ReachBackend::kLabels);
   for (NodeId u = 0; u < params.num_nodes; ++u) {
     for (NodeId v = 0; v < params.num_nodes; ++v) {
       auto answer = service.value()->Query(u, v);
@@ -717,10 +729,12 @@ TEST(ObservationBatteryTest, CyclicCondensedDifferential) {
   }
 }
 
-// The acceptance sweep: across 50 seeds, an oreach service must give
-// bit-identical answers to an oreach-off service on the same traffic.
-// (The observations may only move *which rung* answers, never the answer.)
+// The acceptance sweep: across 50 seeds, the search core (the words and
+// the search) must give bit-identical answers to the chain core (exact
+// labels, neither words nor search) on the same traffic.
 TEST(ObservationBatteryTest, BatteryOnOffBitIdenticalAcross50Seeds) {
+  ReachServiceOptions chain_options;
+  chain_options.index.backend = ReachBackend::kChain;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     GeneratorParams params;
     params.num_nodes = 150 + static_cast<NodeId>(seed % 7) * 20;
@@ -729,15 +743,10 @@ TEST(ObservationBatteryTest, BatteryOnOffBitIdenticalAcross50Seeds) {
     params.seed = seed;
     const ArcList arcs = GenerateDag(params);
 
-    auto off = ReachService::Build(arcs, params.num_nodes,
-                                   LabelLadderOptions());
+    auto off = ReachService::Build(arcs, params.num_nodes, chain_options);
     ASSERT_TRUE(off.ok()) << off.status().ToString();
-
-    ReachServiceOptions on_options = LabelLadderOptions();
-    on_options.index.oreach = true;
-    auto on = ReachService::Build(arcs, params.num_nodes, on_options);
+    auto on = ReachService::Build(arcs, params.num_nodes, SearchCoreOptions());
     ASSERT_TRUE(on.ok()) << on.status().ToString();
-    ASSERT_TRUE(on.value()->index().has_observations());
 
     Rng rng(seed * 1315423911ull + 1);
     std::vector<std::pair<NodeId, NodeId>> pairs;
@@ -759,112 +768,86 @@ TEST(ObservationBatteryTest, BatteryOnOffBitIdenticalAcross50Seeds) {
   }
 }
 
-// Pivot training is a pure function of (dag, options, traffic): two
-// builds must pick the same pivots and serialize byte-identically.
+// The roots are a pure function of the DAG: the 64 nodes of largest
+// (in-degree + 1) * (out-degree + 1), ties to the smaller id, in that
+// order; two builds pick the same roots and the same words.
 TEST(ObservationBatteryTest, PivotSelectionIsDeterministic) {
   GeneratorParams params;
   params.num_nodes = 400;
   params.avg_out_degree = 5;
   params.locality = 80;
   params.seed = 6;
-  const Digraph dag(params.num_nodes, GenerateDag(params));
-
-  // A fixed traffic sample (what a bench would feed from the model).
-  Rng rng(99);
-  std::vector<std::pair<NodeId, NodeId>> traffic;
-  for (int i = 0; i < 2000; ++i) {
-    traffic.emplace_back(
-        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)),
-        static_cast<NodeId>(rng.Uniform(0, params.num_nodes - 1)));
+  const Digraph dag =
+      Condensed(Digraph(params.num_nodes, GenerateDag(params)));
+  const NodeId n = dag.NumNodes();
+  std::vector<int64_t> in_degree(static_cast<size_t>(n), 0);
+  for (NodeId v = 0; v < n; ++v) {
+    for (const NodeId s : dag.Successors(v)) ++in_degree[s];
   }
+  std::vector<NodeId> ranked(static_cast<size_t>(n));
+  for (NodeId v = 0; v < n; ++v) ranked[v] = v;
+  std::stable_sort(ranked.begin(), ranked.end(), [&](NodeId a, NodeId b) {
+    return (in_degree[a] + 1) * (dag.OutDegree(a) + 1) >
+           (in_degree[b] + 1) * (dag.OutDegree(b) + 1);
+  });
+  ranked.resize(ReachIndex::kNumRoots);
 
-  const ReachIndex a = BuildWithObservations(dag, traffic);
-  const ReachIndex b = BuildWithObservations(dag, traffic);
-  EXPECT_GT(a.num_trained_pivots(), 0);
-  EXPECT_EQ(a.pivot_nodes(), b.pivot_nodes());
-  std::string image_a;
-  std::string image_b;
-  a.SerializeAppend(&image_a);
-  b.SerializeAppend(&image_b);
-  EXPECT_EQ(image_a, image_b);
-
-  // A different traffic shape is allowed to (and here does) move the
-  // trained pivots — the training signal is real, not decorative.
-  std::vector<std::pair<NodeId, NodeId>> skewed;
-  for (int i = 0; i < 2000; ++i) {
-    skewed.emplace_back(static_cast<NodeId>(rng.Uniform(0, 10)),
-                        static_cast<NodeId>(rng.Uniform(0, 10)));
+  const ReachIndex a = BuildIndexOrDie(dag);
+  const ReachIndex b = BuildIndexOrDie(dag);
+  EXPECT_EQ(a.roots(), ranked);
+  EXPECT_EQ(b.roots(), ranked);
+  for (NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(a.anc(v), b.anc(v)) << v;
+    ASSERT_EQ(a.desc(v), b.desc(v)) << v;
   }
-  const ReachIndex c = BuildWithObservations(dag, skewed);
-  EXPECT_NE(a.pivot_nodes(), c.pivot_nodes());
 }
 
-// Round trips with the observations and without: the restored index
-// decides every pair with the same verdict and rule, and re-serializes
-// to the same bytes.
+// A kLabels image stores no words: the decoder rebuilds them, so the
+// restored index has the same roots and the same words on every node,
+// with and without cycles in the input, and re-serializes to the same
+// bytes.
 TEST(ObservationBatteryTest, SerializationRoundTrip) {
   GeneratorParams params;
   params.num_nodes = 250;
   params.avg_out_degree = 4;
   params.locality = 50;
   params.seed = 8;
-  const Digraph dag(params.num_nodes, GenerateDag(params));
-  for (const bool oreach : {false, true}) {
-    SCOPED_TRACE(oreach);
-    ReachIndexOptions options;
-    options.oreach = oreach;
-    auto built = ReachIndex::Build(dag, options);
+  for (const bool cyclic : {false, true}) {
+    SCOPED_TRACE(cyclic);
+    ArcList arcs = GenerateDag(params);
+    if (cyclic) {
+      arcs.push_back({200, 10});
+      arcs.push_back({249, 0});
+    }
+    auto built =
+        ReachCore::Build(arcs, params.num_nodes, SearchCoreOptions().index);
     ASSERT_TRUE(built.ok()) << built.status().ToString();
-    const ReachIndex& index = built.value();
+    const ReachCore& core = *built.value();
+    ASSERT_EQ(core.condensed(), cyclic);
 
     std::string image;
-    index.SerializeAppend(&image);
+    core.SerializeAppend(&image);
     codec::Reader reader(image.data(), image.size());
-    auto restored = ReachIndex::Deserialize(&reader);
+    auto restored = ReachCore::Deserialize(&reader);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
     EXPECT_EQ(reader.remaining(), 0u);
-
-    EXPECT_EQ(restored.value().num_nodes(), index.num_nodes());
-    EXPECT_EQ(restored.value().has_observations(), oreach);
-    EXPECT_EQ(restored.value().num_orders(), index.num_orders());
-    EXPECT_EQ(restored.value().num_cuts(), index.num_cuts());
-    EXPECT_EQ(restored.value().num_supportive(), index.num_supportive());
-    EXPECT_EQ(restored.value().pivot_nodes(), index.pivot_nodes());
-    for (NodeId u = 0; u < params.num_nodes; ++u) {
-      for (NodeId v = 0; v < params.num_nodes; ++v) {
-        ReachRule want = ReachRule::kCacheHit;
-        ReachRule got = ReachRule::kCacheHit;
-        ASSERT_EQ(restored.value().TryDecide(u, v, &got),
-                  index.TryDecide(u, v, &want))
-            << "u=" << u << " v=" << v;
-        ASSERT_EQ(got, want) << "u=" << u << " v=" << v;
-      }
+    const ReachIndex& index = restored.value()->index;
+    ASSERT_EQ(restored.value()->backend, ReachBackend::kLabels);
+    ASSERT_EQ(index.num_nodes(), core.index.num_nodes());
+    EXPECT_EQ(index.roots(), core.index.roots());
+    for (NodeId v = 0; v < index.num_nodes(); ++v) {
+      ASSERT_EQ(index.anc(v), core.index.anc(v)) << v;
+      ASSERT_EQ(index.desc(v), core.index.desc(v)) << v;
     }
     std::string image2;
-    restored.value().SerializeAppend(&image2);
+    restored.value()->SerializeAppend(&image2);
     EXPECT_EQ(image, image2);
   }
 }
 
-TEST(ObservationBatteryTest, TruncatedImagesError) {
-  const Digraph dag(40, {{0, 1}, {1, 2}, {3, 4}, {2, 5}, {4, 5}});
-  const ReachIndex index = BuildWithObservations(dag);
-  std::string image;
-  index.SerializeAppend(&image);
-  for (const size_t keep :
-       {size_t{0}, size_t{1}, size_t{3}, image.size() / 4, image.size() / 2,
-        image.size() - 1}) {
-    const std::string truncated = image.substr(0, keep);
-    codec::Reader reader(truncated.data(), truncated.size());
-    auto restored = ReachIndex::Deserialize(&reader);
-    EXPECT_FALSE(restored.ok()) << "accepted a " << keep << "-byte prefix";
-  }
-}
-
-// The observation rung shows up in the service ladder: on traffic the
-// base rules cannot decide, kObservation answers a nonzero share,
-// attributed to individual observation rules, and the rule counters sum
-// to queries.
+// Every rung of the search core shows up in the service ladder on uniform
+// traffic — the id test, both kinds of word test and the search — and the
+// rule counters sum to queries.
 TEST(ObservationBatteryTest, ServiceLadderAttribution) {
   GeneratorParams params;
   params.num_nodes = 500;
@@ -873,9 +856,8 @@ TEST(ObservationBatteryTest, ServiceLadderAttribution) {
   params.seed = 13;
   const ArcList arcs = GenerateDag(params);
 
-  ReachServiceOptions options = LabelLadderOptions();
-  options.index.oreach = true;
-  auto service = ReachService::Build(arcs, params.num_nodes, options);
+  auto service =
+      ReachService::Build(arcs, params.num_nodes, SearchCoreOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
 
   Rng rng(31);
@@ -889,26 +871,28 @@ TEST(ObservationBatteryTest, ServiceLadderAttribution) {
   ASSERT_TRUE(answers.ok()) << answers.status().ToString();
 
   const ReachStats& stats = service.value()->stats();
-  EXPECT_GT(stats.Decided(ReachStage::kObservation), 0);
+  EXPECT_GT(stats.Decided(ReachStage::kTopoNegative), 0);
+  EXPECT_GT(stats.Decided(ReachStage::kSupportivePositive), 0);
+  EXPECT_GT(stats.Decided(ReachStage::kSupportiveNegative), 0);
+  EXPECT_GT(stats.Decided(ReachStage::kPrunedBfs), 0);
   int64_t rule_total = 0;
-  int64_t observation_rules = 0;
+  int64_t word_rules = 0;
   for (int r = 0; r < kNumReachRules; ++r) {
     rule_total += stats.rule_decided[r];
-    const ReachRule rule = static_cast<ReachRule>(r);
-    if (rule >= ReachRule::kObsTopoOrder &&
-        rule <= ReachRule::kObsPivotBwdCut) {
-      observation_rules += stats.rule_decided[r];
+    if (DecidedByWords(static_cast<ReachRule>(r))) {
+      word_rules += stats.rule_decided[r];
     }
   }
   EXPECT_EQ(rule_total, stats.queries);
-  EXPECT_EQ(observation_rules, stats.Decided(ReachStage::kObservation));
+  EXPECT_EQ(word_rules, stats.Decided(ReachStage::kSupportivePositive) +
+                            stats.Decided(ReachStage::kSupportiveNegative));
 }
 
 // ReachCore::Decide is the one O(1) decision: the adversarial miner's
 // probe is exactly "Decide is not unknown", and the service ladder
 // searches exactly the pairs Decide leaves unknown, answering the rest
 // with Decide's verdict and rule. Checked on every pair of a small
-// cyclic graph with the observations.
+// cyclic graph.
 TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   GeneratorParams params;
   params.num_nodes = 300;
@@ -918,20 +902,13 @@ TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   ArcList arcs = GenerateDag(params);
   arcs.push_back({250, 40});
   arcs.push_back({299, 120});
-  const Digraph graph(params.num_nodes, arcs);
 
-  TrafficModelOptions traffic;
-  traffic.kind = WorkloadKind::kUniform;
-  traffic.seed = 5;
-  ReachServiceOptions options = LabelLadderOptions();
-  options.index.oreach = true;
-  options.index.oreach_traffic = MakeModelWorkload(graph, traffic, 512);
+  ReachServiceOptions options = SearchCoreOptions();
   options.cache_capacity = 0;
   auto built = ReachCore::Build(arcs, params.num_nodes, options.index);
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const ReachCore& core = *built.value();
   ASSERT_TRUE(core.condensed());
-  ASSERT_TRUE(core.index.has_observations());
   const WorkloadDecideProbe probe = MakeLadderProbe(built.value());
   const std::unique_ptr<ReachService> service =
       ReachService::Create(built.value(), options);
@@ -959,6 +936,58 @@ TEST(ObservationBatteryTest, LadderProbeIsCoreDecide) {
   EXPECT_EQ(undecided, service->stats().RuleDecided(ReachRule::kPrunedBfs));
 }
 
+// Bit i of anc[v] is set exactly when v reaches root i, and bit i of
+// desc[v] exactly when root i reaches v, by a BFS from and to each root:
+// on every catalog family and on the two cyclic inputs of
+// BackendChoiceTest.CyclicInputsAllPairs, through the condensation.
+TEST(ObservationBatteryTest, WordsAreTheRootCones) {
+  std::vector<std::pair<std::string, Digraph>> inputs;
+  for (const char* family : {"G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8",
+                             "G9", "G10", "G11", "G12"}) {
+    const GeneratorParams params = CatalogParams(FamilyByName(family), 0);
+    inputs.emplace_back(family, Digraph(params.num_nodes, GenerateDag(params)));
+  }
+  for (const GeneratorParams& params :
+       {GeneratorParams{400, 50, 400, 3}, GeneratorParams{400, 3, 40, 5}}) {
+    inputs.emplace_back(
+        "cyclic F=" + std::to_string(params.avg_out_degree),
+        Digraph(params.num_nodes, GenerateCyclicDigraph(params, 30)));
+  }
+  for (const auto& [name, graph] : inputs) {
+    SCOPED_TRACE(name);
+    const Digraph dag = Condensed(graph);
+    const Digraph reversed = dag.Reversed();
+    const ReachIndex index = BuildIndexOrDie(dag);
+    ASSERT_EQ(static_cast<int>(index.roots().size()),
+              std::min<int>(ReachIndex::kNumRoots, dag.NumNodes()));
+    // The cone of `root` over `g`, by BFS.
+    const auto cone = [&](const Digraph& g, NodeId root) {
+      std::vector<bool> seen(static_cast<size_t>(g.NumNodes()), false);
+      std::vector<NodeId> queue = {root};
+      seen[root] = true;
+      for (size_t head = 0; head < queue.size(); ++head) {
+        for (const NodeId s : g.Successors(queue[head])) {
+          if (!seen[s]) {
+            seen[s] = true;
+            queue.push_back(s);
+          }
+        }
+      }
+      return seen;
+    };
+    for (size_t i = 0; i < index.roots().size(); ++i) {
+      const std::vector<bool> reached = cone(dag, index.roots()[i]);
+      const std::vector<bool> reaching = cone(reversed, index.roots()[i]);
+      for (NodeId v = 0; v < dag.NumNodes(); ++v) {
+        ASSERT_EQ(((index.desc(v) >> i) & 1) != 0, reached[v])
+            << "root " << i << " v=" << v;
+        ASSERT_EQ(((index.anc(v) >> i) & 1) != 0, reaching[v])
+            << "root " << i << " v=" << v;
+      }
+    }
+  }
+}
+
 // --- The core image ---------------------------------------------------
 
 // Overwrites the little-endian count of `width` bytes at `offset`.
@@ -982,53 +1011,46 @@ Status DecodeCore(const std::string& image) {
 }
 
 // A kLabels core with every count field of its image in use: a cyclic
-// input, so the node map outgrows the condensation, with the observations.
-std::shared_ptr<const ReachCore> ObservedLabelCore() {
+// input, so the node map outgrows the condensation.
+std::shared_ptr<const ReachCore> CyclicLabelCore() {
   const GeneratorParams params{60, 3, 20, 2};
   ArcList arcs = GenerateDag(params);
   arcs.push_back({50, 10});
   ReachIndexOptions options;
   options.backend = ReachBackend::kLabels;
-  options.oreach = true;
   auto core = ReachCore::Build(arcs, params.num_nodes, options);
   TCDB_CHECK(core.ok()) << core.status().ToString();
   TCDB_CHECK(core.value()->condensed());
   return core.value();
 }
 
+// A small kChain core.
+std::shared_ptr<const ReachCore> SmallChainCore() {
+  const GeneratorParams params{40, 3, 10, 4};
+  ReachIndexOptions options;
+  options.backend = ReachBackend::kChain;
+  auto core = ReachCore::Build(GenerateDag(params), params.num_nodes, options);
+  TCDB_CHECK(core.ok()) << core.status().ToString();
+  return core.value();
+}
+
 // Every count field of a small valid image, inflated past the bytes the
 // image has left, is refused before anything is sized from it.
 TEST(ReachCoreImageTest, InflatedCountsExceedImage) {
-  const std::shared_ptr<const ReachCore> core = ObservedLabelCore();
-  const ReachIndex& index = core->index;
   std::string image;
-  core->SerializeAppend(&image);
+  CyclicLabelCore()->SerializeAppend(&image);
   ASSERT_TRUE(DecodeCore(image).ok());
 
-  // Offsets from the layouts of ReachCore::SerializeAppend and
-  // ReachIndex::SerializeAppend.
-  const uint64_t n = static_cast<uint64_t>(core->dag.NumNodes());
-  const uint64_t m = static_cast<uint64_t>(core->dag.NumArcs());
-  const uint64_t words = (n + 63) / 64;
-  const size_t index_at = 21 + 8 * m + 4 * core->num_input_nodes + 4 * n;
-  const size_t cuts_at =
-      index_at + 9 + 12 * n * index.num_orders() + 16 * n + 4 + 8 * n;
-  const size_t pivots_at = cuts_at + 4 + 2 * index.num_cuts() * words * 8;
-  ASSERT_EQ(GetCount(image, index_at, 4), n);
-  ASSERT_EQ(GetCount(image, index_at + 5, 4), 4u);
-  ASSERT_EQ(GetCount(image, cuts_at, 4), 3u);
-  ASSERT_EQ(GetCount(image, pivots_at, 4), index.pivot_nodes().size());
-
+  // Offsets from the layout of ReachCore::SerializeAppend.
   struct Field {
     const char* name;
     size_t offset;
     int width;
   };
   const Field fields[] = {
-      {"input node count", 4, 4},    {"condensed node count", 9, 4},
-      {"arc count", 13, 8},          {"index node count", index_at, 4},
-      {"order count", index_at + 5, 4}, {"cut count", cuts_at, 4},
-      {"pivot count", pivots_at, 4},
+      {"input node count", 4, 4},
+      {"condensed node count", 9, 4},
+      {"arc count", 13, 8},
   };
   for (const Field& field : fields) {
     SCOPED_TRACE(field.name);
@@ -1046,7 +1068,7 @@ TEST(ReachCoreImageTest, InflatedCountsExceedImage) {
 // check of count * width against the bytes left would wrap and pass.
 TEST(ReachCoreImageTest, OverflowingCountsAreRejected) {
   std::string labels;
-  ObservedLabelCore()->SerializeAppend(&labels);
+  CyclicLabelCore()->SerializeAppend(&labels);
   PutCount(&labels, 13, 8, (uint64_t{1} << 61) + 1);  // the arc count
   EXPECT_EQ(DecodeCore(labels).code(), StatusCode::kCorruption);
 
@@ -1063,38 +1085,117 @@ TEST(ReachCoreImageTest, OverflowingCountsAreRejected) {
   EXPECT_EQ(DecodeCore(image).code(), StatusCode::kCorruption);
 }
 
-// An image of the previous kLabels layout — no layout tag, and the label
-// index followed by the battery flag byte — is refused, never misread.
+// Images of earlier layouts are refused, never misread: one with no
+// layout tag (the label index followed by a battery flag byte), and one
+// with layout tag 2 (the label arrays after the SCC sizes).
 TEST(ReachCoreImageTest, PreviousLayoutIsRejected) {
+  // The path 0 -> 1 -> 2 as the layout-2 encoder wrote it, from the
+  // input node count on.
+  std::string body;
+  codec::PutI32(&body, 3);  // input nodes
+  codec::PutU8(&body, static_cast<uint8_t>(ReachBackend::kLabels));
+  codec::PutI32(&body, 3);  // condensed nodes
+  codec::PutU64(&body, 2);  // arcs
+  for (const int32_t endpoint : {0, 1, 1, 2}) codec::PutI32(&body, endpoint);
+  for (const int32_t component : {0, 1, 2}) {
+    codec::PutI32(&body, component);  // node map
+  }
+  for (int i = 0; i < 3; ++i) codec::PutI32(&body, 1);  // SCC sizes
+  codec::PutU32(&body, 3);  // index nodes
+  // topo pos, max reach, min origin, pre, post, chain id, chain pos.
+  const int32_t labels[7][3] = {{0, 1, 2}, {2, 2, 2}, {0, 0, 0}, {0, 1, 2},
+                                {5, 4, 3}, {0, 0, 0}, {0, 1, 2}};
+  for (const auto& array : labels) {
+    for (const int32_t label : array) codec::PutI32(&body, label);
+  }
+  codec::PutI32(&body, 1);  // chains
+  codec::PutU32(&body, 0);  // pivots
+
+  std::vector<std::string> images;
   for (const uint8_t battery : {0, 1}) {
-    SCOPED_TRACE(static_cast<int>(battery));
-    // The path 0 -> 1 -> 2, field by field as that encoder wrote it.
-    std::string image;
-    codec::PutI32(&image, 3);  // input nodes
-    codec::PutU8(&image, static_cast<uint8_t>(ReachBackend::kLabels));
-    codec::PutI32(&image, 3);  // condensed nodes
-    codec::PutU64(&image, 2);  // arcs
-    for (const int32_t endpoint : {0, 1, 1, 2}) {
-      codec::PutI32(&image, endpoint);
-    }
-    for (const int32_t component : {0, 1, 2}) {
-      codec::PutI32(&image, component);  // node map
-    }
-    for (int i = 0; i < 3; ++i) codec::PutI32(&image, 1);  // SCC sizes
-    codec::PutU32(&image, 3);  // index nodes
-    // topo pos, max reach, min origin, pre, post, chain id, chain pos.
-    const int32_t labels[7][3] = {{0, 1, 2}, {2, 2, 2}, {0, 0, 0}, {0, 1, 2},
-                                  {5, 4, 3}, {0, 0, 0}, {0, 1, 2}};
-    for (const auto& array : labels) {
-      for (const int32_t label : array) codec::PutI32(&image, label);
-    }
-    codec::PutI32(&image, 1);  // chains
-    codec::PutU32(&image, 0);  // pivots
-    codec::PutU8(&image, battery);
+    images.push_back(body);
+    codec::PutU8(&images.back(), battery);
+  }
+  std::string tagged;
+  codec::PutU32(&tagged, 0x80000000u | 2);
+  images.push_back(tagged + body);
+  for (const std::string& image : images) {
     const Status status = DecodeCore(image);
     EXPECT_EQ(status.code(), StatusCode::kCorruption);
     EXPECT_NE(status.message().find("version"), std::string::npos)
         << status.ToString();
+  }
+}
+
+// Every proper prefix of a small label image and of a small chain image is
+// Corruption.
+TEST(ReachCoreImageTest, EveryTruncationIsCorruption) {
+  for (const std::shared_ptr<const ReachCore>& core :
+       {CyclicLabelCore(), SmallChainCore()}) {
+    std::string image;
+    core->SerializeAppend(&image);
+    ASSERT_TRUE(DecodeCore(image).ok());
+    for (size_t keep = 0; keep < image.size(); ++keep) {
+      EXPECT_EQ(DecodeCore(image.substr(0, keep)).code(),
+                StatusCode::kCorruption)
+          << "a " << keep << "-byte prefix of " << image.size();
+    }
+  }
+}
+
+// Deserialize(SerializeAppend(core)) re-encodes to the same bytes and
+// decides every pair of instance 0 of every catalog family with the same
+// verdict and rule, on a pinned search core and on the kAuto core; a
+// restored search core also has the same roots and words, so its search
+// answers as the original's does.
+TEST(ReachCoreImageTest, RoundTripReencodesAndAnswersAlike) {
+  for (const char* family : {"G1", "G2", "G3", "G4", "G5", "G6", "G7", "G8",
+                             "G9", "G10", "G11", "G12"}) {
+    const GeneratorParams params = CatalogParams(FamilyByName(family), 0);
+    const ArcList arcs = GenerateDag(params);
+    for (const ReachBackend backend :
+         {ReachBackend::kLabels, ReachBackend::kAuto}) {
+      ReachIndexOptions options;
+      options.backend = backend;
+      auto built = ReachCore::Build(arcs, params.num_nodes, options);
+      ASSERT_TRUE(built.ok()) << built.status().ToString();
+      const ReachCore& core = *built.value();
+      // kAuto builds the same search core as the pin on the wide families.
+      if (backend == ReachBackend::kAuto &&
+          core.backend == ReachBackend::kLabels) {
+        continue;
+      }
+      SCOPED_TRACE(std::string(family) +
+                   (core.backend == ReachBackend::kChain ? " chain"
+                                                         : " labels"));
+      std::string image;
+      core.SerializeAppend(&image);
+      codec::Reader reader(image.data(), image.size());
+      auto restored = ReachCore::Deserialize(&reader);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      std::string image2;
+      restored.value()->SerializeAppend(&image2);
+      ASSERT_EQ(image, image2);
+      const ReachCore& copy = *restored.value();
+      ASSERT_EQ(copy.backend, core.backend);
+      EXPECT_EQ(copy.index.roots(), core.index.roots());
+      for (NodeId v = 0; v < core.index.num_nodes(); ++v) {
+        ASSERT_EQ(copy.index.anc(v), core.index.anc(v)) << v;
+        ASSERT_EQ(copy.index.desc(v), core.index.desc(v)) << v;
+      }
+      for (NodeId u = 0; u < params.num_nodes; ++u) {
+        for (NodeId v = 0; v < params.num_nodes; ++v) {
+          ReachRule want = ReachRule::kCacheHit;
+          ReachRule got = ReachRule::kCacheHit;
+          const ReachIndex::Verdict verdict = core.Decide(u, v, &want);
+          ASSERT_EQ(copy.Decide(u, v, &got), verdict)
+              << "u=" << u << " v=" << v;
+          if (verdict != ReachIndex::Verdict::kUnknown) {
+            ASSERT_EQ(got, want) << "u=" << u << " v=" << v;
+          }
+        }
+      }
+    }
   }
 }
 

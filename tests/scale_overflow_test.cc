@@ -53,8 +53,8 @@ static_assert(
                    int64_t>,
     "per-rule counters are 64-bit");
 
-// The pivot scorers (reach_index_build.cc, dynamic/incremental.cc) rank
-// nodes by forward-cone x backward-cone — the canonical n x n
+// The pivot scorer of dynamic/incremental.cc ranks nodes by
+// forward-cone x backward-cone — the canonical n x n
 // intermediate. On a 2*10^5-node path the midpoint's product is ~10^10;
 // an int32 product wraps negative and the scorer would rank the best
 // pivot LAST.

@@ -49,6 +49,21 @@ if [[ -n "${shard_count_uses}" ]]; then
   exit 1
 fi
 
+# --- Dead-option lint: ReachIndexOptions' O'Reach observation switch and
+# its training traffic are read by nothing. They stay declared only
+# because the perfbench `serve` workload sets them, so outside perfbench/
+# their declaration lines in src/reach/reach_index.h are the one place the
+# names may appear. (The brackets keep this script from matching itself.)
+observation_uses=$(grep -rnwE 'o[r]each|o[r]each_traffic' \
+    src bench examples tools tests CMakeLists.txt \
+    | grep -vxE 'src/reach/reach_index\.h:[0-9]+:  (bool o[r]each = false;|std::vector<std::pair<NodeId, NodeId>> o[r]each_traffic;)' \
+    || true)
+if [[ -n "${observation_uses}" ]]; then
+  echo "error: the ignored ReachIndexOptions observation options are used:"
+  echo "${observation_uses}"
+  exit 1
+fi
+
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
@@ -119,10 +134,11 @@ if [[ "${mutate_digest}" != "${expected_digest}" ]]; then
   exit 1
 fi
 
-# --- Sanitized serving ladder: the label ladder, its rule attribution and
-# the core-image decoder fed inflated, overflowing and previous-layout
-# images (reach_index_test, less the oreach observation tests, which the
-# battery step below runs), the dynamic service's snapshot / incremental /
+# --- Sanitized serving ladder: the search core's root words and search
+# against the BFS reference closure, its rule attribution and the
+# core-image decoder fed inflated, overflowing, truncated and
+# previous-layout images (reach_index_test), the dynamic service's
+# snapshot / incremental /
 # live-BFS rungs and their stats (dynamic_reach_test,
 # incremental_reach_test), the tick-exact per-rule stats of a
 # one-thread server against a direct service (determinism_test), and the
@@ -135,7 +151,7 @@ fi
 cmake --build "$SAN_DIR" -j "$(nproc)" --target reach_index_test \
     dynamic_reach_test incremental_reach_test determinism_test \
     decide_batch_test huge_page_allocator_test
-"$SAN_DIR"/tests/reach_index_test --gtest_filter='-ObservationBatteryTest.*'
+"$SAN_DIR"/tests/reach_index_test
 "$SAN_DIR"/tests/dynamic_reach_test
 "$SAN_DIR"/tests/incremental_reach_test
 "$SAN_DIR"/tests/determinism_test
@@ -189,16 +205,11 @@ if (( kron_seconds > 20 )); then
   exit 1
 fi
 
-# --- Sanitized observation-battery differential: the label index's oreach
-# observations (extra topological orders, levels, negative cuts,
-# traffic-trained pivots) verified sound against the BFS reference
-# closure across the generator and scale families (the
-# ObservationBatteryTest suite of reach_index_test, built above), plus
-# the CLI's workload-bench --check smoke, which serves an adversarial
-# mined mix on oreach-off and oreach-on cores and requires bit-identical
-# answers that match a DFS reference — all under ASan+UBSan so an
-# off-by-one in a cut bit-set or pivot cone is a crash, not a wrong "no".
-"$SAN_DIR"/tests/reach_index_test --gtest_filter='ObservationBatteryTest.*'
+# --- Sanitized search-core differential: the CLI's workload-bench --check
+# smoke serves an adversarial mix mined against the search core's words,
+# and a mixed one, each on one search core, and requires every sampled
+# answer to match a DFS reference — under ASan+UBSan so a stale scratch
+# slot or an off-by-one in the reverse CSR is a crash, not a wrong "no".
 "$SAN_DIR"/tools/tcdb_cli workload-bench gen:800,5,160,3 \
     --workload adversarial --queries 5000 --seed 1 --check 800
 "$SAN_DIR"/tools/tcdb_cli workload-bench gen:600,4,120,9 \
@@ -209,9 +220,10 @@ fi
 # checkpoint-under-rebuild persistence test, the follower-catchup
 # replication tests, the chain-backend ReachServer differential
 # (concurrent clients over a kChain core, scale_backend_test), the
-# oreach-core serving tests (oreach_server_test — the core and its
-# observations are shared read-only by every client's lane, so a missing
-# happens-before is a TSan report here), and the CLI smokes that drive client/rebuilder/apply
+# search-core serving tests (oreach_server_test — the core is shared
+# read-only by every client's lane while each lane searches on its own
+# scratch, so a missing happens-before is a TSan report here), and the
+# CLI smokes that drive client/rebuilder/apply
 # threads rerun in a separate TSan tree — TSan cannot share a build with
 # ASan, hence the third directory.
 TSAN_DIR="${BUILD_DIR}-tsan"

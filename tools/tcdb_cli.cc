@@ -57,9 +57,9 @@ void Usage() {
        tcdb_cli reach <graph> <src> <dst> [--explain]
        tcdb_cli serve-bench <graph> [--clients N]
                 [--queries N] [--batch N] [--seed S]
-                [--workload W] [--battery] [--trace FILE]
+                [--workload W] [--trace FILE]
        tcdb_cli workload-bench <graph> [--workload W] [--queries N]
-                [--seed S] [--no-battery] [--check K]
+                [--seed S] [--check K]
                 [--dump-trace FILE] [--replay FILE]
        tcdb_cli stress [--seeds N] [--base-seed S] [--verbose]
        tcdb_cli mutate-bench <graph> [--ops N] [--update-ratio R]
@@ -123,36 +123,29 @@ serve-bench subcommand (multi-threaded serving throughput):
     --workload W           draw the mix from the traffic model instead of
                            the legacy fixed mix: uniform|zipf|hot-pair|
                            adversarial|mixed (adversarial mines pairs the
-                           base O(1) rules cannot decide)
-    --battery              serve a label core with the O'Reach observation
-                           battery, trained on a disjoint same-shape
-                           traffic sample (otherwise the default backend
-                           choice serves)
+                           O(1) rules cannot decide)
     --trace FILE           replay the query mix from a trace file
                            (see workload-bench --dump-trace)
     prints queries/second, the cache hit rate, the merged per-stage and
     per-rule decision tables, the serving-latency histogram, and the
     core's backend and budget check
 
-workload-bench subcommand (traffic-model mixes on label cores, battery off
-vs on):
+workload-bench subcommand (traffic-model mixes on the search core):
   tcdb_cli workload-bench <graph> [flags]
     <graph>                arc-list file, or gen:N,F,L,SEED
     --workload W           uniform|zipf|hot-pair|adversarial|mixed
                            (default adversarial)
     --queries N            workload size (default 20000)
     --seed S               traffic seed (default 42)
-    --no-battery           skip the battery run (baseline only)
-    --check K              differential smoke: serve K sampled pairs on
-                           both cores, compare battery-on vs battery-off
-                           answers bit-for-bit and both against a BFS
-                           reference; exits 1 on any mismatch. This is
-                           the sweep check.sh runs under the sanitizers.
+    --check K              differential smoke: serve K sampled pairs and
+                           compare the answers against a BFS reference;
+                           exits 1 on any mismatch. This is the sweep
+                           check.sh runs under the sanitizers.
     --dump-trace FILE      write the generated mix as a replayable trace
     --replay FILE          serve a previously dumped trace instead of
                            generating (ignores --workload/--seed)
-    prints one JSON line per core (decided rate, O(1)-label rate, cache
-    hit rate, per-rule fractions) plus the miner's undecided ratio
+    prints one JSON line (decided rate, O(1)-label rate, cache hit rate,
+    per-rule fractions) plus the miner's undecided ratio
 
 stress subcommand (randomized differential storage stress):
   tcdb_cli stress [--seeds N] [--base-seed S] [--verbose]
@@ -382,30 +375,6 @@ int RunReach(int argc, char** argv) {
   return 0;
 }
 
-// Options for the label ladder pinned (the battery is one of its rungs, so
-// the battery studies below pin it; the default kAuto may pick chains).
-ReachIndexOptions LabelLadderOptions() {
-  ReachIndexOptions options;
-  options.backend = ReachBackend::kLabels;
-  return options;
-}
-
-// Builds a battery-enabled label core over `arcs`, training the pivots on
-// a traffic sample of the given shape mined against `baseline`'s ladder.
-Result<std::shared_ptr<const ReachCore>> BuildBatteryCore(
-    const ArcList& arcs, NodeId num_nodes, const Digraph& graph,
-    std::shared_ptr<const ReachCore> baseline, WorkloadKind kind,
-    uint64_t seed) {
-  ReachIndexOptions index_options = LabelLadderOptions();
-  index_options.oreach = true;
-  TrafficModelOptions train;
-  train.kind = kind;
-  train.seed = seed + 7777;  // disjoint from the served stream
-  index_options.oreach_traffic = MakeModelWorkload(
-      graph, train, 4096, MakeLadderProbe(std::move(baseline)));
-  return ReachCore::Build(arcs, num_nodes, index_options);
-}
-
 // `tcdb_cli serve-bench <graph> [flags]`: stands up a ReachServer
 // over the input, fires a reproducible workload at it from client threads
 // (the legacy fixed mix, a traffic-model mix, or a replayed trace), and
@@ -423,7 +392,6 @@ int RunServeBench(int argc, char** argv) {
   uint64_t seed = 42;
   std::string workload_name;
   std::string trace_file;
-  bool battery = false;
   for (int i = 2; i < argc; ++i) {
     const std::string flag = argv[i];
     auto next = [&]() -> const char* {
@@ -445,8 +413,6 @@ int RunServeBench(int argc, char** argv) {
       workload_name = next();
     } else if (flag == "--trace") {
       trace_file = next();
-    } else if (flag == "--battery") {
-      battery = true;
     } else {
       std::fprintf(stderr, "unknown serve-bench flag '%s'\n", flag.c_str());
       return 2;
@@ -466,14 +432,12 @@ int RunServeBench(int argc, char** argv) {
   }
   const Digraph graph(num_nodes, arcs);
 
-  // With --battery the served core is a label core, so the mix is mined
-  // against the label ladder; otherwise the default backend serves.
-  auto baseline = ReachCore::Build(
-      arcs, num_nodes, battery ? LabelLadderOptions() : ReachIndexOptions{});
-  if (!baseline.ok()) {
-    std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
+  auto built = ReachCore::Build(arcs, num_nodes);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 1;
   }
+  const std::shared_ptr<const ReachCore> core = built.value();
 
   std::vector<std::pair<NodeId, NodeId>> workload;
   if (!trace_file.empty()) {
@@ -496,24 +460,10 @@ int RunServeBench(int argc, char** argv) {
     TrafficModelOptions traffic;
     traffic.kind = kind;
     traffic.seed = seed;
-    workload = MakeModelWorkload(graph, traffic, num_queries,
-                                 MakeLadderProbe(baseline.value()));
+    workload =
+        MakeModelWorkload(graph, traffic, num_queries, MakeLadderProbe(core));
   } else {
     workload = MakeServingWorkload(graph, num_queries, seed);
-  }
-
-  std::shared_ptr<const ReachCore> core = baseline.value();
-  if (battery) {
-    auto built = BuildBatteryCore(arcs, num_nodes, graph, baseline.value(),
-                                  kind, seed);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-      return 1;
-    }
-    core = built.value();
-    std::printf("observation battery: %d orders, %d cuts/dir, %d pivots\n",
-                core->index.num_orders() - 1, core->index.num_cuts(),
-                core->index.num_trained_pivots());
   }
 
   auto server = ReachServer::Start(core, options);
@@ -545,12 +495,11 @@ int RunServeBench(int argc, char** argv) {
 }
 
 // `tcdb_cli workload-bench <graph> [flags]`: runs one traffic-model mix
-// through a single-threaded ReachService twice — baseline core, then the
-// same core with the observation battery — printing one JSON line per
-// run. --check serves K sampled pairs on both cores and verifies the
-// answers agree bit-for-bit with each other and with a BFS reference
-// (the sanitizer smoke in tools/check.sh); --dump-trace/--replay round
-// the mix through the replayable trace format.
+// through a single-threaded ReachService over the search core (a pinned
+// kLabels core), printing one JSON line. --check serves K sampled pairs
+// and verifies the answers against a BFS reference (the sanitizer smoke
+// in tools/check.sh); --dump-trace/--replay round the mix through the
+// replayable trace format.
 int RunWorkloadBench(int argc, char** argv) {
   if (argc < 2) {
     Usage();
@@ -560,7 +509,6 @@ int RunWorkloadBench(int argc, char** argv) {
   std::string workload_name = "adversarial";
   int64_t num_queries = 20000;
   uint64_t seed = 42;
-  bool use_battery = true;
   int64_t check_pairs = 0;
   std::string dump_file;
   std::string replay_file;
@@ -579,8 +527,6 @@ int RunWorkloadBench(int argc, char** argv) {
       ParseArgOrExit(flag, next(), &num_queries);
     } else if (flag == "--seed") {
       ParseArgOrExit(flag, next(), &seed);
-    } else if (flag == "--no-battery") {
-      use_battery = false;
     } else if (flag == "--check") {
       ParseArgOrExit(flag, next(), &check_pairs);
     } else if (flag == "--dump-trace") {
@@ -606,14 +552,17 @@ int RunWorkloadBench(int argc, char** argv) {
   }
   const Digraph graph(num_nodes, arcs);
 
-  auto baseline = ReachCore::Build(arcs, num_nodes, LabelLadderOptions());
-  if (!baseline.ok()) {
-    std::fprintf(stderr, "%s\n", baseline.status().ToString().c_str());
+  ReachIndexOptions index_options;
+  index_options.backend = ReachBackend::kLabels;
+  auto built = ReachCore::Build(arcs, num_nodes, index_options);
+  if (!built.ok()) {
+    std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
     return 1;
   }
+  const std::shared_ptr<const ReachCore> core = built.value();
 
-  // The mix: generated by the model (mining against the baseline ladder)
-  // or replayed from a trace dumped earlier.
+  // The mix: generated by the model (mining against the core's ladder) or
+  // replayed from a trace dumped earlier.
   std::vector<std::pair<NodeId, NodeId>> pairs;
   if (!replay_file.empty()) {
     std::ifstream in(replay_file);
@@ -633,7 +582,7 @@ int RunWorkloadBench(int argc, char** argv) {
     TrafficModelOptions traffic;
     traffic.kind = kind;
     traffic.seed = seed;
-    TrafficModel model(graph, traffic, MakeLadderProbe(baseline.value()));
+    TrafficModel model(graph, traffic, MakeLadderProbe(core));
     pairs = model.Take(num_queries);
     if (model.mined_total() > 0) {
       std::printf("miner: %lld/%lld probes left undecided (%.1f%%)\n",
@@ -658,65 +607,39 @@ int RunWorkloadBench(int argc, char** argv) {
                 dump_file.c_str());
   }
 
-  std::shared_ptr<const ReachCore> battery_core;
-  if (use_battery) {
-    auto built = BuildBatteryCore(arcs, num_nodes, graph, baseline.value(),
-                                  kind, seed);
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-      return 1;
-    }
-    battery_core = built.value();
+  // Serve the full mix through a private single-threaded service.
+  std::unique_ptr<ReachService> service = ReachService::Create(core);
+  auto answers = service->QueryBatch(pairs);
+  if (!answers.ok()) {
+    std::fprintf(stderr, "%s\n", answers.status().ToString().c_str());
+    return 1;
   }
-
-  // Serve the full mix on each core through a private single-threaded
-  // service; emit one JSON line per core.
-  auto serve = [&](const std::shared_ptr<const ReachCore>& core,
-                   const char* label) -> int {
-    std::unique_ptr<ReachService> service = ReachService::Create(core);
-    auto answers = service->QueryBatch(pairs);
-    if (!answers.ok()) {
-      std::fprintf(stderr, "%s: %s\n", label,
-                   answers.status().ToString().c_str());
-      return 1;
-    }
-    const ReachStats& s = service->stats();
-    const double total =
-        static_cast<double>(std::max<int64_t>(s.queries, 1));
-    std::printf(
-        "{\"bench\": \"workload\", \"workload\": \"%s\", "
-        "\"battery\": %s, \"queries\": %lld, \"decided_rate\": %.4f, "
-        "\"label_rate\": %.4f, \"cache_hit_rate\": %.4f, \"rules\": {",
-        WorkloadKindName(kind), label,
-        static_cast<long long>(s.queries),
-        static_cast<double>(s.DecidedWithoutFallback()) / total,
-        static_cast<double>(s.DecidedWithoutFallback() -
-                            s.RuleDecided(ReachRule::kCacheHit)) /
-            total,
-        s.CacheHitRate());
-    bool first = true;
-    for (int r = 0; r < kNumReachRules; ++r) {
-      if (s.rule_decided[r] == 0) continue;
-      std::printf("%s\"%s\": %.4f", first ? "" : ", ",
-                  ReachRuleName(static_cast<ReachRule>(r)),
-                  static_cast<double>(s.rule_decided[r]) / total);
-      first = false;
-    }
-    std::printf("}}\n");
-    return 0;
-  };
-  if (const int code = serve(baseline.value(), "false")) return code;
-  if (battery_core) {
-    if (const int code = serve(battery_core, "true")) return code;
+  const ReachStats& s = service->stats();
+  const double total = static_cast<double>(std::max<int64_t>(s.queries, 1));
+  std::printf(
+      "{\"bench\": \"workload\", \"workload\": \"%s\", "
+      "\"queries\": %lld, \"decided_rate\": %.4f, "
+      "\"label_rate\": %.4f, \"cache_hit_rate\": %.4f, \"rules\": {",
+      WorkloadKindName(kind), static_cast<long long>(s.queries),
+      static_cast<double>(s.DecidedWithoutFallback()) / total,
+      static_cast<double>(s.DecidedWithoutFallback() -
+                          s.RuleDecided(ReachRule::kCacheHit)) /
+          total,
+      s.CacheHitRate());
+  bool first = true;
+  for (int r = 0; r < kNumReachRules; ++r) {
+    if (s.rule_decided[r] == 0) continue;
+    std::printf("%s\"%s\": %.4f", first ? "" : ", ",
+                ReachRuleName(static_cast<ReachRule>(r)),
+                static_cast<double>(s.rule_decided[r]) / total);
+    first = false;
   }
+  std::printf("}}\n");
 
-  // Differential smoke: both ladders and a BFS reference must agree on a
-  // sampled subset, battery answers bit-for-bit equal to baseline.
+  // Differential smoke: a fresh service and a BFS reference must agree
+  // on a sampled subset.
   if (check_pairs > 0 && !pairs.empty()) {
-    std::unique_ptr<ReachService> base_service =
-        ReachService::Create(baseline.value());
-    std::unique_ptr<ReachService> battery_service;
-    if (battery_core) battery_service = ReachService::Create(battery_core);
+    std::unique_ptr<ReachService> check_service = ReachService::Create(core);
     Rng rng(seed ^ 0x5bf03635u);
     std::vector<bool> cone(static_cast<size_t>(num_nodes));
     std::vector<NodeId> stack;
@@ -740,39 +663,20 @@ int RunWorkloadBench(int argc, char** argv) {
         }
       }
       const bool expect = cone[static_cast<size_t>(dst)];
-      auto base_answer = base_service->Query(src, dst);
-      if (!base_answer.ok()) {
-        std::fprintf(stderr, "%s\n",
-                     base_answer.status().ToString().c_str());
+      auto answer = check_service->Query(src, dst);
+      if (!answer.ok()) {
+        std::fprintf(stderr, "%s\n", answer.status().ToString().c_str());
         return 1;
       }
-      if (base_answer.value().reachable != expect) {
-        std::fprintf(stderr,
-                     "CHECK FAIL baseline %d->%d: got %d want %d\n", src,
-                     dst, base_answer.value().reachable ? 1 : 0,
-                     expect ? 1 : 0);
+      if (answer.value().reachable != expect) {
+        std::fprintf(stderr, "CHECK FAIL %d->%d: got %d want %d\n", src,
+                     dst, answer.value().reachable ? 1 : 0, expect ? 1 : 0);
         return 1;
-      }
-      if (battery_service) {
-        auto battery_answer = battery_service->Query(src, dst);
-        if (!battery_answer.ok()) {
-          std::fprintf(stderr, "%s\n",
-                       battery_answer.status().ToString().c_str());
-          return 1;
-        }
-        if (battery_answer.value().reachable != expect) {
-          std::fprintf(stderr,
-                       "CHECK FAIL battery %d->%d: got %d want %d\n", src,
-                       dst, battery_answer.value().reachable ? 1 : 0,
-                       expect ? 1 : 0);
-          return 1;
-        }
       }
       ++checked;
     }
-    std::printf("check: %lld sampled pairs agree with the reference%s\n",
-                static_cast<long long>(checked),
-                battery_service ? " on both cores" : "");
+    std::printf("check: %lld sampled pairs agree with the reference\n",
+                static_cast<long long>(checked));
   }
   return 0;
 }
